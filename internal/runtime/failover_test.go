@@ -20,11 +20,26 @@ import (
 // only checkpoints cut are the standby-attach ones.
 func startPrimary(t *testing.T, mem *transport.Mem, jpath string, col *resultCollector) *Master {
 	t.Helper()
+	cfg := primaryConfig(t, mem, jpath)
+	if col != nil {
+		cfg.OnResult = col.add
+	}
+	m, err := StartMaster(cfg)
+	if err != nil {
+		t.Fatalf("StartMaster: %v", err)
+	}
+	t.Cleanup(func() { _ = m.Close() })
+	return m
+}
+
+// primaryConfig is startPrimary's master configuration.
+func primaryConfig(t *testing.T, mem *transport.Mem, jpath string) MasterConfig {
+	t.Helper()
 	app, err := apps.FaceRecognition()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := MasterConfig{
+	return MasterConfig{
 		App:                app,
 		Policy:             routing.LRS,
 		ListenAddr:         "master",
@@ -38,15 +53,6 @@ func startPrimary(t *testing.T, mem *transport.Mem, jpath string, col *resultCol
 		ReplicatePingEvery: 20 * time.Millisecond,
 		Logger:             quietLogger(),
 	}
-	if col != nil {
-		cfg.OnResult = col.add
-	}
-	m, err := StartMaster(cfg)
-	if err != nil {
-		t.Fatalf("StartMaster: %v", err)
-	}
-	t.Cleanup(func() { _ = m.Close() })
-	return m
 }
 
 // startHotStandby attaches a standby to the primary's replication

@@ -381,9 +381,11 @@ func TestReorderCapFloor(t *testing.T) {
 		t.Fatalf("rcap = %d, want >= %d", m.rcap, minReorderCap)
 	}
 	// Out-of-order arrivals within the floor are buffered, not skipped.
-	m.deliver(Result{Tuple: tuple.New(1, 1)})
-	m.deliver(Result{Tuple: tuple.New(2, 2)})
-	m.deliver(Result{Tuple: tuple.New(0, 0)})
+	m.deliverBatch([]Result{
+		{Tuple: tuple.New(1, 1)},
+		{Tuple: tuple.New(2, 2)},
+		{Tuple: tuple.New(0, 0)},
+	}, nil)
 	st := m.Stats()
 	if st.Skipped != 0 || st.Played != 3 {
 		t.Fatalf("stats = %+v, want 3 played and 0 skipped", st)

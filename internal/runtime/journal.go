@@ -472,11 +472,31 @@ func (j *journal) appendResend(id uint64, attempt uint8) error {
 	return j.append(recResend, append(b, attempt))
 }
 
-// appendAck logs a worker acknowledgment.
+// appendAck logs a worker acknowledgment: a batch of one.
 func (j *journal) appendAck(id uint64) error {
-	b := make([]byte, 0, 16)
-	b = binary.LittleEndian.AppendUint64(b, j.seq.Add(1))
-	return j.append(recAck, binary.LittleEndian.AppendUint64(b, id))
+	return j.appendAckBatch([]uint64{id})
+}
+
+// appendAckBatch logs a batch of worker acknowledgments under one lock
+// acquisition and one group-commit entry — the result-path mirror of
+// appendSubmitBatch. Each ack is still its own record with its own
+// sequence number, so replay cannot tell the batch from per-ack appends.
+func (j *journal) appendAckBatch(ids []uint64) error {
+	if len(ids) == 0 {
+		return nil
+	}
+	j.mu.Lock()
+	for _, id := range ids {
+		start, err := j.reserveLocked(recAck)
+		if err != nil {
+			j.mu.Unlock()
+			return err
+		}
+		j.pending = binary.LittleEndian.AppendUint64(j.pending, j.seq.Add(1))
+		j.pending = binary.LittleEndian.AppendUint64(j.pending, id)
+		j.sealLocked(start)
+	}
+	return j.commitAndUnlock()
 }
 
 // appendShed logs an abandoned tuple; overload marks admission-control

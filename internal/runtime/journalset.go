@@ -123,26 +123,33 @@ func (js *journalSet) appendSubmit(t *tuple.Tuple) error {
 	return js.seg(t.ID).appendSubmit(t)
 }
 
-// appendSubmitBatch logs a batch of first-attempt dispatches, regrouped
-// in place by owning segment so each touched segment takes its lock once
-// and commits the whole group under one group-commit entry. Callers pass
-// scratch the submit path owns; the reorder is harmless because recovery
-// merges segments by sequence number, not append order.
+// appendSubmitBatch logs a batch of first-attempt dispatches, one group
+// commit per touched segment (see bySegment).
 func (js *journalSet) appendSubmitBatch(ts []*tuple.Tuple) error {
+	return bySegment(js, ts, func(t *tuple.Tuple) uint64 { return t.ID }, (*journal).appendSubmitBatch)
+}
+
+// bySegment regroups xs in place by owning segment and hands each group
+// to its segment's batch append, so each touched segment takes its lock
+// once and commits the whole group under one group-commit entry. xs is
+// scratch the caller owns; the reorder is harmless because recovery
+// merges segments by sequence number, not append order. The first
+// error is reported after every group has been tried.
+func bySegment[T any](js *journalSet, xs []T, id func(T) uint64, appendBatch func(*journal, []T) error) error {
 	if js.mask == 0 {
-		return js.segs[0].appendSubmitBatch(ts)
+		return appendBatch(js.segs[0], xs)
 	}
 	var firstErr error
-	for lo := 0; lo < len(ts); {
-		idx := mix64(ts[lo].ID) & js.mask
+	for lo := 0; lo < len(xs); {
+		idx := mix64(id(xs[lo])) & js.mask
 		hi := lo
-		for j := lo; j < len(ts); j++ {
-			if mix64(ts[j].ID)&js.mask == idx {
-				ts[hi], ts[j] = ts[j], ts[hi]
+		for j := lo; j < len(xs); j++ {
+			if mix64(id(xs[j]))&js.mask == idx {
+				xs[hi], xs[j] = xs[j], xs[hi]
 				hi++
 			}
 		}
-		if err := js.segs[idx].appendSubmitBatch(ts[lo:hi]); err != nil && firstErr == nil {
+		if err := appendBatch(js.segs[idx], xs[lo:hi]); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		lo = hi
@@ -155,9 +162,10 @@ func (js *journalSet) appendResend(id uint64, attempt uint8) error {
 	return js.seg(id).appendResend(id, attempt)
 }
 
-// appendAck logs a worker acknowledgment.
-func (js *journalSet) appendAck(id uint64) error {
-	return js.seg(id).appendAck(id)
+// appendAckBatch logs a batch of acknowledgments, one group commit per
+// touched segment (see bySegment). ids is caller-owned scratch.
+func (js *journalSet) appendAckBatch(ids []uint64) error {
+	return bySegment(js, ids, func(id uint64) uint64 { return id }, (*journal).appendAckBatch)
 }
 
 // appendShed logs an abandoned tuple.

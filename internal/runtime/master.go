@@ -36,7 +36,11 @@ import (
 
 // Result is one in-order playback delivery from the master's sink.
 type Result struct {
-	// Tuple is the final result tuple.
+	// Tuple is the final result tuple. Results of one upstream frame are
+	// decoded together — their bytes fields alias one copy of the frame
+	// and the tuples share one block — so a retained Tuple keeps its
+	// whole frame's copy and block alive. Clone it to keep one result
+	// without the rest.
 	Tuple *tuple.Tuple
 	// Latency is end-to-end: submit to sink arrival.
 	Latency time.Duration
@@ -1142,12 +1146,7 @@ func (m *Master) appendOut(wc *workerConn, dst []byte, f outFrame) []byte {
 }
 
 func (m *Master) readLoop(wc *workerConn) {
-	// One closure per connection, reused across batch frames, so decoding
-	// a batch costs no per-frame allocation.
-	onEntry := func(entry []byte) error {
-		m.handleResult(wc, entry)
-		return nil
-	}
+	var sc resultScratch
 	for {
 		typ, buf, err := wire.ReadFrameBuf(wc.conn)
 		if err != nil {
@@ -1159,12 +1158,11 @@ func (m *Master) readLoop(wc *workerConn) {
 		}
 		// Any frame is proof of life for the failure detector; pongs exist
 		// so even an idle link produces them.
-		wc.noteHeard(time.Now())
+		now := time.Now()
+		wc.noteHeard(now)
 		switch typ {
-		case wire.FrameResult:
-			m.handleResult(wc, payload)
 		case wire.FrameResultBatch:
-			if err := wire.DecodeResultBatch(payload, onEntry); err != nil {
+			if err := m.handleResultBatch(wc, &sc, payload, now); err != nil {
 				m.cfg.Logger.Warn("swing master: bad result batch",
 					"worker", wc.id, "err", err)
 			}
@@ -1186,8 +1184,8 @@ func (m *Master) readLoop(wc *workerConn) {
 		default:
 			// Ignore unexpected frames from workers.
 		}
-		// handleResult copies what it keeps (owned tuple decode), so the
-		// frame buffer can return to the pool here.
+		// handleResultBatch copies what it keeps (one owned copy per
+		// frame), so the frame buffer can return to the pool here.
 		buf.Release()
 	}
 }
@@ -1894,20 +1892,6 @@ func (m *Master) journalDispatch(t *tuple.Tuple, attempt uint8) {
 	}
 }
 
-// journalAck logs a worker acknowledgment (no-op without a journal).
-// It reports whether the ack record was durably appended — the signal
-// the sink path uses to decide whether semi-sync replication applies.
-func (m *Master) journalAck(id uint64) bool {
-	if m.journal == nil {
-		return false
-	}
-	if err := m.journal.appendAck(id); err != nil {
-		m.cfg.Logger.Warn("swing master: journal append", "err", err)
-		return false
-	}
-	return true
-}
-
 // journalShed logs an abandoned tuple (no-op without a journal).
 func (m *Master) journalShed(id uint64, overload bool) {
 	if m.journal == nil {
@@ -2038,136 +2022,6 @@ func (m *Master) Epoch() uint64 { return m.epoch }
 // tuples never share a sequence slot in the reorder buffer.
 func (m *Master) NextSeq() uint64 {
 	return m.nextSeq.Load()
-}
-
-// handleResult is the sink path: release the in-flight entry, fold the
-// latency feedback into the router, then reorder for playback (§IV-C
-// "Reordering Service"). Ack-only frames (no tuple bytes) stop here: the
-// worker consumed the tuple without producing a result, and counting the
-// ack keeps the ledger balanced and the latency estimate fresh.
-func (m *Master) handleResult(wc *workerConn, payload []byte) {
-	meta, tb, err := wire.DecodeResult(payload)
-	if err != nil {
-		return
-	}
-	if m.recoveredAcked.has(meta.TupleID) {
-		// Straggler from a previous incarnation: the old master already
-		// acked (and possibly played) this tuple before it crashed.
-		// Dropping the duplicate keeps the sink at-most-once across epochs.
-		return
-	}
-	now := time.Now()
-	latency := now.Sub(time.Unix(0, meta.EmitNanos))
-	if latency < 0 {
-		latency = 0
-	}
-	// Bank the latency sample before the ledger ack: anyone who observes
-	// Acked == n through Stats (which flushes banked samples first) is then
-	// guaranteed the router estimates already include all n samples.
-	wc.ackLat.Add(int64(latency))
-	wc.ackProc.Add(meta.ProcNanos)
-	wc.ackN.Add(1)
-	if m.cfg.HedgeAfter > 0 {
-		wc.lat.add(latency)
-	}
-	if meta.Dropped && m.cfg.PoisonAttempts > 0 {
-		// Quarantine mode: a drop notice is a failed attempt, not an ack —
-		// the tuple either re-dispatches to a worker it has not burned or
-		// is quarantined after PoisonAttempts distinct workers.
-		m.workerDropped.Add(1)
-		m.countDrop(meta.Reason)
-		m.handlePoisonDrop(wc, meta)
-		return
-	}
-	if m.inflight.ack(meta.TupleID) {
-		// Journal the ack before the result can reach the sink: a crash
-		// between the two drops the frame (at-most-once) rather than
-		// replaying an already-played frame after restart. With a standby
-		// attached, also hold the result until the ack record is in every
-		// mirror — otherwise a failover could lose the ack and the promoted
-		// master would redeliver a frame this incarnation already played.
-		if m.journalAck(meta.TupleID) && m.rep != nil {
-			m.rep.waitFlushed()
-		}
-	}
-	if meta.Dropped {
-		m.workerDropped.Add(1)
-		m.countDrop(meta.Reason)
-		// A processor-error drop is a breaker failure: the worker is
-		// reachable but not producing results.
-		m.chargeDropBreaker(wc)
-	} else {
-		if meta.Reason == wire.DropFiltered {
-			m.filtered.Add(1)
-		}
-		wc.mu.Lock()
-		prev := wc.br.state
-		wc.br.onSuccess()
-		closed := prev == breakerHalfOpen
-		wc.mu.Unlock()
-		if closed {
-			m.events.Record(obs.EventBreakerClose, wc.id, "probe succeeded", 0)
-			m.cfg.Logger.Info("swing master: breaker closed", "worker", wc.id,
-				"reason", "probe succeeded")
-		}
-	}
-	if len(tb) == 0 {
-		return // ack-only: dropped or filtered out downstream
-	}
-	res, err := tuple.Unmarshal(tb)
-	if err != nil {
-		return
-	}
-	m.deliver(Result{Tuple: res, Latency: latency, Worker: wc.id})
-}
-
-// deliver plays results in sequence order, skipping when the reorder
-// buffer overflows. The common case — an in-order arrival releasing
-// exactly one play — avoids the slice entirely.
-func (m *Master) deliver(r Result) {
-	var (
-		first  Result
-		extra  []Result
-		nplays int
-	)
-	m.sinkMu.Lock()
-	m.arrived++
-	if r.Tuple.SeqNo >= m.nextPlay {
-		m.reorder[r.Tuple.SeqNo] = r
-	}
-	for {
-		if pr, ok := m.reorder[m.nextPlay]; ok {
-			delete(m.reorder, m.nextPlay)
-			if nplays == 0 {
-				first = pr
-			} else {
-				extra = append(extra, pr)
-			}
-			nplays++
-			m.played++
-			m.nextPlay++
-			continue
-		}
-		if len(m.reorder) >= m.rcap {
-			min := ^uint64(0)
-			for seq := range m.reorder {
-				if seq < min {
-					min = seq
-				}
-			}
-			m.skipped += int64(min - m.nextPlay)
-			m.nextPlay = min
-			continue
-		}
-		break
-	}
-	m.sinkMu.Unlock()
-	if m.cfg.OnResult != nil && nplays > 0 {
-		m.cfg.OnResult(first)
-		for _, p := range extra {
-			m.cfg.OnResult(p)
-		}
-	}
 }
 
 // Close stops the master: workers receive Stop, connections close, all

@@ -23,9 +23,11 @@ func frameTuple(id uint64) *tuple.Tuple {
 	return t
 }
 
-// ledgerBalanced checks the fault-tolerance invariant on a stats snapshot.
+// ledgerBalanced checks the fault-tolerance invariant on a stats
+// snapshot: every submitted tuple is acked, shed, in flight, or in a dead
+// worker's backlog awaiting retransmission.
 func ledgerBalanced(st MasterStats) bool {
-	return st.Acked+st.Shed+int64(st.InFlight) == st.Submitted
+	return st.Acked+st.Shed+int64(st.InFlight)+st.Retransmitting == st.Submitted
 }
 
 func TestJournalReplayRoundTrip(t *testing.T) {
@@ -578,7 +580,13 @@ func TestTornJournalMasterRecovery(t *testing.T) {
 	}
 	// With no worker to adopt the backlog it sheds at the retry deadline,
 	// and the ledger balances across the tear.
-	waitFor(t, 5*time.Second, func() bool { return m.Stats().InFlight == 0 }, "backlog shed")
+	// InFlight drops to zero as soon as the orphaned backlog leaves the
+	// table for retransmission; it has shed only once Retransmitting
+	// drains too.
+	waitFor(t, 5*time.Second, func() bool {
+		st := m.Stats()
+		return st.InFlight == 0 && st.Retransmitting == 0
+	}, "backlog shed")
 	st = m.Stats()
 	if !ledgerBalanced(st) {
 		t.Fatalf("ledger unbalanced after torn-tail recovery: %+v", st)

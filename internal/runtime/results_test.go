@@ -1,0 +1,249 @@
+package runtime
+
+import (
+	"encoding/binary"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"github.com/swingframework/swing/internal/apps"
+	"github.com/swingframework/swing/internal/transport"
+	"github.com/swingframework/swing/internal/tuple"
+	"github.com/swingframework/swing/internal/wire"
+)
+
+// startJournalMaster starts a worker-less master journaling to four
+// segments, for driving the result path directly.
+func startJournalMaster(t *testing.T, onResult func(Result)) *Master {
+	t.Helper()
+	app, err := apps.FaceRecognition()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := StartMaster(MasterConfig{
+		App:             app,
+		ListenAddr:      "master",
+		Transport:       transport.NewMem(),
+		JournalPath:     filepath.Join(t.TempDir(), "wal"),
+		CheckpointEvery: -1,
+		Fsync:           FsyncNever,
+		Shards:          4,
+		OnResult:        onResult,
+		Logger:          quietLogger(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = m.Close() })
+	return m
+}
+
+// TestResultFrameOneFlushPerSegment: one result frame's acks reach the
+// journal as one group commit per touched segment — not one write per
+// ack — and every ack is still its own record.
+func TestResultFrameOneFlushPerSegment(t *testing.T) {
+	m := startJournalMaster(t, nil)
+	const n = 128
+	var rb wire.ResultBatch
+	touched := make(map[uint64]bool)
+	for id := uint64(1); id <= n; id++ {
+		m.inflight.trackSubmit(id, &inflightEntry{t: tuple.New(id, id)})
+		rb.Add(wire.ResultMeta{TupleID: id, EmitNanos: time.Now().UnixNano()}, nil)
+		touched[mix64(id)&m.journal.mask] = true
+	}
+	var mu sync.Mutex
+	flushes := make([]int, len(m.journal.segs))
+	m.journal.lockAll()
+	m.journal.quiesceAllLocked()
+	m.journal.setTapLocked(func(seg int, _ []byte) {
+		mu.Lock()
+		flushes[seg]++
+		mu.Unlock()
+	})
+	m.journal.unlockAll()
+	recordsBefore, _, _ := m.journal.depths()
+
+	var sc resultScratch
+	if err := m.handleResultBatch(&workerConn{id: "w"}, &sc, rb.Payload(), time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	recordsAfter, _, _ := m.journal.depths()
+	mu.Lock()
+	defer mu.Unlock()
+	var records int64
+	for i := range flushes {
+		want := 0
+		if touched[uint64(i)] {
+			want = 1
+		}
+		if flushes[i] != want {
+			t.Errorf("segment %d flushed %d times for one frame, want %d", i, flushes[i], want)
+		}
+		records += recordsAfter[i] - recordsBefore[i]
+	}
+	if records != n {
+		t.Errorf("frame appended %d ack records, want %d", records, n)
+	}
+	if st := m.Stats(); st.Acked != n || st.InFlight != 0 {
+		t.Errorf("after the frame: acked %d, in flight %d; want %d, 0", st.Acked, st.InFlight, n)
+	}
+}
+
+// TestResultFrameSiblingBytesIndependent: the results of one frame are
+// decoded into one shared copy, so appending to one result's bytes
+// field must reallocate and leave its frame sibling untouched.
+func TestResultFrameSiblingBytesIndependent(t *testing.T) {
+	col := &resultCollector{}
+	m := startJournalMaster(t, col.add)
+	var rb wire.ResultBatch
+	for seq := uint64(0); seq < 2; seq++ {
+		b, err := tuple.Marshal(tuple.New(seq, seq).Set("frame", tuple.Bytes([]byte{byte(seq), 1, 2, 3})))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb.Add(wire.ResultMeta{TupleID: seq}, b)
+	}
+	var sc resultScratch
+	if err := m.handleResultBatch(&workerConn{id: "w"}, &sc, rb.Payload(), time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	got := col.snapshot()
+	if len(got) != 2 {
+		t.Fatalf("played %d results, want 2", len(got))
+	}
+	first, _ := got[0].Tuple.MustBytes("frame")
+	_ = append(first, make([]byte, 256)...)
+	second, _ := got[1].Tuple.MustBytes("frame")
+	if string(second) != string([]byte{1, 1, 2, 3}) {
+		t.Fatalf("appending to the first result rewrote its sibling's bytes: %v", second)
+	}
+}
+
+// ackRecordsOnDisk reads every journal segment at path without
+// modifying it and returns the tuple IDs of the ack records found.
+func ackRecordsOnDisk(t *testing.T, path string) map[uint64]bool {
+	t.Helper()
+	acked := make(map[uint64]bool)
+	for _, p := range listJournalSegments(path) {
+		f, err := os.Open(p)
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		for {
+			typ, payload, err := readJournalRecord(f)
+			if err != nil {
+				if !errors.Is(err, io.EOF) && !errors.Is(err, errTornRecord) {
+					t.Error(err)
+				}
+				break
+			}
+			if typ == recAck && len(payload) == 16 {
+				acked[binary.LittleEndian.Uint64(payload[8:])] = true
+			}
+		}
+		_ = f.Close()
+	}
+	return acked
+}
+
+// TestResultFrameAcksDurableBeforeSink checks WAL-before-sink for
+// batched results end to end: when OnResult sees a result, its ack
+// record is already in the primary's journal file and — with a standby
+// attached — in the standby's mirror too.
+func TestResultFrameAcksDurableBeforeSink(t *testing.T) {
+	for _, withStandby := range []bool{false, true} {
+		name := "journal"
+		if withStandby {
+			name = "standby"
+		}
+		t.Run(name, func(t *testing.T) {
+			mem := transport.NewMem()
+			dir := t.TempDir()
+			pwal := filepath.Join(dir, "p-wal")
+			swal := filepath.Join(dir, "s-wal")
+			var played, early atomic.Int64
+			cfg := primaryConfig(t, mem, pwal)
+			cfg.OnResult = func(r Result) {
+				if !ackRecordsOnDisk(t, pwal)[r.Tuple.ID] {
+					early.Add(1)
+				}
+				if withStandby && !ackRecordsOnDisk(t, swal)[r.Tuple.ID] {
+					early.Add(1)
+				}
+				played.Add(1)
+			}
+			m, err := StartMaster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = m.Close() })
+			if withStandby {
+				startHotStandby(t, mem, swal, nil, time.Hour)
+				waitFor(t, 3*time.Second, func() bool { return len(standbys(m)) == 1 }, "standby attach")
+			}
+			startReconnectingWorker(t, mem, m.Addr(), "w1")
+			waitFor(t, 2*time.Second, func() bool { return len(m.Workers()) == 1 }, "worker join")
+
+			const n = 64
+			src := apps.NewFrameSource(600, 7)
+			batch := make([]*tuple.Tuple, n)
+			for i := range batch {
+				batch[i] = src.Next()
+			}
+			if err := m.SubmitBatch(batch); err != nil {
+				t.Fatalf("SubmitBatch: %v", err)
+			}
+			// The detector filters some frames (ack-only entries), so wait
+			// for the whole batch to ack and every released play to run.
+			waitFor(t, 5*time.Second, func() bool {
+				st := m.Stats()
+				return st.Acked == n && st.InFlight == 0 && played.Load() == st.Played
+			}, "batch acked and played")
+			if played.Load() == 0 {
+				t.Fatal("no result reached the sink")
+			}
+			t.Logf("%d of %d results played", played.Load(), n)
+			if e := early.Load(); e != 0 {
+				t.Fatalf("%d results reached the sink before their ack records were durable", e)
+			}
+		})
+	}
+}
+
+// TestHostileTupleBatchCount: a tuple-batch frame whose count prefix
+// claims far more entries than its payload holds must not make the
+// worker allocate a tuple block of the claimed size, and an entry past
+// the block's payload-derived size must fail cleanly, not index past it.
+func TestHostileTupleBatchCount(t *testing.T) {
+	entry, err := tuple.Marshal(tuple.New(1, 1).Set("frame", tuple.Bytes([]byte{1, 2, 3})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tb wire.TupleBatch
+	tb.Add(entry)
+	tb.Add(nil) // an empty entry: framed, but too short to be a tuple
+	payload := append([]byte(nil), tb.Payload()...)
+	binary.LittleEndian.PutUint32(payload, 1<<30)
+
+	var w Worker
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	head, n, err := w.decodeTupleBatch(payload)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("frame with a hostile count decoded without error")
+	}
+	if n != 1 || head == nil || head.t.ID != 1 {
+		t.Fatalf("decoded %d jobs, want the one real entry", n)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("decoding a hostile count allocated %d bytes", grew)
+	}
+}

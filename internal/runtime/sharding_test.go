@@ -139,6 +139,40 @@ func TestLedgerConsistentUnderConcurrentSubmit(t *testing.T) {
 // the merge must reassemble the global (epoch, seq) order so acks and sheds
 // land after the submits they release, whichever segment each hashed to.
 func TestSegmentedJournalRecoveryMergesByEpochSeq(t *testing.T) {
+	// The even IDs are acked one record at a time, or in result-frame
+	// batches of 8 (one group commit per touched segment); replay must
+	// not tell the two apart.
+	cases := []struct {
+		name string
+		ack  func(js *journalSet, n uint64) error
+	}{
+		{"per-ack", func(js *journalSet, n uint64) error {
+			for id := uint64(2); id <= n; id += 2 {
+				if err := js.seg(id).appendAck(id); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"ack-batch", func(js *journalSet, n uint64) error {
+			var ids []uint64
+			for id := uint64(2); id <= n; id += 2 {
+				if ids = append(ids, id); len(ids) == 8 {
+					if err := js.appendAckBatch(ids); err != nil {
+						return err
+					}
+					ids = ids[:0]
+				}
+			}
+			return js.appendAckBatch(ids)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { testSegmentedRecovery(t, tc.ack) })
+	}
+}
+
+func testSegmentedRecovery(t *testing.T, ack func(js *journalSet, n uint64) error) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "wal")
 	js, err := openJournalSet(jpath, 4, 1, 0, FsyncNever, 0)
@@ -153,10 +187,8 @@ func TestSegmentedJournalRecoveryMergesByEpochSeq(t *testing.T) {
 	}
 	// Ack the even IDs, shed ID 1, resend ID 3 — records hash to arbitrary
 	// segments but carry the set-wide sequence.
-	for id := uint64(2); id <= n; id += 2 {
-		if err := js.appendAck(id); err != nil {
-			t.Fatal(err)
-		}
+	if err := ack(js, n); err != nil {
+		t.Fatal(err)
 	}
 	if err := js.appendShed(1, true); err != nil {
 		t.Fatal(err)
@@ -349,7 +381,7 @@ func TestJournalSetSharedSequence(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				_ = js.appendAck(uint64(w*per + i + 1))
+				_ = js.appendAckBatch([]uint64{uint64(w*per + i + 1)})
 			}
 		}(w)
 	}

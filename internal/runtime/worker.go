@@ -602,17 +602,34 @@ func (j *procJob) recycle() {
 	jobPool.Put(j)
 }
 
+// minTupleBatchEntry is the smallest encoded FrameTupleBatch entry: a
+// u32 length prefix plus a field-less tuple header.
+const minTupleBatchEntry = 4 + tuple.MinEncodedSize
+
 // decodeTupleBatch decodes a FrameTupleBatch payload into a chain of
 // jobs, without per-tuple frame reads or copies — every tuple's byte
-// fields alias the one frame buffer the caller still owns. Returns the
-// chain head and its length; a decode error aborts the remainder (the
-// jobs built so far still run).
+// fields alias the one frame buffer the caller still owns, and the
+// tuples themselves live in one block allocated per frame. The frame's
+// count prefix is untrusted: the block is sized by what the payload can
+// actually hold. Returns the chain head and its length; a decode error
+// aborts the remainder (the jobs built so far still run).
 func (w *Worker) decodeTupleBatch(payload []byte) (*procJob, int, error) {
+	count, err := wire.TupleBatchCount(payload)
+	if err != nil {
+		return nil, 0, err
+	}
+	if fit := (len(payload) - 4) / minTupleBatchEntry; count > fit {
+		count = fit
+	}
+	block := make([]tuple.Tuple, count)
 	var head, tail *procJob
 	n := 0
-	err := wire.DecodeTupleBatch(payload, func(entry []byte) error {
-		t, terr := tuple.UnmarshalShared(entry)
-		if terr != nil {
+	err = wire.DecodeTupleBatch(payload, func(entry []byte) error {
+		if n == len(block) {
+			return errShortTupleBlock
+		}
+		t := &block[n]
+		if terr := tuple.DecodeSharedInto(t, entry); terr != nil {
 			return terr
 		}
 		j := getJob(t, nil)
@@ -627,6 +644,11 @@ func (w *Worker) decodeTupleBatch(payload []byte) (*procJob, int, error) {
 	})
 	return head, n, err
 }
+
+// errShortTupleBlock rejects an entry beyond the block decodeTupleBatch
+// sized from the payload length. Only a malformed frame gets there: the
+// entry is too short to hold a tuple header, so it could not decode.
+var errShortTupleBlock = errors.New("runtime: tuple batch holds more entries than its payload fits")
 
 // collectEmitter gathers a processor's outputs.
 type collectEmitter struct {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // Wire format (all integers little-endian):
@@ -128,26 +129,46 @@ func AppendMarshal(dst []byte, t *Tuple) ([]byte, error) {
 // millions of tuples), so decoding interns them instead of allocating a
 // fresh string per field. The table is bounded: hostile streams with
 // unbounded distinct names fall back to plain allocation once it fills.
+//
+// Reads are lock-free: the table is an immutable map behind an atomic
+// pointer, so concurrent decoders share it without writing a common
+// reader-count cache line. A miss below the cap republishes a grown copy
+// under internMu; misses are rare once a stream's names are known.
 const internCap = 1024
 
 var (
-	internMu    sync.RWMutex
-	internTable = make(map[string]string)
+	internMu    sync.Mutex
+	internTable atomic.Pointer[map[string]string]
 )
 
+func init() {
+	internTable.Store(&map[string]string{})
+}
+
 func internName(b []byte) string {
-	internMu.RLock()
-	s, ok := internTable[string(b)] // compiler avoids allocating the key
-	internMu.RUnlock()
-	if ok {
+	tab := *internTable.Load()
+	if s, ok := tab[string(b)]; ok { // compiler avoids allocating the key
 		return s
 	}
-	s = string(b)
-	internMu.Lock()
-	if len(internTable) < internCap {
-		internTable[s] = s
+	s := string(b)
+	if len(tab) >= internCap {
+		return s
 	}
-	internMu.Unlock()
+	internMu.Lock()
+	defer internMu.Unlock()
+	cur := *internTable.Load()
+	if prev, ok := cur[s]; ok {
+		return prev
+	}
+	if len(cur) >= internCap {
+		return s
+	}
+	next := make(map[string]string, len(cur)+1)
+	for k, v := range cur {
+		next[k] = v
+	}
+	next[s] = s
+	internTable.Store(&next)
 	return s
 }
 
@@ -208,34 +229,61 @@ func Unmarshal(data []byte) (*Tuple, error) {
 // for as long as the tuple (or anything derived from its bytes fields)
 // is in use — e.g. a pooled frame buffer may only be released after the
 // tuple has been fully processed. All other field kinds are owned by
-// the tuple as with Unmarshal.
+// the tuple as with Unmarshal. Aliased slices are capped at their own
+// length, so appending to one reallocates instead of overwriting the
+// bytes that follow it in data.
 func UnmarshalShared(data []byte) (*Tuple, error) {
 	return unmarshal(data, true)
 }
 
 func unmarshal(data []byte, share bool) (*Tuple, error) {
+	t := new(Tuple)
+	if err := decode(t, data, share); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// DecodeSharedInto is UnmarshalShared into caller-owned storage: it
+// overwrites *dst, so a decoder can fill one []Tuple block for a whole
+// frame of tuples with a single allocation. The aliasing rules of
+// UnmarshalShared apply, and dst must stay where it is while in use
+// (its field list lives inline in the Tuple). On error *dst is zeroed.
+func DecodeSharedInto(dst *Tuple, data []byte) error {
+	if err := decode(dst, data, true); err != nil {
+		*dst = Tuple{}
+		return err
+	}
+	return nil
+}
+
+// MinEncodedSize is the smallest possible tuple encoding: the header of
+// a tuple with no fields. Decoders use it to bound untrusted counts.
+const MinEncodedSize = headerSize
+
+func decode(t *Tuple, data []byte, share bool) error {
 	r := &reader{buf: data}
 	id, err := r.u64()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	seq, err := r.u64()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	emit, err := r.u64()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	attempt, err := r.u8()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	nf, err := r.u16()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	t := &Tuple{ID: id, SeqNo: seq, EmitNanos: int64(emit), Attempt: attempt}
+	*t = Tuple{ID: id, SeqNo: seq, EmitNanos: int64(emit), Attempt: attempt}
 	if int(nf) <= len(t.farr) {
 		t.fields = t.farr[:0]
 	} else {
@@ -244,16 +292,16 @@ func unmarshal(data []byte, share bool) (*Tuple, error) {
 	for i := 0; i < int(nf); i++ {
 		nameLen, err := r.u8()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		nameBytes, err := r.need(int(nameLen))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		name := internName(nameBytes)
 		kindByte, err := r.u8()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		kind := Kind(kindByte)
 		var v Value
@@ -261,17 +309,17 @@ func unmarshal(data []byte, share bool) (*Tuple, error) {
 		case KindBytes:
 			n, err := r.u32()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if n > maxPayload {
-				return nil, fmt.Errorf("tuple: field %q payload %d exceeds limit", name, n)
+				return fmt.Errorf("tuple: field %q payload %d exceeds limit", name, n)
 			}
 			raw, err := r.need(int(n))
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if share {
-				v = Bytes(raw)
+				v = Bytes(raw[:n:n])
 			} else {
 				b := make([]byte, n)
 				copy(b, raw)
@@ -280,66 +328,63 @@ func unmarshal(data []byte, share bool) (*Tuple, error) {
 		case KindString:
 			n, err := r.u32()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if n > maxPayload {
-				return nil, fmt.Errorf("tuple: field %q payload %d exceeds limit", name, n)
+				return fmt.Errorf("tuple: field %q payload %d exceeds limit", name, n)
 			}
 			raw, err := r.need(int(n))
 			if err != nil {
-				return nil, err
+				return err
 			}
 			v = String(string(raw))
 		case KindInt64:
 			u, err := r.u64()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			v = Int64(int64(u))
 		case KindFloat64:
 			u, err := r.u64()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			v = Float64(math.Float64frombits(u))
 		case KindBool:
 			b, err := r.u8()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			v = Bool(b != 0)
 		case KindFloatMatrix:
 			rows, err := r.u32()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			cols, err := r.u32()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			total := uint64(rows) * uint64(cols)
 			if total*8 > maxPayload {
-				return nil, fmt.Errorf("tuple: field %q matrix %dx%d exceeds limit", name, rows, cols)
+				return fmt.Errorf("tuple: field %q matrix %dx%d exceeds limit", name, rows, cols)
 			}
 			m := &Matrix{Rows: int(rows), Cols: int(cols), Data: make([]float64, total)}
 			for j := range m.Data {
 				u, err := r.u64()
 				if err != nil {
-					return nil, err
+					return err
 				}
 				m.Data[j] = math.Float64frombits(u)
 			}
 			v = FloatMatrix(m)
 		default:
-			return nil, fmt.Errorf("tuple: field %q has unknown kind byte %d", name, kindByte)
+			return fmt.Errorf("tuple: field %q has unknown kind byte %d", name, kindByte)
 		}
 		t.fields = append(t.fields, Field{Name: name, Value: v})
 	}
 	if r.off != len(data) {
-		return nil, fmt.Errorf("tuple: %d trailing bytes after decode", len(data)-r.off)
+		return fmt.Errorf("tuple: %d trailing bytes after decode", len(data)-r.off)
 	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return t.Validate()
 }

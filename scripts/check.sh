@@ -20,6 +20,10 @@ go test -race ./...
 # them, and this smoke run proves every dataplane benchmark still compiles
 # and completes one iteration.
 go test -run=NONE -bench=. -benchtime=1x ./internal/wire ./internal/tuple ./internal/runtime
+# The batched round-trip allocation budget (< 1 alloc/tuple across both
+# directions) only holds still at one core, and skips under -race, so
+# nothing above runs it; pin it here at GOMAXPROCS=1.
+GOMAXPROCS=1 go test -count=1 -run TestBatchRoundTripAllocs ./internal/runtime/
 # Many-worker throughput smoke under the race detector, scaled down (64
 # workers, 4 submitters, 200 tuples) so the sharded hot state — in-flight
 # shards, RCU routing snapshot, segmented journal — is exercised under
@@ -61,6 +65,17 @@ go test -race -count=1 -run 'TestScheduleDeterministic|TestNemesisSmoke' ./inter
 go test -race -count=1 \
     -run 'TestBatchedDispatchReducesDownstreamFrames|TestLedgerConsistentUnderConcurrentSubmitBatch|TestSubmitBatchShapedLossRecovery|TestSubmitBatchProcessorDrops|TestShapedBatch|TestFaultyTupleCounters' \
     ./internal/runtime/ ./internal/transport/
+# Batched result-path smoke under the race detector: one journal group
+# commit per touched segment per result frame, ack-batch replay, results
+# reaching the sink only after their ack records are in the journal and
+# (with a standby attached) in its mirror, independent bytes fields for
+# the results of one frame, the hostile tuple-batch count guard, and the
+# batched sink pass.
+go test -race -count=1 \
+    -run 'TestResultFrame|TestHostileTupleBatchCount|TestSegmentedJournalRecoveryMergesByEpochSeq|TestReorderCapFloor' \
+    ./internal/runtime/
+go test -race -count=1 -run 'TestSharedBytesAppendDoesNotClobberSibling|TestDecodeSharedIntoBlock|TestInternNameCapped' \
+    ./internal/tuple/
 # Live /statusz curl smoke: boot a real swingd master with a status
 # endpoint and a shaped transport, fetch the JSON from the URL the
 # process announces, and check the ledger reports balanced. Falls back
