@@ -154,6 +154,13 @@ type Journal struct {
 	// segment, index-aligned.
 	SegmentRecords []int64 `json:"segment_records,omitempty"`
 	SegmentBytes   []int64 `json:"segment_bytes,omitempty"`
+	// CheckpointHoldMicros is how long the last checkpoint cycle held the
+	// journal locks — the stall it imposed on appends — and
+	// CheckpointMicros its total time, including the encode, save and
+	// retire that run after the locks are released. Both are zero until
+	// the first cycle.
+	CheckpointHoldMicros int64 `json:"checkpoint_hold_us"`
+	CheckpointMicros     int64 `json:"checkpoint_us"`
 }
 
 // Replication is the primary side of hot-standby journal streaming: its

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -20,15 +19,24 @@ import (
 // mark, the router's warm per-worker latency estimates, and the set of
 // tuples still un-acked at snapshot time (full bytes, so they can be
 // retransmitted). Each checkpoint advances the generation counter and the
-// journal rotates to match; recovery replays the journal only when its
-// generation equals the checkpoint's, which makes the two-file update
-// crash-safe without cross-file atomicity:
+// journal starts a file at the new generation; recovery replays every
+// journal file whose generation reached the checkpoint's, which makes
+// the update crash-safe without cross-file atomicity.
 //
-//	write ckpt(gen+1) → rename → rotate journal(gen+1) → rename
+// The cycle is a fuzzy checkpoint in the ARIES manner: the journal locks
+// are held only for the cut, and the slow work follows on the
+// checkpointing goroutine while the dataplane runs on.
 //
-// A crash between the renames leaves ckpt at gen+1 and the journal at gen;
-// the stale journal is ignored (every record it holds is already folded
-// into the checkpoint).
+//	lock → snapshot(gen+1) → set journal(gen) aside → open journal(gen+1)
+//	     → unlock → encode → write ckpt(gen+1) → rename → retire journal(gen)
+//
+// A crash before the rename leaves the checkpoint at gen: the set-aside
+// gen files and the live gen+1 files both replay on top of it, merged by
+// (epoch, seq) — together they hold every record since that checkpoint.
+// A crash after the rename gates the gen files out (the new checkpoint
+// folded them in), whether or not retire deleted them yet. A failed save
+// keeps every set-aside file, and the next successful one retires them
+// all; file names carry their generation, so no later cut overwrites one.
 //
 // On-disk layout: u32 length | JSON | u32 crc32c(JSON). A short, corrupt
 // or torn checkpoint fails closed — recovery reports the error rather
@@ -49,7 +57,8 @@ type ckptEstimate struct {
 
 // ckptPending is one un-acked tuple at snapshot time.
 type ckptPending struct {
-	Tuple   string `json:"tuple"` // base64 of the marshaled tuple
+	// Tuple is the marshaled tuple; JSON carries it as standard base64.
+	Tuple   []byte `json:"tuple"`
 	Attempt uint8  `json:"attempt"`
 }
 
@@ -87,11 +96,20 @@ type checkpointState struct {
 	Pending   []ckptPending  `json:"pending,omitempty"`
 }
 
-// saveCheckpoint writes the snapshot atomically: temp file, fsync, rename.
-func saveCheckpoint(path string, st *checkpointState) error {
+// encodeCheckpoint marshals the snapshot body.
+func encodeCheckpoint(st *checkpointState) ([]byte, error) {
 	body, err := json.Marshal(st)
 	if err != nil {
-		return fmt.Errorf("runtime: encode checkpoint: %w", err)
+		return nil, fmt.Errorf("runtime: encode checkpoint: %w", err)
+	}
+	return body, nil
+}
+
+// saveCheckpoint writes the snapshot atomically: temp file, fsync, rename.
+func saveCheckpoint(path string, st *checkpointState) error {
+	body, err := encodeCheckpoint(st)
+	if err != nil {
+		return err
 	}
 	return saveCheckpointBytes(path, body)
 }
@@ -177,13 +195,18 @@ type recoveredState struct {
 }
 
 // recoverState merges the checkpoint (if any) with the journal's
-// replayable prefix. Every segment the previous incarnation wrote is
-// discovered and parsed; a segment is replayed only when its generation
-// reached the checkpoint's — an older segment predates the snapshot and
-// is wholly folded in already (this per-segment gate is what makes a
-// crash mid-rotation safe: rotated segments are empty at the new
-// generation, un-rotated ones are stale and ignored). Replayable
-// segments merge into one global record order by (epoch, seq).
+// replayable prefix. Every journal file the previous incarnation wrote —
+// live segments and set-aside generations — is discovered and parsed; a
+// file is replayed only when its generation reached the checkpoint's. An
+// older file predates the snapshot and is wholly folded in already; a
+// file at or above it holds records written after the snapshot's cut
+// (see the cycle above). Replayable files merge into one global record
+// order by (epoch, seq).
+//
+// The recovered generation is the highest one on disk, not only the
+// checkpoint's: after a failed save the live files run ahead of the
+// checkpoint, and the next incarnation must start above every file it
+// leaves behind, so that its own first checkpoint gates them all out.
 func recoverState(journalPath, ckptPath string) (*recoveredState, error) {
 	ckpt, err := loadCheckpoint(ckptPath)
 	if err != nil {
@@ -226,11 +249,7 @@ func recoverState(journalPath, ckptPath string) (*recoveredState, error) {
 			}
 		}
 		for _, p := range ckpt.Pending {
-			raw, err := base64.StdEncoding.DecodeString(p.Tuple)
-			if err != nil {
-				continue
-			}
-			t, err := tuple.Unmarshal(raw)
+			t, err := tuple.Unmarshal(p.Tuple)
 			if err != nil {
 				continue
 			}
@@ -242,6 +261,9 @@ func recoverState(journalPath, ckptPath string) (*recoveredState, error) {
 	// unconditionally on top of the checkpoint.
 	if rep.epoch > rs.prevEpoch {
 		rs.prevEpoch = rep.epoch
+	}
+	if rep.generation > rs.generation {
+		rs.generation = rep.generation
 	}
 	for id, raw := range rep.submits {
 		if _, dup := rs.pending[id]; dup {

@@ -200,19 +200,25 @@ func TestAckLingerLatencyBound(t *testing.T) {
 	}
 }
 
-// runLingerPolicySession runs a 1.2 s LRS stream against one fast and
-// one 40x-slower worker under the given linger window and reports each
-// worker's processed count.
-func runLingerPolicySession(t *testing.T, linger time.Duration) (fast, slow int64) {
+// runLingerPolicySession streams frames under LRS at ~20/s against one
+// fast and one 40x-slower worker under the given linger window, with a
+// 200 ms reconfigure period. Once the published selection first drops
+// the slow worker (the warm-up), it samples the selection every 20 ms
+// for 1.2 s — six reconfigures, one of them a probe round — and fails on
+// any sample that selects the slow worker or leaves the fast one out.
+func runLingerPolicySession(t *testing.T, linger time.Duration) {
 	t.Helper()
 	mem := transport.NewMem()
 	app, err := apps.FaceRecognition()
 	if err != nil {
 		t.Fatal(err)
 	}
+	rc := routing.DefaultConfig(routing.LRS)
+	rc.ReconfigurePeriod = 200 * time.Millisecond
 	m, err := StartMaster(MasterConfig{
 		App:        app,
 		Policy:     routing.LRS,
+		Routing:    &rc,
 		ListenAddr: "master",
 		Transport:  mem,
 		AckLinger:  linger,
@@ -222,53 +228,65 @@ func runLingerPolicySession(t *testing.T, linger time.Duration) (fast, slow int6
 		t.Fatal(err)
 	}
 	defer func() { _ = m.Close() }()
-	wFast := startTestWorker(t, mem, m, "fast", 1)
-	wSlow := startTestWorker(t, mem, m, "slow", 40)
+	startTestWorker(t, mem, m, "fast", 1)
+	startTestWorker(t, mem, m, "slow", 40)
 	waitFor(t, 2*time.Second, func() bool { return len(m.Workers()) == 2 }, "join")
 
 	src := apps.NewFrameSource(600, 5)
-	deadline := time.After(1200 * time.Millisecond)
-	ticker := time.NewTicker(3 * time.Millisecond)
-	defer ticker.Stop()
-stream:
-	for {
-		select {
-		case <-ticker.C:
-			done := make(chan error, 1)
-			go func() { done <- m.Submit(src.Next()) }()
+	stop := make(chan struct{})
+	submitted := make(chan struct{})
+	go func() {
+		defer close(submitted)
+		ticker := time.NewTicker(50 * time.Millisecond)
+		defer ticker.Stop()
+		for {
 			select {
-			case err := <-done:
-				if err != nil {
-					t.Fatalf("submit: %v", err)
+			case <-ticker.C:
+				if err := m.Submit(src.Next()); err != nil {
+					t.Errorf("submit: %v", err)
+					return
 				}
-			case <-deadline:
-				break stream
+			case <-stop:
+				return
 			}
-		case <-deadline:
-			break stream
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-submitted
+	}()
+
+	// wrong returns a worker whose published selection is not "the fast
+	// worker alone", if there is one.
+	wrong := func() (routing.Info, bool) {
+		for _, in := range m.Snapshot() {
+			if in.Selected != (in.ID == "fast") {
+				return in, true
+			}
+		}
+		return routing.Info{}, false
+	}
+	waitFor(t, 2*time.Second, func() bool { _, bad := wrong(); return !bad }, "selection drops the slow worker")
+	for end := time.Now().Add(1200 * time.Millisecond); time.Now().Before(end); time.Sleep(20 * time.Millisecond) {
+		if in, bad := wrong(); bad {
+			t.Fatalf("linger %v: %s selected=%v weight=%.3f latency=%v after warm-up; want only the fast worker selected",
+				linger, in.ID, in.Selected, in.Weight, in.Estimate.Latency)
 		}
 	}
-	time.Sleep(300 * time.Millisecond)
-	return wFast.Processed(), wSlow.Processed()
 }
 
 // TestLRSSelectionUnchangedByLinger: ack batching delays when feedback
 // arrives, but must not change what it says — LRS under heterogeneous
-// worker profiles shifts load to the fast worker just as decisively
-// with a linger window as without one.
+// worker profiles selects only the fast worker with a linger window just
+// as it does without one. The check reads the published routing
+// selection, not a throughput ratio, so it does not depend on how many
+// tuples each worker happened to finish.
 func TestLRSSelectionUnchangedByLinger(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second live sessions in -short mode")
 	}
-	plainFast, plainSlow := runLingerPolicySession(t, 0)
-	lingerFast, lingerSlow := runLingerPolicySession(t, 10*time.Millisecond)
-	t.Logf("linger=0: fast=%d slow=%d; linger=10ms: fast=%d slow=%d",
-		plainFast, plainSlow, lingerFast, lingerSlow)
-	if plainFast < 3*plainSlow {
-		t.Fatalf("unbatched LRS split fast=%d slow=%d, want heavy skew", plainFast, plainSlow)
-	}
-	if lingerFast < 3*lingerSlow {
-		t.Fatalf("batched LRS split fast=%d slow=%d, want heavy skew", lingerFast, lingerSlow)
+	for _, linger := range []time.Duration{0, 10 * time.Millisecond} {
+		runLingerPolicySession(t, linger)
 	}
 }
 

@@ -19,8 +19,8 @@ import (
 // an append-only file of checksummed records tracking every tuple's life —
 // submitted, retransmitted, acked, shed — so a restarted master can rebuild
 // the exact ledger and the un-acked backlog of its previous incarnation.
-// Checkpoints (checkpoint.go) snapshot the full state and rotate the
-// journal to a fresh generation, bounding both replay time and file size.
+// Checkpoints (checkpoint.go) snapshot the full state and start the
+// journal on a fresh generation, bounding both replay time and file size.
 //
 // Record layout (all integers little-endian):
 //
@@ -119,7 +119,7 @@ func ParseFsyncMode(s string) (FsyncMode, error) {
 // the batch just amortizes the write and fsync across the appends that
 // piled up behind it.
 //
-// Rotate (checkpoint compaction) holds mu and waits out any in-flight
+// A checkpoint cut (setAsideLocked) holds mu and waits out any in-flight
 // flush, so a record is never split across generations and the file
 // handle never changes under the leader's feet.
 type journal struct {
@@ -136,6 +136,7 @@ type journal struct {
 	mode     FsyncMode
 	every    time.Duration
 	lastSync time.Time
+	gen      uint64 // generation of the live file, guarded by mu
 
 	// Group-commit state, all guarded by mu.
 	pending    []byte // encoded records awaiting the next flush
@@ -147,7 +148,7 @@ type journal struct {
 	brokenSeq  uint64 // first record sequence the failed flush covered
 
 	// Observability depth counters (guarded by mu): records and bytes
-	// appended this incarnation, cumulative across generation rotations.
+	// appended this incarnation, cumulative across generations.
 	nrecords int64
 	nbytes   int64
 
@@ -211,7 +212,7 @@ func openJournal(path string, epoch, generation uint64, mode FsyncMode, every ti
 	if every <= 0 {
 		every = 100 * time.Millisecond
 	}
-	j := &journal{seq: new(atomic.Uint64), f: f, path: path, mode: mode, every: every, lastSync: time.Now()}
+	j := &journal{seq: new(atomic.Uint64), f: f, path: path, mode: mode, every: every, lastSync: time.Now(), gen: generation}
 	j.cond = sync.NewCond(&j.mu)
 	if err := j.append(recMeta, metaPayload(epoch, generation)); err != nil {
 		_ = f.Close()
@@ -513,38 +514,45 @@ func (j *journal) appendShed(id uint64, overload bool) error {
 	return j.append(recShed, b)
 }
 
-// rotateLocked atomically replaces the journal with a fresh generation:
-// the new file is written beside the old and renamed over it, so a crash
-// at any point leaves either the complete old journal or the complete new
-// one. The checkpointer calls it holding j.mu across both the state
-// snapshot and the rotation — after quiescing any in-flight group-commit
+// setAsideLocked starts the next generation on this segment: the
+// current file is renamed aside to setAsidePath(path, gen) — its name
+// carries the generation it holds, so no later cut overwrites it — and a
+// fresh file with the new generation's meta record takes over the live
+// path. Only renames and a small write happen here; the checkpointer
+// calls it holding j.mu — after quiescing any in-flight group-commit
 // flush — so no returned append lands in the old generation after the
-// snapshot was taken (it would double-count on recovery). Records still
-// buffered in pending belong to appends that have not returned yet —
-// their effects are not in the snapshot — and flush into the new
+// state snapshot was taken (it would double-count on recovery). Records
+// still buffered in pending belong to appends that have not returned
+// yet — their effects are not in the snapshot — and flush into the new
 // generation, where replay applies them on top of the checkpoint.
-func (j *journal) rotateLocked(epoch, generation uint64) error {
-	tmp := j.path + ".tmp"
-	nf, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+//
+// The set-aside handle is returned for the caller to close after
+// releasing the lock, and the file stays on disk until a checkpoint at a
+// later generation is installed: until then recovery still needs it. On
+// failure the segment keeps writing its current file, renamed back to
+// the live path; should even that rename fail, recovery still finds the
+// file under its set-aside name.
+func (j *journal) setAsideLocked(epoch, generation uint64) (*os.File, error) {
+	aside := setAsidePath(j.path, j.gen)
+	if err := os.Rename(j.path, aside); err != nil {
+		return nil, fmt.Errorf("runtime: set journal aside: %w", err)
+	}
+	nf, err := os.OpenFile(j.path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err == nil {
+		if _, err = nf.Write(encodeJournalRecord(recMeta, metaPayload(epoch, generation))); err != nil {
+			_ = nf.Close()
+		}
+	}
 	if err != nil {
-		return fmt.Errorf("runtime: rotate journal: %w", err)
-	}
-	if _, err := nf.Write(encodeJournalRecord(recMeta, metaPayload(epoch, generation))); err != nil {
-		_ = nf.Close()
-		return fmt.Errorf("runtime: rotate journal: %w", err)
-	}
-	if err := nf.Sync(); err != nil {
-		_ = nf.Close()
-		return fmt.Errorf("runtime: rotate journal: %w", err)
-	}
-	if err := os.Rename(tmp, j.path); err != nil {
-		_ = nf.Close()
-		return fmt.Errorf("runtime: rotate journal: %w", err)
+		// Put the current generation back under the live path; renaming
+		// over a half-made new file replaces it atomically.
+		_ = os.Rename(aside, j.path)
+		return nil, fmt.Errorf("runtime: start journal generation: %w", err)
 	}
 	old := j.f
 	j.f = nf
-	_ = old.Close()
-	return nil
+	j.gen = generation
+	return old, nil
 }
 
 // sync flushes buffered records and forces them to stable storage.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -22,11 +23,16 @@ import (
 // Layout on disk: segment 0 keeps the configured journal path — so a
 // one-segment set is byte-compatible with the pre-sharding layout and an
 // old single-file journal recovers under a sharded master — and segment
-// i > 0 lives at "<path>.s<i>". Checkpoint rotation holds every segment
-// lock at once (index order) and rotates them all, so a generation
-// boundary can never split a batch across generations; a crash mid-
-// rotation leaves some segments at the old generation, which recovery
-// gates out individually exactly like the single-file case.
+// i > 0 lives at "<path>.s<i>". A checkpoint cut holds every segment
+// lock at once (index order) only long enough to set each live file
+// aside as "<segment>.g<gen>" and open the next generation at the
+// segment path, so a generation boundary never splits a batch across
+// generations. Set-aside files stay on disk until a checkpoint covering
+// them is installed (retire); until then recovery replays them together
+// with the live files, merged by (epoch, seq). A crash partway through
+// a cut leaves some segments at the old generation, which replay exactly
+// like the set-aside ones: every file at or above the checkpoint's
+// generation holds records the checkpoint has not folded in.
 type journalSet struct {
 	path string
 	segs []*journal
@@ -42,50 +48,100 @@ func segmentPath(path string, i int) string {
 	return fmt.Sprintf("%s.s%d", path, i)
 }
 
-// listJournalSegments returns the journal segment files that exist on
-// disk for path, base file first, then numeric segments in index order.
-// Discovery is independent of the configured shard count: a master
-// restarted with fewer shards still recovers every segment its previous
-// incarnation wrote.
+// setAsidePath names a segment file set aside at a checkpoint cut while
+// it held generation gen.
+func setAsidePath(segPath string, gen uint64) string {
+	return fmt.Sprintf("%s.g%d", segPath, gen)
+}
+
+// journalFile is one journal file found on disk: the live file of
+// segment idx, or (aside) one it set aside at generation gen.
+type journalFile struct {
+	path  string
+	idx   int
+	aside bool
+	gen   uint64
+}
+
+// journalFiles lists the journal files of path that exist on disk —
+// live segments and set-aside generations — ordered by segment index,
+// live file first, then set-aside files by generation. Discovery is
+// independent of the configured shard count: a master restarted with
+// fewer shards still recovers every segment its previous incarnation
+// wrote, and a set-aside file is found even when its live segment is
+// missing (a crash between the rename and the new file's creation).
+func journalFiles(path string) []journalFile {
+	var out []journalFile
+	if _, err := os.Stat(path); err == nil {
+		out = append(out, journalFile{path: path})
+	}
+	matches, _ := filepath.Glob(path + ".*")
+	for _, p := range matches {
+		if f, ok := parseJournalName(path, p); ok {
+			out = append(out, f)
+		}
+	}
+	sort.Slice(out, func(a, b int) bool {
+		x, y := out[a], out[b]
+		if x.idx != y.idx {
+			return x.idx < y.idx
+		}
+		if x.aside != y.aside {
+			return !x.aside
+		}
+		return x.gen < y.gen
+	})
+	return out
+}
+
+// parseJournalName recognizes p as "<path>.s<i>", "<path>.g<gen>" or
+// "<path>.s<i>.g<gen>". Anything else beside the journal — the
+// checkpoint, ".tmp" leftovers — is not a journal file.
+func parseJournalName(path, p string) (journalFile, bool) {
+	f := journalFile{path: p}
+	rest, ok := strings.CutPrefix(p, path)
+	if !ok {
+		return f, false
+	}
+	if r, ok := strings.CutPrefix(rest, ".s"); ok {
+		digits, _, _ := strings.Cut(r, ".")
+		idx, err := strconv.Atoi(digits)
+		if err != nil || idx <= 0 {
+			return f, false
+		}
+		f.idx, rest = idx, r[len(digits):]
+		if rest == "" {
+			return f, true
+		}
+	}
+	r, ok := strings.CutPrefix(rest, ".g")
+	if !ok {
+		return f, false
+	}
+	gen, err := strconv.ParseUint(r, 10, 64)
+	if err != nil {
+		return f, false
+	}
+	f.aside, f.gen = true, gen
+	return f, true
+}
+
+// listJournalSegments returns the paths of every journal file on disk
+// for path, live and set aside, in journalFiles order.
 func listJournalSegments(path string) []string {
 	var out []string
-	if _, err := os.Stat(path); err == nil {
-		out = append(out, path)
-	}
-	matches, _ := filepath.Glob(path + ".s*")
-	type numbered struct {
-		path string
-		idx  int
-	}
-	var segs []numbered
-	for _, p := range matches {
-		suffix := strings.TrimPrefix(p, path+".s")
-		idx, err := strconv.Atoi(suffix)
-		if err != nil || idx <= 0 {
-			continue // ".tmp" leftovers and other non-segment names
-		}
-		segs = append(segs, numbered{path: p, idx: idx})
-	}
-	for i := 1; i < len(segs); i++ {
-		x := segs[i]
-		j := i - 1
-		for j >= 0 && segs[j].idx > x.idx {
-			segs[j+1] = segs[j]
-			j--
-		}
-		segs[j+1] = x
-	}
-	for _, s := range segs {
-		out = append(out, s.path)
+	for _, f := range journalFiles(path) {
+		out = append(out, f.path)
 	}
 	return out
 }
 
 // openJournalSet creates (or truncates) one journal segment per shard and
-// removes stale higher-numbered segment files from a previous incarnation
-// that ran with more shards — their contents are already folded into the
-// checkpoint recovery just wrote, so leaving them would double-replay on
-// the next crash.
+// removes the files of a previous incarnation that the new segments do
+// not overwrite: set-aside generations, and higher-numbered segments of
+// one that ran with more shards. Their contents are already folded into
+// the checkpoint recovery just wrote, so leaving them would double-replay
+// on the next crash.
 func openJournalSet(path string, shards int, epoch, generation uint64, mode FsyncMode, every time.Duration) (*journalSet, error) {
 	n := ceilPow2(shards)
 	js := &journalSet{path: path, mask: uint64(n - 1)}
@@ -102,11 +158,9 @@ func openJournalSet(path string, shards int, epoch, generation uint64, mode Fsyn
 		j.seq = &js.seq
 		js.segs = append(js.segs, j)
 	}
-	for _, p := range listJournalSegments(path) {
-		if suffix := strings.TrimPrefix(p, path+".s"); suffix != p {
-			if idx, err := strconv.Atoi(suffix); err == nil && idx >= n {
-				_ = os.Remove(p)
-			}
+	for _, f := range journalFiles(path) {
+		if f.aside || f.idx >= n {
+			_ = os.Remove(f.path)
 		}
 	}
 	return js, nil
@@ -214,19 +268,36 @@ func (js *journalSet) quiesceAllLocked() {
 	}
 }
 
-// rotateAllLocked starts the next generation on every segment. The caller
-// holds all segment locks and has quiesced; a crash partway through
-// leaves a mix of old- and new-generation segments, and recovery gates
-// each segment's generation individually, so the half-rotated state is
-// exactly as safe as a crash between checkpoint write and single-file
-// rotation always was.
-func (js *journalSet) rotateAllLocked(epoch, generation uint64) error {
+// setAsideAllLocked starts the next generation on every segment (see
+// journal.setAsideLocked) and returns the set-aside handles for the
+// caller to close once it has released the locks. The caller holds all
+// segment locks and has quiesced. On error the segments cut so far stay
+// at the new generation and the rest at their own; both replay on
+// recovery, so the caller must not install a checkpoint at generation
+// after a failed cut.
+func (js *journalSet) setAsideAllLocked(epoch, generation uint64) ([]*os.File, error) {
+	old := make([]*os.File, 0, len(js.segs))
 	for _, j := range js.segs {
-		if err := j.rotateLocked(epoch, generation); err != nil {
-			return err
+		f, err := j.setAsideLocked(epoch, generation)
+		if err != nil {
+			return old, err
+		}
+		old = append(old, f)
+	}
+	return old, nil
+}
+
+// retire deletes every set-aside file whose generation is below gen.
+// The checkpointer calls it only once a checkpoint at gen is installed:
+// recovery then gates those files out, so they hold nothing it needs.
+// Deleting a large file frees its blocks, which is why this runs
+// outside every segment lock.
+func (js *journalSet) retire(gen uint64) {
+	for _, f := range journalFiles(js.path) {
+		if f.aside && f.gen < gen {
+			_ = os.Remove(f.path)
 		}
 	}
-	return nil
 }
 
 // depths collects each segment's observability counters for the status

@@ -13,13 +13,12 @@
 package runtime
 
 import (
-	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net"
 	goruntime "runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -394,12 +393,20 @@ type Master struct {
 	batchFrames  atomic.Int64
 
 	// Crash recovery (immutable after StartMaster returns, except
-	// generation, which only the single-threaded checkpointer advances —
+	// generation, which only the checkpointer advances under ckptMu —
 	// atomically, so status sampling can read it without the journal
 	// locks).
 	epoch      uint64
 	generation atomic.Uint64
 	journal    *journalSet
+	// ckptMu serializes whole checkpoint cycles — the periodic loop,
+	// standby attach and Close — so one cycle's save and retire finish
+	// before the next cut. The dataplane never takes it.
+	ckptMu sync.Mutex
+	// ckptHold / ckptTook are the last cycle's journal-lock hold and
+	// total duration in nanoseconds, for the status endpoint.
+	ckptHold atomic.Int64
+	ckptTook atomic.Int64
 	// recoveredAcked is the cross-epoch sink dedup set: tuple IDs the
 	// previous incarnation acknowledged whose straggler results must be
 	// dropped, never replayed to the sink. Read-only after recovery.
@@ -696,12 +703,19 @@ func (m *Master) resubmitRecovered(from string) {
 // Addr returns the master's listen address for workers to dial.
 func (m *Master) Addr() string { return m.ln.Addr().String() }
 
-// Workers returns the connected worker IDs.
+// Workers returns the connected worker IDs that routing can reach.
 func (m *Master) Workers() []string {
+	// A joining worker enters the connection map before the routing
+	// table (and a leaving one leaves the map first), so listing only
+	// workers both hold means a caller that sees a worker here can
+	// Submit to it.
 	ws := m.workerMap()
+	t := m.table.Load()
 	out := make([]string, 0, len(ws))
 	for id := range ws {
-		out = append(out, id)
+		if t.Has(id) {
+			out = append(out, id)
+		}
 	}
 	return out
 }
@@ -1762,6 +1776,24 @@ func (m *Master) submitFrom(t *tuple.Tuple, attempt uint8, deadline time.Time, a
 		if err != nil {
 			return ErrNoWorkers
 		}
+		if slices.Contains(avoid, id) {
+			// Pick's avoid hint binds only in probe mode; a weighted or
+			// round-robin draw can still land on a worker this tuple has
+			// burned. Take any connected worker it has not burned (map
+			// order is random, which spreads the load), or report none —
+			// the poison path then quarantines instead of bouncing the
+			// tuple between burned workers forever.
+			id = ""
+			for cand := range workers {
+				if !refused[cand] && !slices.Contains(avoid, cand) {
+					id = cand
+					break
+				}
+			}
+			if id == "" {
+				return ErrNoWorkers
+			}
+		}
 		wc, ok := workers[id]
 		if !ok {
 			if tries > 8 {
@@ -1903,9 +1935,12 @@ func (m *Master) journalShed(id uint64, overload bool) {
 }
 
 // snapshotState captures a checkpoint body from the live counters. The
-// caller must either hold the journal lock (checkpointNow) or otherwise
-// exclude journal appends (initRecovery, Close after goroutines drain) so
-// the snapshot and the journal generation stay consistent.
+// caller must either hold the journal locks (checkpointAnd) or otherwise
+// exclude journal appends (initRecovery) so the snapshot and the journal
+// generation stay consistent. The un-acked tuples are marshaled here, in
+// one buffer, because re-dispatch rewrites a tuple's attempt and emit
+// time once its entry leaves the table; their base64 encoding waits for
+// encodeCheckpoint.
 func (m *Master) snapshotState() *checkpointState {
 	st := &checkpointState{
 		Version:    checkpointVersion,
@@ -1938,40 +1973,56 @@ func (m *Master) snapshotState() *checkpointState {
 	}
 	m.routerMu.Unlock()
 	sort.Slice(st.Estimates, func(i, j int) bool { return st.Estimates[i].ID < st.Estimates[j].ID })
-	for _, e := range m.inflight.snapshotEntries() {
-		b, err := tuple.Marshal(e.t)
+	ents := m.inflight.snapshotEntries()
+	// Size the buffer up front: growing it by doubling costs several
+	// times the marshal itself, and all of it inside the journal locks.
+	size := 0
+	for _, e := range ents {
+		size += e.t.WireSize()
+	}
+	buf := make([]byte, 0, size)
+	st.Pending = make([]ckptPending, 0, len(ents))
+	for _, e := range ents {
+		b, err := tuple.AppendMarshal(buf, e.t)
 		if err != nil {
 			continue
 		}
-		st.Pending = append(st.Pending, ckptPending{
-			Tuple:   base64.StdEncoding.EncodeToString(b),
-			Attempt: e.attempt,
-		})
+		st.Pending = append(st.Pending, ckptPending{Tuple: b[len(buf):], Attempt: e.attempt})
+		buf = b
 	}
 	return st
 }
 
-// checkpointNow snapshots state to the checkpoint file and rotates the
-// journal to the next generation. The journal lock is held across both so
-// no lifecycle event lands in the old generation after the snapshot —
-// such an event would be double-counted on recovery.
+// checkpointNow snapshots state to the checkpoint file and starts the
+// journal on the next generation.
 func (m *Master) checkpointNow() error {
 	return m.checkpointAnd(nil)
 }
 
-// checkpointAnd is checkpointNow with a hook: fn (if non-nil) runs while
-// every journal segment lock is still held, after the rotation succeeded,
-// with the new generation and the persisted checkpoint body. The
-// replicator attaches standbys through it — rotation empties every
-// segment, so a subscriber registered inside this window sees the
-// checkpoint image plus exactly the record bytes flushed after it, with
-// nothing missing and nothing doubled.
+// checkpointAnd runs one checkpoint cycle (see checkpoint.go). Every
+// journal segment lock is held only for the cut: quiesce, snapshot, set
+// each segment's file aside and open the next generation. No lifecycle
+// event can land in the old generation after the snapshot — it would be
+// double-counted on recovery. Closing the set-aside files, encoding,
+// saving and retiring follow after the locks are released, so the
+// dataplane stalls only for the cut.
+//
+// fn (if non-nil) runs inside the locked window, after the cut
+// succeeded, with the new generation and the checkpoint body — encoded
+// under the lock on this path. The replicator attaches standbys through
+// it: the new generation's files start empty, so a subscriber registered
+// inside this window sees the checkpoint image plus exactly the record
+// bytes flushed after it, with nothing missing and nothing doubled.
 func (m *Master) checkpointAnd(fn func(epoch, generation uint64, body []byte)) error {
 	if m.journal == nil {
 		return nil
 	}
+	m.ckptMu.Lock()
+	defer m.ckptMu.Unlock()
+	start := time.Now()
+	defer func() { m.ckptTook.Store(int64(time.Since(start))) }()
+
 	m.journal.lockAll()
-	defer m.journal.unlockAll()
 	// Wait out any group-commit flush in flight on every segment so the
 	// file handles are stable and every returned append is on disk before
 	// the snapshot.
@@ -1979,20 +2030,38 @@ func (m *Master) checkpointAnd(fn func(epoch, generation uint64, body []byte)) e
 	gen := m.generation.Load() + 1
 	st := m.snapshotState()
 	st.Generation = gen
-	body, err := json.Marshal(st)
+	old, err := m.journal.setAsideAllLocked(m.epoch, gen)
+	// Advance even after a failed cut: the segments it reached already
+	// write at gen, and the rest keep their own generation, so the next
+	// cut's file names stay unique.
+	m.generation.Store(gen)
+	var body []byte
+	if err == nil && fn != nil {
+		if body, err = encodeCheckpoint(st); err == nil {
+			fn(m.epoch, gen, body)
+		}
+	}
+	m.journal.unlockAll()
+	m.ckptHold.Store(int64(time.Since(start)))
+
+	// Every byte in the set-aside files was written before the cut, and
+	// they stay on disk until a checkpoint covers them, so a failed
+	// close loses nothing recovery needs.
+	for _, f := range old {
+		_ = f.Close()
+	}
 	if err != nil {
-		return fmt.Errorf("runtime: encode checkpoint: %w", err)
+		return err
+	}
+	if body == nil {
+		if body, err = encodeCheckpoint(st); err != nil {
+			return err
+		}
 	}
 	if err := saveCheckpointBytes(m.cfg.CheckpointPath, body); err != nil {
 		return err
 	}
-	if err := m.journal.rotateAllLocked(m.epoch, gen); err != nil {
-		return err
-	}
-	m.generation.Store(gen)
-	if fn != nil {
-		fn(m.epoch, gen, body)
-	}
+	m.journal.retire(gen)
 	return nil
 }
 

@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"bytes"
+	"encoding/base64"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -176,10 +178,15 @@ func TestJournalForeignFileTruncated(t *testing.T) {
 
 func TestCheckpointRoundTripAndCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt")
+	pend, err := tuple.Marshal(frameTuple(7))
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := &checkpointState{
 		Version: checkpointVersion, Epoch: 2, Generation: 9,
 		Submitted: 100, Acked: 90, Shed: 4, NextPlay: 88, NextSeq: 100,
 		Estimates: []ckptEstimate{{ID: "w1", LatencyNanos: 5e6, ProcessingNanos: 2e6, Samples: 42}},
+		Pending:   []ckptPending{{Tuple: pend, Attempt: 2}},
 	}
 	if err := saveCheckpoint(path, st); err != nil {
 		t.Fatal(err)
@@ -194,12 +201,20 @@ func TestCheckpointRoundTripAndCorruption(t *testing.T) {
 	if len(got.Estimates) != 1 || got.Estimates[0].Samples != 42 {
 		t.Fatalf("estimates = %+v", got.Estimates)
 	}
-
-	// Flip one body byte: the checksum must fail closed, not decode junk.
+	if len(got.Pending) != 1 || !bytes.Equal(got.Pending[0].Tuple, pend) || got.Pending[0].Attempt != 2 {
+		t.Fatalf("pending = %+v", got.Pending)
+	}
+	// The pending tuple travels as a standard-base64 JSON string, the
+	// format every earlier checkpoint was written in.
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if want := `"tuple":"` + base64.StdEncoding.EncodeToString(pend) + `"`; !bytes.Contains(raw, []byte(want)) {
+		t.Fatalf("checkpoint body lacks %s", want)
+	}
+
+	// Flip one body byte: the checksum must fail closed, not decode junk.
 	raw[10] ^= 0xff
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
@@ -220,10 +235,10 @@ func TestRecoverStateIgnoresStaleJournal(t *testing.T) {
 	jpath := filepath.Join(dir, "wal")
 	cpath := filepath.Join(dir, "ckpt")
 
-	// Checkpoint at generation 5; journal left behind at generation 4.
-	// This is the crash window between checkpoint rename and journal
-	// rotation: every journal record is already folded into the
-	// checkpoint, so replaying it would double-count.
+	// Checkpoint at generation 5; journal left behind at generation 4,
+	// as a crash between a restart's checkpoint and its opening of the
+	// new journal leaves it: every journal record is already folded
+	// into the checkpoint, so replaying it would double-count.
 	if err := saveCheckpoint(cpath, &checkpointState{
 		Version: checkpointVersion, Epoch: 2, Generation: 5,
 		Submitted: 10, Acked: 10, NextSeq: 10,
@@ -339,7 +354,8 @@ func TestMasterCrashRecovery(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return m1.Stats().Acked >= warm }, "warm batch acked")
 
 	// Mid-stream checkpoint: persists the ledger, the sink playback
-	// position and w1's latency estimate, and rotates the journal.
+	// position and w1's latency estimate, and starts a new journal
+	// generation.
 	if err := m1.checkpointNow(); err != nil {
 		t.Fatalf("checkpointNow: %v", err)
 	}

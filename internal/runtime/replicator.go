@@ -17,15 +17,17 @@ import (
 // write-ahead journal to them live.
 //
 // Attach protocol. The standby opens with a FrameRepHello; the primary
-// answers by cutting a fresh checkpoint — the same lockAll → quiesce →
-// snapshot → save → rotate cycle the periodic checkpointer runs — and
-// registers the subscriber inside that locked window, with the
-// checkpoint image as its first queued frame. Rotation empties every
-// journal segment, so the subscriber needs no historical bytes: it sees
+// answers by cutting a fresh checkpoint — the same cycle the periodic
+// checkpointer runs — and registers the subscriber inside the locked
+// window of the cut, with the checkpoint image as its first queued
+// frame. On this path the image is encoded inside the window (the
+// periodic cycle encodes after it); saving and retiring still follow
+// after the locks are released. The cut starts every journal segment on
+// an empty file, so the subscriber needs no historical bytes: it sees
 // the checkpoint base plus exactly the record batches flushed after it,
 // nothing missing and nothing doubled. Records are forwarded at flush
 // time (the journal tap), not append time, because records still
-// buffered at a rotation flush into the *next* generation — tapping the
+// buffered at a cut flush into the *next* generation — tapping the
 // flush preserves the same generation boundary on the standby's mirror.
 //
 // Flow control is Redis-style resync-on-overflow: each subscriber has a
@@ -241,7 +243,7 @@ func (r *replicator) handleStandby(conn net.Conn) {
 
 	// Attach inside the checkpoint's locked window: the checkpoint image
 	// is the subscriber's first frame, and every record byte flushed
-	// after the rotation lands behind it in the queue.
+	// after the cut lands behind it in the queue.
 	err = r.m.checkpointAnd(func(epoch, gen uint64, body []byte) {
 		ck := wire.AppendRepCheckpoint(make([]byte, 0, 16+len(body)), wire.RepCheckpoint{
 			Epoch:      epoch,
@@ -261,23 +263,26 @@ func (r *replicator) handleStandby(conn net.Conn) {
 		// its base image.
 		sub.ackedSeq.Store(r.tapSeq)
 		sub.queue <- repMsg{typ: wire.FrameRepCheckpoint, payload: ck} // cap >> 1: never blocks here
+		// Record the attach before the subscriber becomes visible, so
+		// anyone who sees the standby in the status also sees the event.
+		r.m.events.Record(obs.EventStandbyAttach, hello.StandbyID, "replication stream attached", 0)
 		r.subs[sub] = struct{}{}
 	})
+	// The subscriber is attached once the hook registered it. A failure
+	// after that — saving or retiring the primary's own checkpoint —
+	// leaves the stream intact: the standby already holds the image, and
+	// the primary keeps its set-aside journal files until a later save.
 	r.mu.Lock()
-	attached := !r.sealed && err == nil
-	if _, ok := r.subs[sub]; !ok {
-		attached = false
-	}
+	_, attached := r.subs[sub]
 	r.mu.Unlock()
+	if err != nil {
+		r.m.cfg.Logger.Warn("swing master: standby attach checkpoint failed",
+			"standby", hello.StandbyID, "err", err)
+	}
 	if !attached {
-		if err != nil {
-			r.m.cfg.Logger.Warn("swing master: standby attach checkpoint failed",
-				"standby", hello.StandbyID, "err", err)
-		}
 		_ = conn.Close()
 		return
 	}
-	r.m.events.Record(obs.EventStandbyAttach, hello.StandbyID, "replication stream attached", 0)
 	r.m.cfg.Logger.Info("swing master: standby attached",
 		"standby", hello.StandbyID, "addr", conn.RemoteAddr())
 

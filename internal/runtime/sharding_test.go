@@ -305,7 +305,7 @@ func TestSegmentedJournalRecoveryTornTailOneSegment(t *testing.T) {
 }
 
 // TestSegmentedJournalRecoverySkipsStaleGeneration leaves one segment at an
-// older generation (a crash mid-rotation) and confirms its records are
+// older generation (a crash mid-cut) and confirms its records are
 // gated out individually while current-generation segments still replay.
 func TestSegmentedJournalRecoverySkipsStaleGeneration(t *testing.T) {
 	dir := t.TempDir()

@@ -31,7 +31,7 @@ import (
 // promotion needs no special-case code: recoverState cannot tell a
 // replicated mirror from a local crash's leftovers. Each mirrored
 // segment file begins with a meta record the standby writes itself —
-// the primary's rotation writes segment headers straight to disk,
+// the primary's checkpoint cut writes segment headers straight to disk,
 // bypassing the flush tap, so they are deliberately absent from the
 // stream and reconstructed here from the checkpoint's (epoch,
 // generation).

@@ -118,6 +118,9 @@ func (m *Master) StatusSnapshot() obs.Snapshot {
 			PendingBytes:   pending,
 			SegmentRecords: records,
 			SegmentBytes:   bytes,
+
+			CheckpointHoldMicros: m.ckptHold.Load() / int64(time.Microsecond),
+			CheckpointMicros:     m.ckptTook.Load() / int64(time.Microsecond),
 		}
 		for i := range records {
 			j.Records += records[i]

@@ -28,7 +28,7 @@ type RepHello struct {
 
 // RepCheckpoint is the decoded form of a FrameRepCheckpoint payload: the
 // primary's current checkpoint image plus the (epoch, generation) pair
-// the image was cut at. Journal segments rotated at the same instant are
+// the image was cut at. Journal segments started at the same instant are
 // empty, so Data is a complete state base: every later FrameRepRecords
 // byte applies strictly on top of it.
 type RepCheckpoint struct {

@@ -76,6 +76,14 @@ go test -race -count=1 \
     ./internal/runtime/
 go test -race -count=1 -run 'TestSharedBytesAppendDoesNotClobberSibling|TestDecodeSharedIntoBlock|TestInternNameCapped' \
     ./internal/tuple/
+# Checkpoint-cycle smoke under the race detector, ten times: a 5 ms
+# checkpoint period under four SubmitBatch submitters with a standby
+# attaching mid-run (the cut holds the journal locks only for the
+# switch; encode, save and retire run beside live appends), plus the
+# crash-point table and the failed-save recovery.
+go test -race -count=10 -run 'TestCheckpointCycleConcurrencySmoke' ./internal/runtime/
+go test -race -count=1 -run 'TestCheckpointCycleCrashPoints|TestFailedCheckpointSavesLoseNothing' \
+    ./internal/runtime/
 # Live /statusz curl smoke: boot a real swingd master with a status
 # endpoint and a shaped transport, fetch the JSON from the URL the
 # process announces, and check the ledger reports balanced. Falls back
