@@ -2,7 +2,6 @@ package routing
 
 import (
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,9 +103,6 @@ func (t *Table) Overloaded() bool { return t.overloaded }
 
 // Size returns the number of downstreams the snapshot routes over.
 func (t *Table) Size() int { return len(t.order) }
-
-// Has reports whether id is one of the snapshot's downstreams.
-func (t *Table) Has(id string) bool { return slices.Contains(t.order, id) }
 
 // Pick chooses the downstream for one tuple. u must be uniform in [0, 1)
 // (the caller owns randomness so the snapshot stays lock-free); avoid is

@@ -110,6 +110,76 @@ func TestParseJournalName(t *testing.T) {
 	}
 }
 
+// TestSetAsideFromStrandedName: a failed cut whose rename back also
+// failed leaves the segment writing under its set-aside name with no
+// live file. The next cut must start from there — not fail on the
+// missing live path forever — and every record must stay in the file of
+// the generation it was written in.
+func TestSetAsideFromStrandedName(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal")
+	j, err := openJournal(path, 1, 3, FsyncNever, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.appendSubmit(frameTuple(1)); err != nil {
+		t.Fatal(err)
+	}
+	stranded := setAsidePath(path, 3)
+	if err := os.Rename(path, stranded); err != nil {
+		t.Fatal(err)
+	}
+	j.cur = stranded
+	if err := j.appendSubmit(frameTuple(2)); err != nil {
+		t.Fatal(err)
+	}
+
+	for gen := uint64(4); gen <= 5; gen++ {
+		j.mu.Lock()
+		old, err := j.setAsideLocked(1, gen)
+		j.mu.Unlock()
+		if err != nil {
+			t.Fatalf("cut to generation %d: %v", gen, err)
+		}
+		_ = old.Close()
+		if err := j.appendSubmit(frameTuple(gen)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	want := map[string]struct {
+		gen uint64
+		ids []uint64
+	}{
+		stranded:              {3, []uint64{1, 2}},
+		setAsidePath(path, 4): {4, []uint64{4}},
+		path:                  {5, []uint64{5}},
+	}
+	if got := len(journalFiles(path)); got != len(want) {
+		t.Fatalf("%d journal files on disk, want %d", got, len(want))
+	}
+	for p, w := range want {
+		sr, err := replaySegment(p)
+		if err != nil || sr == nil {
+			t.Fatalf("%s: replay %v, err %v", filepath.Base(p), sr, err)
+		}
+		var ids []uint64
+		for _, r := range sr.recs {
+			tp, err := tuple.Unmarshal(r.payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, tp.ID)
+		}
+		if sr.generation != w.gen || fmt.Sprint(ids) != fmt.Sprint(w.ids) {
+			t.Errorf("%s: generation %d tuples %v, want %d %v",
+				filepath.Base(p), sr.generation, ids, w.gen, w.ids)
+		}
+	}
+}
+
 // TestCheckpointCycleCrashPoints builds, by hand, the on-disk state each
 // crash point of the checkpoint cycle can leave behind and checks that
 // recovery yields the exact backlog, counters and dedup set. The base

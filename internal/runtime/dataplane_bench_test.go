@@ -83,11 +83,6 @@ func BenchmarkLiveRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer func() { _ = w.Close() }()
-	// StartWorker returns once the worker has its Start frame, which the
-	// master sends before it lists the worker; wait until it is routable.
-	for len(m.Workers()) == 0 {
-		goruntime.Gosched()
-	}
 
 	const warm = 32
 	for _, t := range benchTuples(warm, 0) {
@@ -148,11 +143,6 @@ func benchSwarm(b *testing.B) (*Master, *atomic.Int64) {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { _ = w.Close() })
-	// StartWorker returns once the worker has its Start frame, which the
-	// master sends before it lists the worker; wait until it is routable.
-	for len(m.Workers()) == 0 {
-		goruntime.Gosched()
-	}
 	return m, &played
 }
 
@@ -273,11 +263,6 @@ func TestBatchRoundTripAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = w.Close() })
-	// StartWorker returns once the worker has its Start frame, which the
-	// master sends before it lists the worker; wait until it is routable.
-	for len(m.Workers()) == 0 {
-		goruntime.Gosched()
-	}
 
 	const per, runs, warm = 64, 20, 32
 	for _, tp := range benchTuples(warm, 0) {

@@ -133,6 +133,7 @@ type journal struct {
 	cond     *sync.Cond
 	f        *os.File
 	path     string
+	cur      string // f's name on disk (see setAsideLocked), guarded by mu
 	mode     FsyncMode
 	every    time.Duration
 	lastSync time.Time
@@ -212,7 +213,7 @@ func openJournal(path string, epoch, generation uint64, mode FsyncMode, every ti
 	if every <= 0 {
 		every = 100 * time.Millisecond
 	}
-	j := &journal{seq: new(atomic.Uint64), f: f, path: path, mode: mode, every: every, lastSync: time.Now(), gen: generation}
+	j := &journal{seq: new(atomic.Uint64), f: f, path: path, cur: path, mode: mode, every: every, lastSync: time.Now(), gen: generation}
 	j.cond = sync.NewCond(&j.mu)
 	if err := j.append(recMeta, metaPayload(epoch, generation)); err != nil {
 		_ = f.Close()
@@ -530,12 +531,15 @@ func (j *journal) appendShed(id uint64, overload bool) error {
 // releasing the lock, and the file stays on disk until a checkpoint at a
 // later generation is installed: until then recovery still needs it. On
 // failure the segment keeps writing its current file, renamed back to
-// the live path; should even that rename fail, recovery still finds the
-// file under its set-aside name.
+// the live path; should even that rename fail, the file stays under its
+// set-aside name (cur), where recovery finds it and the next cut starts.
 func (j *journal) setAsideLocked(epoch, generation uint64) (*os.File, error) {
 	aside := setAsidePath(j.path, j.gen)
-	if err := os.Rename(j.path, aside); err != nil {
-		return nil, fmt.Errorf("runtime: set journal aside: %w", err)
+	if j.cur != aside {
+		if err := os.Rename(j.cur, aside); err != nil {
+			return nil, fmt.Errorf("runtime: set journal aside: %w", err)
+		}
+		j.cur = aside
 	}
 	nf, err := os.OpenFile(j.path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err == nil {
@@ -546,11 +550,14 @@ func (j *journal) setAsideLocked(epoch, generation uint64) (*os.File, error) {
 	if err != nil {
 		// Put the current generation back under the live path; renaming
 		// over a half-made new file replaces it atomically.
-		_ = os.Rename(aside, j.path)
+		if os.Rename(aside, j.path) == nil {
+			j.cur = j.path
+		}
 		return nil, fmt.Errorf("runtime: start journal generation: %w", err)
 	}
 	old := j.f
 	j.f = nf
+	j.cur = j.path
 	j.gen = generation
 	return old, nil
 }

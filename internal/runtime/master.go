@@ -18,7 +18,6 @@ import (
 	"log/slog"
 	"net"
 	goruntime "runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -703,19 +702,12 @@ func (m *Master) resubmitRecovered(from string) {
 // Addr returns the master's listen address for workers to dial.
 func (m *Master) Addr() string { return m.ln.Addr().String() }
 
-// Workers returns the connected worker IDs that routing can reach.
+// Workers returns the connected worker IDs.
 func (m *Master) Workers() []string {
-	// A joining worker enters the connection map before the routing
-	// table (and a leaving one leaves the map first), so listing only
-	// workers both hold means a caller that sees a worker here can
-	// Submit to it.
 	ws := m.workerMap()
-	t := m.table.Load()
 	out := make([]string, 0, len(ws))
 	for id := range ws {
-		if t.Has(id) {
-			out = append(out, id)
-		}
+		out = append(out, id)
 	}
 	return out
 }
@@ -1775,24 +1767,6 @@ func (m *Master) submitFrom(t *tuple.Tuple, attempt uint8, deadline time.Time, a
 		})
 		if err != nil {
 			return ErrNoWorkers
-		}
-		if slices.Contains(avoid, id) {
-			// Pick's avoid hint binds only in probe mode; a weighted or
-			// round-robin draw can still land on a worker this tuple has
-			// burned. Take any connected worker it has not burned (map
-			// order is random, which spreads the load), or report none —
-			// the poison path then quarantines instead of bouncing the
-			// tuple between burned workers forever.
-			id = ""
-			for cand := range workers {
-				if !refused[cand] && !slices.Contains(avoid, cand) {
-					id = cand
-					break
-				}
-			}
-			if id == "" {
-				return ErrNoWorkers
-			}
 		}
 		wc, ok := workers[id]
 		if !ok {

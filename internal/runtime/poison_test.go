@@ -7,7 +7,6 @@ import (
 
 	"github.com/swingframework/swing/internal/apps"
 	"github.com/swingframework/swing/internal/graph"
-	"github.com/swingframework/swing/internal/routing"
 	"github.com/swingframework/swing/internal/transport"
 	"github.com/swingframework/swing/internal/tuple"
 )
@@ -211,45 +210,6 @@ func TestPoisonQuarantineSparesHealthyBreakers(t *testing.T) {
 		}
 	}
 	waitFor(t, 10*time.Second, func() bool { return len(col.snapshot()) == n }, "healthy load delivered after quarantine")
-}
-
-// TestPoisonQuarantinedWhenOnlyBurnedWorkersRemain: with fewer workers
-// than PoisonAttempts, a poison tuple burns every worker before its
-// budget runs out. The re-dispatch must then quarantine it — no
-// unburned worker can take it — rather than let the routing draw (which
-// honours the burned list only in probe windows) bounce it between
-// burned workers forever, which leaves the ledger never quiescing.
-func TestPoisonQuarantinedWhenOnlyBurnedWorkersRemain(t *testing.T) {
-	mem := transport.NewMem()
-	m, err := StartMaster(MasterConfig{
-		App:            containApp(t, containProcess),
-		Policy:         routing.RR,
-		ListenAddr:     "master",
-		Transport:      mem,
-		PoisonAttempts: 3,
-		Logger:         quietLogger(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = m.Close() })
-	for _, id := range []string{"w1", "w2"} {
-		startContainWorker(t, mem, m, id, containProcess)
-	}
-	waitFor(t, 2*time.Second, func() bool { return len(m.Workers()) == 2 }, "two workers join")
-
-	bad := plainTuple(1000)
-	bad.Set("panic", tuple.Bool(true))
-	if err := m.Submit(bad); err != nil {
-		t.Fatalf("Submit poison tuple: %v", err)
-	}
-	waitFor(t, 5*time.Second, func() bool {
-		st := m.Stats()
-		return st.ShedPoison == 1 && st.InFlight == 0 && st.Retransmitting == 0
-	}, "poison tuple quarantined after burning both workers")
-	if st := m.Stats(); !ledgerBalanced(st) || st.Retransmitted > 1 {
-		t.Fatalf("ledger after quarantine: %+v (want one re-dispatch, to the one unburned worker)", st)
-	}
 }
 
 // TestSickWorkerStillTripsBreaker is the flip side of quarantine: a

@@ -425,40 +425,3 @@ func TestStartMasterErrors(t *testing.T) {
 		t.Fatal("nil app accepted")
 	}
 }
-
-// TestListedWorkerIsRoutable: as soon as Workers() lists a joining
-// worker, Submit can route to it — the listing never runs ahead of the
-// routing table. The poll spins without sleeping so it catches a join
-// between its two publications; each round is a fresh master.
-func TestListedWorkerIsRoutable(t *testing.T) {
-	app, err := apps.FaceRecognition()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		mem := transport.NewMem()
-		m, err := StartMaster(MasterConfig{
-			App: app, Policy: routing.LRS, ListenAddr: "master", Transport: mem, Logger: quietLogger(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := StartWorker(WorkerConfig{
-			DeviceID: "w1", MasterAddr: m.Addr(), App: app, Transport: mem, Logger: quietLogger(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for deadline := time.Now().Add(2 * time.Second); len(m.Workers()) == 0; {
-			if time.Now().After(deadline) {
-				t.Fatalf("round %d: worker never listed", i)
-			}
-		}
-		err = m.Submit(frameTuple(1))
-		_ = w.Close()
-		_ = m.Close()
-		if err != nil {
-			t.Fatalf("round %d: Submit right after Workers() listed the worker: %v", i, err)
-		}
-	}
-}
