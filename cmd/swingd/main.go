@@ -114,7 +114,7 @@ func run(args []string) error {
 		shards   = fs.Int("shards", 0, "master: hot-state shard count, rounded up to a power of two and capped at 128 (0 = GOMAXPROCS)")
 		parallel = fs.Int("parallelism", 0, "master: worker processor-pool width deployed to every worker (0 = worker GOMAXPROCS)")
 		linger   = fs.Duration("linger", 0, "master: worker ack/result batching window; a result may wait up to this long to share a frame (0 = opportunistic batching only)")
-		subBatch = fs.Int("submit-batch", 1, "master: source-side submit batch size; frames accumulate into one SubmitBatch of up to this many tuples (1 = per-tuple submit)")
+		subBatch = fs.Int("submit-batch", 1, "master: source-side submit batch size; frames accumulate into one SubmitBatch of up to this many tuples (1 = one Submit per tuple, sent as a batch of one)")
 		subLing  = fs.Duration("submit-linger", 0, "master: submit-side linger window; a partial submit batch flushes after waiting at most this long for more frames (0 = flush only on a full batch)")
 
 		// Crash recovery (master).

@@ -31,8 +31,8 @@ type Snapshot struct {
 	Sink    Sink     `json:"sink"`
 	Routing Routing  `json:"routing"`
 	Workers []Worker `json:"workers"`
-	// Batch is the batched submit dataplane's counters: present only
-	// once a SubmitBatch has taken the batched fast path.
+	// Batch is the submit dataplane's counters: present once the master
+	// has taken a Submit or SubmitBatch call.
 	Batch   *Batch   `json:"batch,omitempty"`
 	Journal *Journal `json:"journal,omitempty"`
 	// Replication is the hot-standby view: present only on a journaling
@@ -87,11 +87,10 @@ func (l Ledger) CheckBalance() bool {
 	return l.Acked+l.Shed+int64(l.InFlight)+l.Retransmitting == l.Submitted
 }
 
-// Batch summarizes the batched submit dataplane: SubmitBatch calls that
-// took the fast path, tuples carried inside FrameTupleBatch frames, and
-// the frames themselves. Tuples ÷ Frames is the realized coalescing
-// factor; tuples routed per-tuple (fallbacks, retransmits, hedges) do
-// not count here.
+// Batch summarizes the submit dataplane: SubmitBatch calls (a Submit
+// counts as a batch of one), tuple dispatches including re-dispatches,
+// and the FrameTupleBatch frames that carried them. Tuples ÷ Frames is
+// the realized coalescing factor; hedged duplicates do not count here.
 type Batch struct {
 	Submits int64 `json:"submits"`
 	Tuples  int64 `json:"tuples"`

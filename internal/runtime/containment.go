@@ -116,7 +116,8 @@ func (m *Master) handlePoisonDrop(wc *workerConn, meta wire.ResultMeta) {
 // no unburned worker can take the tuple it is quarantined immediately.
 func (m *Master) redispatchPoison(e *inflightEntry) {
 	defer m.wg.Done()
-	if err := m.submit(e.t, e.attempt+1, e.deadline, e.failedOn); err != nil {
+	one := [1]*tuple.Tuple{e.t}
+	if err := m.dispatch(one[:], e.attempt+1, e.deadline, e.failedOn); err != nil {
 		m.inflight.shedOrphanPoison(e.t.ID)
 		m.journalShed(e.t.ID, false)
 		m.events.Record(obs.EventQuarantine, "", "no unburned worker", 1)
@@ -171,14 +172,14 @@ func (m *Master) hedgeSweep(now time.Time) {
 	}
 }
 
-// hedge duplicates one straggler to a second worker. The frame is
-// marshaled inside the shard critical section that confirms the entry is
-// still live and flags it hedged: once an entry leaves the table its
-// tuple may be mutated by the retransmit path (EmitNanos, Attempt), so
-// in-map under the lock is the only window where reading it is safe. The
-// send-queue slot is reserved non-blocking before the lock — a sweep must
-// never stall the master on a slow hedge target — and returned on any
-// losing race.
+// hedge duplicates one straggler to a second worker in a one-entry
+// FrameTupleBatch. The frame is marshaled inside the shard critical
+// section that confirms the entry is still live and flags it hedged:
+// once an entry leaves the table its tuple may be mutated by the
+// retransmit path (EmitNanos, Attempt), so in-map under the lock is the
+// only window where reading it is safe. The send-queue slot is reserved
+// non-blocking before the lock — a sweep must never stall the master on
+// a slow hedge target — and returned on any losing race.
 func (m *Master) hedge(e *inflightEntry, workers map[string]*workerConn) bool {
 	id, err := m.table.Load().Pick(m.pickU(), func(cand string) bool {
 		if cand == e.worker {
@@ -219,8 +220,9 @@ func (m *Master) hedge(e *inflightEntry, workers map[string]*workerConn) bool {
 		<-wc.slots
 		return false // acked, retransmitted, or hedged since collection
 	}
-	frame, merr := tuple.AppendMarshal(fb.B[:0], e.t)
-	if merr != nil {
+	var batch wire.TupleBatch
+	batch.SetBuf(fb.B)
+	if err := appendTupleEntry(&batch, e.t); err != nil {
 		s.mu.Unlock()
 		fb.Release()
 		<-wc.slots
@@ -229,8 +231,8 @@ func (m *Master) hedge(e *inflightEntry, workers map[string]*workerConn) bool {
 	e.hedged = true
 	s.led.hedged++
 	s.mu.Unlock()
-	fb.B = frame
-	wc.out <- outFrame{typ: wire.FrameTuple, payload: frame, buf: fb}
-	m.noteDispatched(wc)
+	fb.B = batch.Payload()
+	wc.out <- outFrame{typ: wire.FrameTupleBatch, payload: fb.B, buf: fb}
+	m.noteDispatchedN(wc, 1)
 	return true
 }

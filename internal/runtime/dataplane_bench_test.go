@@ -218,26 +218,13 @@ func BenchmarkSubmitBatch(b *testing.B) {
 	}
 }
 
-// TestBatchRoundTripAllocs pins the batched dataplane's allocation
-// budget: a full 64-tuple SubmitBatch round trip (submit, dispatch,
-// worker decode + process, ack, in-order delivery) must average
-// strictly under 1 allocation per tuple across every goroutine
-// involved — both directions decode a frame's tuples into one block
-// instead of one tuple each. Regressing this means a per-tuple cost
-// crept back into a per-batch path. It only runs at GOMAXPROCS=1
-// (scripts/check.sh runs it that way).
-func TestBatchRoundTripAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; ceiling holds for production builds only")
-	}
-	if goruntime.GOMAXPROCS(0) > 1 {
-		// AllocsPerRun counts every goroutine's allocations; beyond one
-		// core, unrelated scheduler-parallel work pollutes the figure.
-		t.Skip("alloc accounting is only stable at GOMAXPROCS=1")
-	}
+// allocSwarm starts the allocation tests' swarm: one echo worker over
+// the in-memory transport, with a counter of played results.
+func allocSwarm(t *testing.T) (*Master, *atomic.Int64) {
+	t.Helper()
 	app := benchApp(t)
 	mem := transport.NewMem()
-	var played atomic.Int64
+	played := new(atomic.Int64)
 	m, err := StartMaster(MasterConfig{
 		App:        app,
 		Policy:     routing.LRS,
@@ -263,7 +250,27 @@ func TestBatchRoundTripAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = w.Close() })
+	return m, played
+}
 
+// TestBatchRoundTripAllocs pins the batched dataplane's allocation
+// budget: a full 64-tuple SubmitBatch round trip (submit, dispatch,
+// worker decode + process, ack, in-order delivery) must average
+// strictly under 1 allocation per tuple across every goroutine
+// involved — both directions decode a frame's tuples into one block
+// instead of one tuple each. Regressing this means a per-tuple cost
+// crept back into a per-batch path. It only runs at GOMAXPROCS=1
+// (scripts/check.sh runs it that way).
+func TestBatchRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; ceiling holds for production builds only")
+	}
+	if goruntime.GOMAXPROCS(0) > 1 {
+		// AllocsPerRun counts every goroutine's allocations; beyond one
+		// core, unrelated scheduler-parallel work pollutes the figure.
+		t.Skip("alloc accounting is only stable at GOMAXPROCS=1")
+	}
+	m, played := allocSwarm(t)
 	const per, runs, warm = 64, 20, 32
 	for _, tp := range benchTuples(warm, 0) {
 		if err := m.Submit(tp); err != nil {
@@ -294,6 +301,48 @@ func TestBatchRoundTripAllocs(t *testing.T) {
 	t.Logf("batched round trip: %.2f allocs/tuple (%.0f per %d-tuple batch)", perTuple, allocs, per)
 	if perTuple >= 1.0 {
 		t.Fatalf("batched round trip costs %.2f allocs/tuple, want strictly < 1", perTuple)
+	}
+}
+
+// TestSubmitRoundTripAllocs pins the one-tuple round trip's allocation
+// budget: Submit is SubmitBatch over a batch of one, and that batch must
+// cost no more than the per-tuple path it replaced — at most 4
+// allocations across every goroutine for submit, dispatch, worker decode
+// and process, ack and in-order delivery. Like TestBatchRoundTripAllocs
+// it only runs at GOMAXPROCS=1 (scripts/check.sh runs it that way).
+func TestSubmitRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; ceiling holds for production builds only")
+	}
+	if goruntime.GOMAXPROCS(0) > 1 {
+		t.Skip("alloc accounting is only stable at GOMAXPROCS=1")
+	}
+	m, played := allocSwarm(t)
+	const runs, warm = 200, 32
+	for _, tp := range benchTuples(warm, 0) {
+		if err := m.Submit(tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for played.Load() < warm {
+		goruntime.Gosched()
+	}
+	tuples := benchTuples(runs+1, warm)
+	next := 0
+	want := int64(warm)
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := m.Submit(tuples[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+		want++
+		for played.Load() < want {
+			goruntime.Gosched()
+		}
+	})
+	t.Logf("one-tuple round trip: %.2f allocs", allocs)
+	if allocs > 4 {
+		t.Fatalf("one-tuple round trip costs %.2f allocs, want at most 4", allocs)
 	}
 }
 

@@ -44,10 +44,12 @@ func TestRetransmitOnWorkerDeath(t *testing.T) {
 	col := &resultCollector{}
 	m := startTestMaster(t, mem, col)
 	startTestWorker(t, mem, m, "w1", 1)
-	// w2's connection dies after 3 written frames (hello + ~2 result
-	// batches — batching packs many acks per frame): mid-stream, with
-	// tuples still queued on the link and in its input queue.
-	startFaultyWorker(t, mem, m, "w2", transport.FaultConfig{Seed: 11, BreakAfterFrames: 3})
+	// w2's connection dies after 2 written frames (hello + its first
+	// result batch): mid-stream, with tuples still queued on the link and
+	// in its input queue. One result batch can ack many tuples — a send
+	// loop starved by a busy pool acks a dozen at once — so a later break
+	// could find w2's whole share already acked.
+	startFaultyWorker(t, mem, m, "w2", transport.FaultConfig{Seed: 11, BreakAfterFrames: 2})
 	waitFor(t, 2*time.Second, func() bool { return len(m.Workers()) == 2 }, "workers join")
 
 	src := apps.NewFrameSource(600, 7)

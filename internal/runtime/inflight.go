@@ -88,7 +88,7 @@ type ledgerCounters struct {
 	// acked + shed + inflight + orphaned == submitted is untouched.
 	hedged int64
 	// orphaned counts entries taken off the table by takeWorker and not
-	// yet re-dispatched (trackSubmit) or abandoned (shedOrphan/
+	// yet re-dispatched (trackSubmitBatch) or abandoned (shedOrphan/
 	// shedUntracked): a dead worker's backlog in the retransmitter's
 	// hands. Unlike the cumulative columns it is instantaneous, and it
 	// closes the sampled invariant exactly:
@@ -156,46 +156,28 @@ func (t *inflightTable) shard(id uint64) *inflightShard {
 	return &t.shards[mix64(id)&t.mask]
 }
 
-// trackSubmit records a dispatch and counts it into the ledger in one
-// critical section: Submitted for a first attempt, Retransmitted for a
-// re-route. The entry replaces any stale entry under the same ID.
-func (t *inflightTable) trackSubmit(id uint64, e *inflightEntry) {
-	s := t.shard(id)
-	s.mu.Lock()
-	if _, had := s.m[id]; !had {
-		t.approx.Add(1)
-	}
-	s.m[id] = e
-	if e.attempt == 0 {
-		s.led.submitted++
-	} else {
-		// A re-route consumes the orphan takeWorker (or a reclaim) handed
-		// to the retransmitter.
-		s.led.retransmitted++
-		s.led.orphaned--
-	}
-	s.mu.Unlock()
-}
-
 // trackSubmitBatch records a batch of dispatches with one lock
-// acquisition per touched shard instead of one per tuple. The slice is
-// regrouped in place (callers pass scratch the submit path owns); each
-// entry gets exactly trackSubmit's semantics — its ledger count moves in
-// the same critical section as its map insert.
-func (t *inflightTable) trackSubmitBatch(entries []*inflightEntry) {
+// acquisition per touched shard instead of one per tuple, and counts each
+// into the ledger in the same critical section as its insert: Submitted
+// for a first attempt, Retransmitted for a re-route. An entry replaces
+// any stale entry under the same ID. The table keeps pointers into
+// block, which is regrouped by shard in place first: the caller owns it
+// and must not move its entries afterwards.
+func (t *inflightTable) trackSubmitBatch(block []inflightEntry) {
 	var added int64
-	for lo := 0; lo < len(entries); {
-		idx := mix64(entries[lo].t.ID) & t.mask
+	for lo := 0; lo < len(block); {
+		idx := mix64(block[lo].t.ID) & t.mask
 		hi := lo
-		for j := lo; j < len(entries); j++ {
-			if mix64(entries[j].t.ID)&t.mask == idx {
-				entries[hi], entries[j] = entries[j], entries[hi]
+		for j := lo; j < len(block); j++ {
+			if mix64(block[j].t.ID)&t.mask == idx {
+				block[hi], block[j] = block[j], block[hi]
 				hi++
 			}
 		}
 		s := &t.shards[idx]
 		s.mu.Lock()
-		for _, e := range entries[lo:hi] {
+		for i := lo; i < hi; i++ {
+			e := &block[i]
 			id := e.t.ID
 			if _, had := s.m[id]; !had {
 				added++
@@ -204,6 +186,8 @@ func (t *inflightTable) trackSubmitBatch(entries []*inflightEntry) {
 			if e.attempt == 0 {
 				s.led.submitted++
 			} else {
+				// A re-route consumes the orphan takeWorker (or a reclaim)
+				// handed to the retransmitter.
 				s.led.retransmitted++
 				s.led.orphaned--
 			}
@@ -365,7 +349,7 @@ func (t *inflightTable) failAttempt(id uint64, worker string, k int) (*inflightE
 // the live count into the orphaned column in the same critical section,
 // so a consistent sample still balances while the retransmitter re-routes
 // the backlog; each entry leaves the column when it is re-tracked
-// (trackSubmit) or abandoned (shedOrphan).
+// (trackSubmitBatch) or abandoned (shedOrphan).
 func (t *inflightTable) takeWorker(worker string) []*inflightEntry {
 	var out []*inflightEntry
 	for i := range t.shards {

@@ -172,11 +172,6 @@ func (js *journalSet) seg(id uint64) *journal {
 	return js.segs[mix64(id)&js.mask]
 }
 
-// appendSubmit logs a first-attempt dispatch on the tuple's segment.
-func (js *journalSet) appendSubmit(t *tuple.Tuple) error {
-	return js.seg(t.ID).appendSubmit(t)
-}
-
 // appendSubmitBatch logs a batch of first-attempt dispatches, one group
 // commit per touched segment (see bySegment).
 func (js *journalSet) appendSubmitBatch(ts []*tuple.Tuple) error {

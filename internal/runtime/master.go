@@ -18,6 +18,7 @@ import (
 	"log/slog"
 	"net"
 	goruntime "runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -384,9 +385,9 @@ type Master struct {
 	// rng state.
 	pickSeq atomic.Uint64
 
-	// Batched-dataplane counters: SubmitBatch calls that took the batched
-	// fast path, tuples dispatched inside FrameTupleBatch frames, and the
-	// frames themselves (frames ≤ tuples; the gap measures coalescing).
+	// Dataplane counters: SubmitBatch calls (a Submit is a batch of one),
+	// tuples dispatched, and the FrameTupleBatch frames that carried them
+	// (frames ≤ tuples; the gap measures coalescing).
 	batchSubmits atomic.Int64
 	batchTuples  atomic.Int64
 	batchFrames  atomic.Int64
@@ -784,10 +785,11 @@ type MasterStats struct {
 	Recovered int64
 	// InFlight is the current routed-but-unacknowledged tuple count.
 	InFlight int
-	// SubmitBatches counts SubmitBatch calls that took the batched fast
-	// path (len > 1); BatchedTuples counts tuples dispatched inside
-	// FrameTupleBatch frames, and BatchFrames the frames themselves —
-	// BatchedTuples / BatchFrames is the realized coalescing factor.
+	// SubmitBatches counts SubmitBatch calls, each Submit counting as a
+	// batch of one. BatchedTuples counts tuple dispatches — first
+	// attempts and re-dispatches, not hedged duplicates — and BatchFrames
+	// the FrameTupleBatch frames that carried them, so BatchedTuples /
+	// BatchFrames is the realized coalescing factor.
 	SubmitBatches int64
 	BatchedTuples int64
 	BatchFrames   int64
@@ -959,8 +961,8 @@ func (m *Master) handleWorker(conn net.Conn) {
 }
 
 // admitWorker performs the join workflow (paper §IV-B steps 2-3) under
-// the hello deadline: receive Hello, deploy the operator units, start,
-// and register the worker. A connection that stalls anywhere in the
+// the hello deadline: receive Hello, deploy the operator units, register
+// the worker, and start it. A connection that stalls anywhere in the
 // handshake is closed when the deadline fires, so half-open connects
 // cannot pin registration goroutines.
 func (m *Master) admitWorker(conn net.Conn) (*workerConn, bool) {
@@ -1025,11 +1027,12 @@ func (m *Master) admitWorker(conn net.Conn) (*workerConn, bool) {
 		_ = conn.Close()
 		return nil, false
 	}
-	if err := wire.WriteFrame(conn, wire.FrameStart, nil); err != nil {
-		_ = conn.Close()
-		return nil, false
-	}
 
+	// Register before start: the routing-table entry first, then the
+	// connection map entry, and only then FrameStart. A worker whose
+	// StartWorker has returned is therefore routable, and one Workers()
+	// lists is already in the table. Tuples routed to it before the
+	// writer starts wait in its send queue, behind FrameStart.
 	m.workersMu.Lock()
 	cur := m.workerMap()
 	if _, dup := cur[wc.id]; dup {
@@ -1038,22 +1041,8 @@ func (m *Master) admitWorker(conn net.Conn) (*workerConn, bool) {
 		_ = conn.Close()
 		return nil, false
 	}
-	next := make(map[string]*workerConn, len(cur)+1)
-	for id, c := range cur {
-		next[id] = c
-	}
-	next[wc.id] = wc
-	m.workers.Store(&next)
-	m.workersMu.Unlock()
-
-	if m.cfg.HelloTimeout > 0 {
-		_ = conn.SetDeadline(time.Time{})
-	}
-
-	m.withRouter(func(r *routing.Router) { err = r.AddDownstream(wc.id) })
-	if err != nil {
-		m.cfg.Logger.Warn("swing master: register worker", "worker", wc.id, "err", err)
-	}
+	// Count the join first, so a caller that sees the worker listed also
+	// sees it counted.
 	if readopted {
 		m.readopted.Add(1)
 		m.events.Record(obs.EventReadopted, wc.id,
@@ -1063,6 +1052,24 @@ func (m *Master) admitWorker(conn net.Conn) (*workerConn, bool) {
 	} else {
 		m.events.Record(obs.EventWorkerJoin, wc.id, "", 0)
 		m.cfg.Logger.Info("swing master: worker joined", "worker", wc.id)
+	}
+	m.withRouter(func(r *routing.Router) { err = r.AddDownstream(wc.id) })
+	next := make(map[string]*workerConn, len(cur)+1)
+	for id, c := range cur {
+		next[id] = c
+	}
+	next[wc.id] = wc
+	m.workers.Store(&next)
+	m.workersMu.Unlock()
+	if err != nil {
+		m.cfg.Logger.Warn("swing master: register worker", "worker", wc.id, "err", err)
+	}
+	if err := wire.WriteFrame(conn, wire.FrameStart, nil); err != nil {
+		m.dropWorker(wc)
+		return nil, false
+	}
+	if m.cfg.HelloTimeout > 0 {
+		_ = conn.SetDeadline(time.Time{})
 	}
 	return wc, true
 }
@@ -1353,7 +1360,8 @@ func (m *Master) retransmitAll(from string, orphans []*inflightEntry) {
 		case time.Now().After(e.deadline):
 			reason = "deadline passed"
 		default:
-			if err := m.submit(e.t, e.attempt+1, e.deadline, e.failedOn); err != nil {
+			one := [1]*tuple.Tuple{e.t}
+			if err := m.dispatch(one[:], e.attempt+1, e.deadline, e.failedOn); err != nil {
 				reason = err.Error()
 			} else {
 				resent++
@@ -1400,16 +1408,17 @@ func (m *Master) reconfigureLoop(period time.Duration) {
 	}
 }
 
-// Submit routes one tuple into the swarm. With admission control off
-// (InflightHighWater 0) it blocks when the chosen worker's send queue is
-// full (TCP backpressure); with it on, Submit never blocks — overload
-// sheds the oldest in-flight tuples instead, counted in ShedOverload.
-// It returns ErrNoWorkers when the swarm is empty or every worker's
-// breaker is open. The tuple is tracked until a worker acknowledges it;
-// if its worker dies first it is retransmitted to a survivor or shed at
-// its retry deadline.
+// Submit routes one tuple into the swarm: SubmitBatch over a batch of
+// one. With admission control off (InflightHighWater 0) it blocks when
+// the chosen worker's send queue is full (TCP backpressure); with it on,
+// Submit never blocks — overload sheds the oldest in-flight tuples
+// instead, counted in ShedOverload. It returns ErrNoWorkers when the
+// swarm is empty or every worker's breaker is open. The tuple is tracked
+// until a worker acknowledges it; if its worker dies first it is
+// retransmitted to a survivor or shed at its retry deadline.
 func (m *Master) Submit(t *tuple.Tuple) error {
-	return m.submit(t, 0, time.Now().Add(m.cfg.RetryDeadline), nil)
+	one := [1]*tuple.Tuple{t}
+	return m.SubmitBatch(one[:])
 }
 
 // submitBatchMaxBytes caps one FrameTupleBatch payload: a group bound
@@ -1427,23 +1436,18 @@ const submitBatchMaxBytes = 256 << 10
 // queue slot, one header and one Write per frame instead of per tuple.
 //
 // Per-tuple semantics are preserved: every sequence number is burned,
-// admission shedding runs once up front, breaker admission is checked
-// per tuple, and any tuple the snapshot cannot place (no worker, full
-// queue, refused breaker, enqueue race) falls back to the per-tuple
-// path with its steering loop. Retransmission, hedging and poison
-// quarantine keep operating per tuple on re-dispatch; Submit is the
-// batch-of-one special case of this path. Returns ErrStopped if the
-// master shuts down mid-batch (tuples not yet dispatched stay
-// untracked, exactly as per-tuple Submit leaves them), otherwise the
+// admission shedding runs once up front, and breaker admission is
+// checked per tuple. Returns ErrStopped if the master shuts down
+// mid-batch (tuples not yet dispatched stay untracked), otherwise the
 // first per-tuple routing error while the rest of the batch proceeds.
+// The caller's slice is read, never reordered.
 func (m *Master) SubmitBatch(ts []*tuple.Tuple) error {
-	switch len(ts) {
-	case 0:
+	if len(ts) == 0 {
 		return nil
-	case 1:
-		return m.Submit(ts[0])
 	}
-	deadline := time.Now().Add(m.cfg.RetryDeadline)
+	// nextSeq is the source-resumption high-water mark: every sequence
+	// number handed to the master is burned, successful or not, so a
+	// restarted source never reuses one.
 	for _, t := range ts {
 		for {
 			cur := m.nextSeq.Load()
@@ -1456,224 +1460,300 @@ func (m *Master) SubmitBatch(ts []*tuple.Tuple) error {
 		m.admissionShed()
 	}
 	m.batchSubmits.Add(1)
+	return m.dispatch(ts, 0, time.Now().Add(m.cfg.RetryDeadline), nil)
+}
 
-	// One routing pass against one snapshot and one worker map, grouping
-	// tuples by destination. Breaker admission stays per tuple so a
-	// half-open breaker still meters probes one at a time; anything the
-	// snapshot cannot place falls to the slow list.
-	table := m.table.Load()
-	workers := m.workerMap()
-	now := time.Now()
-	groups := make(map[*workerConn][]*tuple.Tuple, 8)
-	var order []*workerConn
-	var slow []*tuple.Tuple
-	skip := func(id string) bool {
-		wc, ok := workers[id]
-		return !ok || len(wc.slots) == cap(wc.slots)
-	}
-	for _, t := range ts {
-		id, err := table.Pick(m.pickU(), skip)
-		if err != nil {
-			slow = append(slow, t)
-			continue
-		}
-		wc, ok := workers[id]
-		if !ok {
-			slow = append(slow, t)
-			continue
-		}
-		wc.mu.Lock()
-		wasOpen := wc.br.state == breakerOpen
-		admitted := wc.br.allow(now)
-		wc.mu.Unlock()
-		if !admitted {
-			slow = append(slow, t)
-			continue
-		}
-		if wasOpen {
-			m.events.Record(obs.EventBreakerProbe, id, "half-open probe admitted", 0)
-		}
-		if _, seen := groups[wc]; !seen {
-			order = append(order, wc)
-		}
-		groups[wc] = append(groups[wc], t)
-	}
+// dispatchRetries is how many more rounds dispatch gives a tuple that
+// one round could not place before it gives up on it.
+const dispatchRetries = 9
 
-	var firstErr error
-	for _, wc := range order {
-		if err := m.dispatchGroup(wc, groups[wc], deadline); err != nil {
+// dispatch is the master's one forward path: fresh batches, re-routes
+// after a failed enqueue, retransmissions and poison re-dispatch all
+// leave through it. attempt 0 is a first transmission, counted
+// Submitted (the Λ estimate's input); a re-dispatch is counted
+// Retransmitted, so retried traffic cannot inflate the input rate that
+// drives Worker Selection. avoid lists workers the tuples already burned
+// (the poison history); it is carried onto their new entries, so it is
+// passed only with a batch of one.
+//
+// Each round routes every tuple against one table snapshot and one
+// worker map, writes the write-ahead records, and ships each worker's
+// share (ship). A tuple the round could not place — no pick, a refusing
+// breaker, a worker that left or died mid-send, a full queue in
+// admission mode — goes round again with the refusing worker excluded,
+// for up to dispatchRetries more rounds. A tuple still unplaced then is
+// settled by abandon.
+func (m *Master) dispatch(ts []*tuple.Tuple, attempt uint8, deadline time.Time, avoid []string) error {
+	var (
+		firstErr error
+		// excluded lists workers that turned a tuple away in this call.
+		excluded []string
+		// bounced marks tuples whose enqueue failed after their record
+		// was written; allocated on the first such failure.
+		bounced map[uint64]bool
+	)
+	for round := 0; len(ts) > 0; round++ {
+		select {
+		case <-m.stop:
+			return ErrStopped
+		default:
+		}
+		table, workers, now := m.table.Load(), m.workerMap(), time.Now()
+		block := make([]inflightEntry, 0, len(ts))
+		var again []*tuple.Tuple
+		for _, t := range ts {
+			wc, refused, err := m.route(table, workers, avoid, excluded, now)
+			if refused != "" {
+				excluded = append(excluded, refused)
+			}
+			switch {
+			case err != nil:
+				if err := m.abandon(t, attempt, bounced); err != nil && firstErr == nil {
+					firstErr = err
+				}
+				continue
+			case wc == nil:
+				again = append(again, t)
+				continue
+			}
+			t.EmitNanos = now.UnixNano()
+			t.Attempt = attempt
+			block = append(block, inflightEntry{
+				t: t, worker: wc.id, attempt: attempt, deadline: deadline, sentAt: now,
+				failedOn: avoid,
+			})
+		}
+		// Journal before tracking or enqueueing: once a tuple can reach a
+		// worker its write-ahead record must already exist, or a crash
+		// would lose it silently instead of retransmitting it.
+		if m.journal != nil && len(block) > 0 {
+			m.journalRound(block, attempt, bounced)
+		}
+		block = groupByWorker(block)
+		for lo := 0; lo < len(block); {
+			hi := lo + 1
+			for hi < len(block) && block[hi].worker == block[lo].worker {
+				hi++
+			}
+			id, n := block[lo].worker, len(again)
+			var err error
+			again, err = m.ship(workers[id], block[lo:hi], again)
 			if errors.Is(err, ErrStopped) {
-				// Groups not yet dispatched were never journaled or
-				// tracked; like per-tuple Submit on stop, their tuples
-				// leave only burned sequence numbers behind.
 				return err
 			}
-			if firstErr == nil {
+			if err != nil && firstErr == nil {
 				firstErr = err
 			}
+			if len(again) > n {
+				excluded = append(excluded, id)
+				if bounced == nil {
+					bounced = make(map[uint64]bool)
+				}
+				for _, t := range again[n:] {
+					bounced[t.ID] = true
+				}
+			}
+			lo = hi
 		}
-	}
-	for _, t := range slow {
-		if err := m.submitFrom(t, 0, deadline, nil, false); err != nil {
-			if errors.Is(err, ErrStopped) {
-				return err
+		ts = again
+		if len(ts) > 0 && round >= dispatchRetries {
+			for _, t := range ts {
+				if err := m.abandon(t, attempt, bounced); err != nil && firstErr == nil {
+					firstErr = err
+				}
 			}
-			if firstErr == nil {
-				firstErr = err
-			}
+			break
 		}
 	}
 	return firstErr
 }
 
-// dispatchGroup ships one batch's tuples bound for a single worker:
-// write-ahead records first (one group commit per touched segment),
-// then ledger inserts (one lock per touched shard), then the tuples
-// packed into FrameTupleBatch frames of at most submitBatchMaxBytes,
-// each enqueued as one outFrame holding one queue slot. Tuples that
-// cannot be enqueued are reclaimed and re-routed per tuple; their
-// journal records already exist, so the fallback skips journaling.
-func (m *Master) dispatchGroup(wc *workerConn, group []*tuple.Tuple, deadline time.Time) error {
-	now := time.Now()
-	stamp := now.UnixNano()
-	for _, t := range group {
-		t.EmitNanos = stamp
-		t.Attempt = 0
+// route draws one tuple's worker from the table snapshot. A nil worker
+// with a nil error sends the tuple round again: the pick left, was
+// already excluded, or its breaker refused (then reported as refused,
+// for the caller to exclude). ErrNoWorkers means no round can help:
+// nothing is selected, or the draw landed on a worker in avoid and no
+// connected, admissible, unburned worker is left.
+func (m *Master) route(table *routing.Table, workers map[string]*workerConn, avoid, excluded []string, now time.Time) (wc *workerConn, refused string, err error) {
+	id, err := table.Pick(m.pickU(), func(id string) bool {
+		if slices.Contains(excluded, id) || slices.Contains(avoid, id) {
+			return true
+		}
+		wc, ok := workers[id]
+		return !ok || len(wc.slots) == cap(wc.slots)
+	})
+	if err != nil {
+		return nil, "", ErrNoWorkers
 	}
-	// Journal before tracking or enqueueing — the same write-ahead order
-	// as the per-tuple path: once a tuple can reach a worker, its record
-	// must already exist. appendSubmitBatch regroups the slice by segment
-	// in place; intra-batch order is not significant (the sink reorders
-	// by sequence number, recovery merges by journal sequence).
-	if m.journal != nil {
-		if err := m.journal.appendSubmitBatch(group); err != nil {
-			m.cfg.Logger.Warn("swing master: journal append", "err", err)
+	if slices.Contains(avoid, id) {
+		// Weighted draws ignore the skip hint, and a tuple sent back to a
+		// worker it already burned would bounce among them forever.
+		for _, wc := range workers {
+			if !slices.Contains(avoid, wc.id) && !slices.Contains(excluded, wc.id) && m.admit(wc, now) {
+				return wc, "", nil
+			}
+		}
+		return nil, "", ErrNoWorkers
+	}
+	wc, ok := workers[id]
+	if !ok || slices.Contains(excluded, id) {
+		return nil, "", nil
+	}
+	if !m.admit(wc, now) {
+		return nil, id, nil
+	}
+	return wc, "", nil
+}
+
+// admit asks wc's breaker to take one more tuple — breaker admission is
+// metered per tuple, so a half-open breaker admits its probes one at a
+// time.
+func (m *Master) admit(wc *workerConn, now time.Time) bool {
+	wc.mu.Lock()
+	wasOpen := wc.br.state == breakerOpen
+	ok := wc.br.allow(now)
+	wc.mu.Unlock()
+	if ok && wasOpen {
+		m.events.Record(obs.EventBreakerProbe, wc.id, "half-open probe admitted", 0)
+	}
+	return ok
+}
+
+// groupByWorker returns block's entries grouped by worker, keeping each
+// worker's tuples in routing order so a frame carries them in sequence.
+// A block bound for one worker — a Submit's, always — comes back as it
+// is, without a copy.
+func groupByWorker(block []inflightEntry) []inflightEntry {
+	same := 1
+	for same < len(block) && block[same].worker == block[0].worker {
+		same++
+	}
+	if same >= len(block) {
+		return block
+	}
+	out := make([]inflightEntry, 0, len(block))
+	for i := range block {
+		if block[i].t == nil {
+			continue // already moved
+		}
+		id := block[i].worker
+		for j := i; j < len(block); j++ {
+			if block[j].t != nil && block[j].worker == id {
+				out = append(out, block[j])
+				block[j].t = nil
+			}
 		}
 	}
-	// One backing block for the whole batch's entries: a batch's tuples
-	// retire together in the common case, so per-entry allocations would
-	// only fragment the heap. A straggler pins its batch's block (a few
-	// KiB) until the last entry releases — a fine trade for 1 allocation
-	// where there were len(group).
-	block := make([]inflightEntry, len(group))
-	entries := make([]*inflightEntry, len(group))
-	for i, t := range group {
-		block[i] = inflightEntry{t: t, worker: wc.id, attempt: 0, deadline: deadline, sentAt: now}
-		entries[i] = &block[i]
-	}
-	m.inflight.trackSubmitBatch(entries)
+	return out
+}
 
+// abandon settles a tuple dispatch could not place. One that bounced
+// off a send queue already has its write-ahead record, so it is counted
+// submitted-then-shed (overload subset) and its shed journaled; any
+// other fails with ErrNoWorkers and leaves no record and no count.
+func (m *Master) abandon(t *tuple.Tuple, attempt uint8, bounced map[uint64]bool) error {
+	if !bounced[t.ID] {
+		return ErrNoWorkers
+	}
+	m.inflight.shedUntracked(t.ID, attempt)
+	m.journalShed(t.ID, true)
+	m.events.Record(obs.EventShed, "", "all queues full", 1)
+	m.cfg.Logger.Info("swing master: shed tuple",
+		"tuple", t.ID, "seq", t.SeqNo, "reason", "all queues full")
+	return nil
+}
+
+// ship sends one worker's share of a round as FrameTupleBatch frames of
+// at most submitBatchMaxBytes. Each frame is marshaled in routing order,
+// then its tuples are tracked — counted in the same shard critical
+// section as their insert — and only then enqueued, taking one queue
+// slot, so an ack arriving right after the send always finds its entry.
+// A frame that cannot be enqueued (a full queue in admission mode, or
+// the worker died while the send was blocked) has its tuples reclaimed,
+// un-counting them, and appended to again. A tuple a dead worker's drop
+// path claimed first belongs to the retransmitter and is skipped. On
+// master stop the frame's tuples are reclaimed and ErrStopped returned.
+func (m *Master) ship(wc *workerConn, run []inflightEntry, again []*tuple.Tuple) ([]*tuple.Tuple, error) {
 	var (
 		firstErr error
 		batch    wire.TupleBatch
-		cur      *tuple.Tuple
 	)
-	appendCur := func(dst []byte) ([]byte, error) { return tuple.AppendMarshal(dst, cur) }
-	chunk := make([]*tuple.Tuple, 0, len(group))
-	i := 0
-	for i < len(group) {
+	for lo := 0; lo < len(run); {
 		fb := wire.GetBuf(0)
 		batch.SetBuf(fb.B)
-		chunk = chunk[:0]
-		for i < len(group) && batch.Size() < submitBatchMaxBytes {
-			cur = group[i]
-			i++
-			start := batch.Begin()
-			if err := batch.Append(appendCur); err != nil {
-				// Unmarshalable tuple: it is journaled and tracked, so
-				// un-count it rather than strand an entry nothing sends.
-				batch.Cancel(start)
-				m.inflight.reclaim(cur.ID, wc.id)
+		hi := lo
+		for hi < len(run) && batch.Size() < submitBatchMaxBytes {
+			if err := appendTupleEntry(&batch, run[hi].t); err != nil {
+				// Unmarshalable tuple (its journal record failed the same
+				// way): swap it out of the frame's range untracked.
+				run[lo], run[hi] = run[hi], run[lo]
+				lo++
 				if firstErr == nil {
 					firstErr = fmt.Errorf("runtime: submit: %w", err)
 				}
-				continue
 			}
-			batch.End(start)
-			chunk = append(chunk, cur)
+			hi++
 		}
+		chunk := run[lo:hi]
+		lo = hi
 		payload := batch.Payload()
 		if payload == nil {
 			fb.Release()
 			continue
 		}
 		fb.B = payload // recover the (possibly reallocated) backing
-		if err := m.enqueueBatchFrame(wc, fb, chunk, deadline); err != nil {
-			if errors.Is(err, ErrStopped) {
-				for _, t := range group[i:] {
-					m.inflight.reclaim(t.ID, wc.id)
-				}
-				return err
+		m.inflight.trackSubmitBatch(chunk)
+		queued := false
+		if m.cfg.InflightHighWater > 0 {
+			select {
+			case wc.slots <- struct{}{}:
+				queued = true
+			default:
 			}
-			if firstErr == nil {
-				firstErr = err
+		} else {
+			select {
+			case wc.slots <- struct{}{}:
+				queued = true
+			case <-wc.gone:
+			case <-m.stop:
+				fb.Release()
+				for i := range chunk {
+					m.inflight.reclaim(chunk[i].t.ID, wc.id)
+				}
+				return again, ErrStopped
 			}
 		}
+		if !queued {
+			fb.Release()
+			for i := range chunk {
+				if e, ours := m.inflight.reclaim(chunk[i].t.ID, wc.id); ours {
+					again = append(again, e.t)
+				}
+			}
+			continue
+		}
+		wc.out <- outFrame{typ: wire.FrameTupleBatch, payload: fb.B, buf: fb}
+		m.noteDispatchedN(wc, len(chunk))
+		m.batchFrames.Add(1)
+		m.batchTuples.Add(int64(len(chunk)))
 	}
-	return firstErr
+	return again, firstErr
 }
 
-// enqueueBatchFrame enqueues one packed FrameTupleBatch toward wc,
-// taking one queue slot for the whole frame — the slot semaphore counts
-// frames, matching the writer's one-Write-per-frame cost and the shaped
-// transport's per-frame loss unit. On a full queue (admission mode) or
-// a dead worker the frame's tuples are reclaimed and re-routed per
-// tuple; on master stop they are reclaimed and ErrStopped returned.
-func (m *Master) enqueueBatchFrame(wc *workerConn, fb *wire.Buf, chunk []*tuple.Tuple, deadline time.Time) error {
-	if m.cfg.InflightHighWater > 0 {
-		select {
-		case wc.slots <- struct{}{}:
-		default:
-			fb.Release()
-			return m.redispatchChunk(wc, chunk, deadline)
-		}
-	} else {
-		select {
-		case wc.slots <- struct{}{}:
-		case <-wc.gone:
-			fb.Release()
-			return m.redispatchChunk(wc, chunk, deadline)
-		case <-m.stop:
-			fb.Release()
-			for _, t := range chunk {
-				m.inflight.reclaim(t.ID, wc.id)
-			}
-			return ErrStopped
-		}
+// appendTupleEntry marshals t straight into the batch as its next entry.
+func appendTupleEntry(b *wire.TupleBatch, t *tuple.Tuple) error {
+	start := b.Begin()
+	if err := b.Append(func(dst []byte) ([]byte, error) { return tuple.AppendMarshal(dst, t) }); err != nil {
+		b.Cancel(start)
+		return err
 	}
-	wc.out <- outFrame{typ: wire.FrameTupleBatch, payload: fb.B, buf: fb}
-	m.noteDispatchedN(wc, len(chunk))
-	m.batchFrames.Add(1)
-	m.batchTuples.Add(int64(len(chunk)))
+	b.End(start)
 	return nil
 }
 
-// redispatchChunk re-routes a frame's tuples after a failed enqueue:
-// each is reclaimed (un-counting the dispatch) and re-submitted through
-// the per-tuple path, which steers to another worker, blocks or sheds
-// per the admission mode. A tuple whose entry a dead worker's drop path
-// already claimed belongs to the retransmitter and is skipped.
-func (m *Master) redispatchChunk(wc *workerConn, chunk []*tuple.Tuple, deadline time.Time) error {
-	var firstErr error
-	for _, t := range chunk {
-		if _, ours := m.inflight.reclaim(t.ID, wc.id); !ours {
-			continue
-		}
-		if err := m.submitFrom(t, 0, deadline, nil, true); err != nil {
-			if errors.Is(err, ErrStopped) {
-				return err
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	return firstErr
-}
-
-// noteDispatchedN is noteDispatched for a batch frame: one lock, n
-// probe-slot claims, pairing each admitted tuple's br.allow with its
-// dispatch.
+// noteDispatchedN claims the breaker's half-open probe slot for a sent
+// frame: one lock, n claims, pairing each admitted tuple's br.allow with
+// its dispatch.
 func (m *Master) noteDispatchedN(wc *workerConn, n int) {
 	wc.mu.Lock()
 	for i := 0; i < n; i++ {
@@ -1711,187 +1791,38 @@ func (m *Master) routerOverloaded() bool {
 	return m.table.Load().Overloaded()
 }
 
-// submit is the routing core behind Submit and retransmission. attempt 0
-// is the first transmission and counts into the submitted total that
-// feeds the Λ estimate; retransmissions (attempt > 0) are tracked
-// separately so retried traffic cannot inflate the input-rate measurement
-// that drives Worker Selection. avoid lists workers this tuple already
-// burned (poison-quarantine attempt history); routing steers around them
-// and the list is carried onto the new in-flight entry.
-func (m *Master) submit(t *tuple.Tuple, attempt uint8, deadline time.Time, avoid []string) error {
-	return m.submitFrom(t, attempt, deadline, avoid, false)
-}
-
-// submitFrom is submit with the write-ahead state made explicit:
-// journaled marks a tuple whose submit record was already appended by
-// SubmitBatch's group commit, so a fallback re-route here must not
-// append a second one (recovery would double-count it).
-func (m *Master) submitFrom(t *tuple.Tuple, attempt uint8, deadline time.Time, avoid []string, journaled bool) error {
+// journalRound writes a round's write-ahead records: submit records
+// for first attempts, in one group commit per touched segment, and
+// resend records for re-dispatches. Tuples that bounced off a send queue
+// in an earlier round already have theirs. Append failures are logged,
+// not fatal — the master keeps serving with recovery degraded rather
+// than stalling the stream on a sick disk.
+func (m *Master) journalRound(block []inflightEntry, attempt uint8, bounced map[uint64]bool) {
+	var (
+		subs []*tuple.Tuple
+		err  error
+	)
 	if attempt == 0 {
-		// nextSeq is the source-resumption high-water mark: every sequence
-		// number handed to Submit is burned, successful or not, so a
-		// restarted source never reuses one.
-		for {
-			cur := m.nextSeq.Load()
-			if t.SeqNo < cur || m.nextSeq.CompareAndSwap(cur, t.SeqNo+1) {
-				break
-			}
-		}
-		if m.cfg.InflightHighWater > 0 {
-			m.admissionShed()
-		}
+		subs = make([]*tuple.Tuple, 0, len(block))
 	}
-	// refused collects workers whose breaker rejected this tuple, so
-	// probing re-draws steer around them; the snapshot's weighted mode
-	// ignores avoid by design, hence the bounded-retry loop. Routing runs
-	// against the RCU-published table — no lock on this path.
-	var refused map[string]bool
-	for tries := 0; ; tries++ {
-		select {
-		case <-m.stop:
-			return ErrStopped
+	for i := range block {
+		t := block[i].t
+		switch {
+		case bounced[t.ID]:
+		case attempt == 0:
+			subs = append(subs, t)
 		default:
-		}
-		workers := m.workerMap()
-		id, err := m.table.Load().Pick(m.pickU(), func(id string) bool {
-			if refused[id] {
-				return true
+			if aerr := m.journal.appendResend(t.ID, attempt); aerr != nil && err == nil {
+				err = aerr
 			}
-			for _, a := range avoid {
-				if a == id {
-					return true
-				}
-			}
-			wc, ok := workers[id]
-			return !ok || len(wc.slots) == cap(wc.slots)
-		})
-		if err != nil {
-			return ErrNoWorkers
-		}
-		wc, ok := workers[id]
-		if !ok {
-			if tries > 8 {
-				return ErrNoWorkers
-			}
-			continue // routed to a worker that just left; re-route
-		}
-		now := time.Now()
-		wc.mu.Lock()
-		wasOpen := wc.br.state == breakerOpen
-		admitted := wc.br.allow(now)
-		wc.mu.Unlock()
-		if admitted && wasOpen {
-			m.events.Record(obs.EventBreakerProbe, id, "half-open probe admitted", 0)
-		}
-		if !admitted {
-			if refused == nil {
-				refused = make(map[string]bool)
-			}
-			refused[id] = true
-			if tries > 8 {
-				return ErrNoWorkers
-			}
-			continue // breaker open: steer to another worker
-		}
-		t.EmitNanos = now.UnixNano()
-		t.Attempt = attempt
-		// Encode into a pooled buffer; ownership passes to the writer
-		// goroutine on enqueue, which releases it after coalescing.
-		fb := wire.GetBuf(0)
-		frame, err := tuple.AppendMarshal(fb.B[:0], t)
-		if err != nil {
-			fb.Release()
-			return fmt.Errorf("runtime: submit: %w", err)
-		}
-		fb.B = frame
-		// Journal before tracking or enqueueing: once the tuple can reach
-		// a worker, the write-ahead record must already exist, or a crash
-		// here would lose the tuple silently instead of retransmitting it.
-		if m.journal != nil && !journaled {
-			journaled = true
-			m.journalDispatch(t, attempt)
-		}
-		// Track before enqueueing so the tuple is never in a send queue
-		// without an owner; an ack arriving immediately after the send
-		// always finds the entry. trackSubmit counts the attempt in the
-		// owning shard's ledger inside the same critical section as the
-		// insert; a failed enqueue below un-counts via reclaim, so the
-		// ledger never observes a tracked-but-uncounted tuple.
-		m.inflight.trackSubmit(t.ID, &inflightEntry{
-			t: t, worker: id, attempt: attempt, deadline: deadline, sentAt: now,
-			failedOn: avoid,
-		})
-		if m.cfg.InflightHighWater > 0 {
-			// Admission-control mode: never block the caller. A full queue
-			// reclaims the entry and re-routes; when nowhere can take the
-			// tuple it is counted submitted-then-shed so the ledger still
-			// accounts for it.
-			select {
-			case wc.slots <- struct{}{}:
-				wc.out <- outFrame{typ: wire.FrameTuple, payload: frame, buf: fb}
-				m.noteDispatched(wc)
-				return nil
-			default:
-				fb.Release()
-				if _, ours := m.inflight.reclaim(t.ID, id); !ours {
-					// The worker died and its drop path claimed the entry;
-					// the retransmitter owns the tuple now and the attempt
-					// stays counted.
-					return nil
-				}
-				if tries > 8 {
-					m.inflight.shedUntracked(t.ID, attempt)
-					m.journalShed(t.ID, true)
-					m.events.Record(obs.EventShed, id, "all queues full", 1)
-					m.cfg.Logger.Info("swing master: shed tuple",
-						"tuple", t.ID, "seq", t.SeqNo, "reason", "all queues full")
-					return nil
-				}
-				continue
-			}
-		}
-		select {
-		case wc.slots <- struct{}{}:
-			wc.out <- outFrame{typ: wire.FrameTuple, payload: frame, buf: fb}
-			m.noteDispatched(wc)
-			return nil
-		case <-wc.gone:
-			fb.Release()
-			// Worker died while we were blocked. If the drop path already
-			// claimed the entry its retransmitter owns the tuple now — it
-			// entered the system, so the attempt stays counted; otherwise
-			// reclaim it (un-counting) and re-route ourselves.
-			if _, ours := m.inflight.reclaim(t.ID, id); !ours {
-				return nil
-			}
-			continue
-		case <-m.stop:
-			fb.Release()
-			m.inflight.reclaim(t.ID, id)
-			return ErrStopped
 		}
 	}
-}
-
-// noteDispatched claims the breaker's half-open probe slot when one is
-// pending. The ledger counting that used to live here moved into
-// inflightTable.trackSubmit, fused with the shard insert.
-func (m *Master) noteDispatched(wc *workerConn) {
-	wc.mu.Lock()
-	wc.br.noteDispatch()
-	wc.mu.Unlock()
-}
-
-// journalDispatch logs a dispatch to the write-ahead journal: the full
-// tuple on the first attempt, an id+attempt resend record after. Append
-// failures are logged, not fatal — the master keeps serving with recovery
-// degraded rather than stalling the stream on a sick disk.
-func (m *Master) journalDispatch(t *tuple.Tuple, attempt uint8) {
-	var err error
-	if attempt == 0 {
-		err = m.journal.appendSubmit(t)
-	} else {
-		err = m.journal.appendResend(t.ID, attempt)
+	if len(subs) > 0 {
+		// appendSubmitBatch regroups subs by segment in place; subs is
+		// this call's own scratch.
+		if aerr := m.journal.appendSubmitBatch(subs); aerr != nil && err == nil {
+			err = aerr
+		}
 	}
 	if err != nil {
 		m.cfg.Logger.Warn("swing master: journal append", "err", err)

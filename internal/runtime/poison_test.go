@@ -212,6 +212,39 @@ func TestPoisonQuarantineSparesHealthyBreakers(t *testing.T) {
 	waitFor(t, 10*time.Second, func() bool { return len(col.snapshot()) == n }, "healthy load delivered after quarantine")
 }
 
+// TestPoisonQuarantinedWhenSwarmSmallerThanBudget: with fewer workers
+// than PoisonAttempts, a poison tuple burns every worker before it can
+// reach the budget. Its next re-dispatch finds no unburned worker and
+// must quarantine it, not bounce it among the burned ones forever.
+func TestPoisonQuarantinedWhenSwarmSmallerThanBudget(t *testing.T) {
+	mem := transport.NewMem()
+	m, err := StartMaster(MasterConfig{
+		App:            containApp(t, containProcess),
+		ListenAddr:     "master",
+		Transport:      mem,
+		PoisonAttempts: 3,
+		Logger:         quietLogger(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = m.Close() })
+	for _, id := range []string{"w1", "w2"} {
+		startContainWorker(t, mem, m, id, containProcess)
+	}
+	waitFor(t, 2*time.Second, func() bool { return len(m.Workers()) == 2 }, "two workers join")
+
+	bad := plainTuple(0)
+	bad.Set("panic", tuple.Bool(true))
+	if err := m.Submit(bad); err != nil {
+		t.Fatalf("Submit poison tuple: %v", err)
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		st := m.Stats()
+		return st.ShedPoison == 1 && st.InFlight == 0 && ledgerBalanced(st)
+	}, "poison tuple quarantined with a balanced ledger")
+}
+
 // TestSickWorkerStillTripsBreaker is the flip side of quarantine: a
 // worker that fails EVERY tuple (fresh failures, not one bad tuple
 // bouncing around) must still accumulate consecutive breaker charges and

@@ -52,11 +52,13 @@ func TestResultFrameOneFlushPerSegment(t *testing.T) {
 	const n = 128
 	var rb wire.ResultBatch
 	touched := make(map[uint64]bool)
+	block := make([]inflightEntry, n)
 	for id := uint64(1); id <= n; id++ {
-		m.inflight.trackSubmit(id, &inflightEntry{t: tuple.New(id, id)})
+		block[id-1] = inflightEntry{t: tuple.New(id, id)}
 		rb.Add(wire.ResultMeta{TupleID: id, EmitNanos: time.Now().UnixNano()}, nil)
 		touched[mix64(id)&m.journal.mask] = true
 	}
+	m.inflight.trackSubmitBatch(block)
 	var mu sync.Mutex
 	flushes := make([]int, len(m.journal.segs))
 	m.journal.lockAll()

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"errors"
+	"fmt"
 	"log/slog"
 	"sync"
 	"testing"
@@ -423,5 +424,41 @@ func TestStartWorkerErrors(t *testing.T) {
 func TestStartMasterErrors(t *testing.T) {
 	if _, err := StartMaster(MasterConfig{App: nil}); err == nil {
 		t.Fatal("nil app accepted")
+	}
+}
+
+// TestSubmitRightAfterStartWorker: the master registers a worker before
+// it sends FrameStart, so once StartWorker returns, a Submit must find
+// the worker routable — never ErrNoWorkers.
+func TestSubmitRightAfterStartWorker(t *testing.T) {
+	app := benchApp(t)
+	mem := transport.NewMem()
+	for i := 0; i < 200; i++ {
+		m, err := StartMaster(MasterConfig{
+			App:        app,
+			ListenAddr: fmt.Sprintf("master-%d", i),
+			Transport:  mem,
+			Logger:     quietLogger(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := StartWorker(WorkerConfig{
+			DeviceID:   "w",
+			MasterAddr: m.Addr(),
+			App:        app,
+			Transport:  mem,
+			Logger:     quietLogger(),
+		})
+		if err != nil {
+			_ = m.Close()
+			t.Fatalf("iteration %d: StartWorker: %v", i, err)
+		}
+		err = m.Submit(plainTuple(0))
+		_ = w.Close()
+		_ = m.Close()
+		if err != nil {
+			t.Fatalf("iteration %d: Submit right after StartWorker: %v", i, err)
+		}
 	}
 }

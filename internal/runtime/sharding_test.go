@@ -181,7 +181,7 @@ func testSegmentedRecovery(t *testing.T, ack func(js *journalSet, n uint64) erro
 	}
 	const n = 64
 	for id := uint64(1); id <= n; id++ {
-		if err := js.appendSubmit(frameTuple(id)); err != nil {
+		if err := js.seg(id).appendSubmit(frameTuple(id)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -246,7 +246,7 @@ func TestSegmentedJournalRecoveryTornTailOneSegment(t *testing.T) {
 	}
 	const n = 32
 	for id := uint64(1); id <= n; id++ {
-		if err := js.appendSubmit(frameTuple(id)); err != nil {
+		if err := js.seg(id).appendSubmit(frameTuple(id)); err != nil {
 			t.Fatal(err)
 		}
 	}

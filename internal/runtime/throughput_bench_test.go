@@ -95,13 +95,14 @@ func BenchmarkManyWorkerThroughput(b *testing.B) {
 
 	app := throughputApp(b)
 	mem := transport.NewMem()
+	const maxHandshakes = 256
 	m, err := StartMaster(MasterConfig{
 		App:                  app,
 		Policy:               routing.RR,
 		ListenAddr:           "bench-master",
 		Transport:            mem,
 		OutboxCap:            64,
-		MaxPendingHandshakes: 256,
+		MaxPendingHandshakes: maxHandshakes,
 		Logger:               quietLogger(),
 	})
 	if err != nil {
@@ -111,8 +112,27 @@ func BenchmarkManyWorkerThroughput(b *testing.B) {
 
 	var wg sync.WaitGroup
 	workers := make([]*Worker, nWorkers)
+	// Close the workers before the master (defers run last-in first-out),
+	// also when a failed start ends the benchmark: Master.Close waits on
+	// every live connection.
+	defer func() {
+		for _, w := range workers {
+			if w != nil {
+				_ = w.Close()
+			}
+		}
+	}()
 	errs := make(chan error, nWorkers)
+	// Start workers in waves that stay inside the master's handshake cap
+	// (TestHandshakeAdmissionCap covers the cap itself). A wave is half
+	// the cap: the master frees a handshake slot only after its worker's
+	// StartWorker has returned, so the previous wave's slots may still be
+	// held when the next wave dials.
+	const wave = maxHandshakes / 2
 	for i := 0; i < nWorkers; i++ {
+		if i > 0 && i%wave == 0 {
+			wg.Wait()
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -137,13 +157,6 @@ func BenchmarkManyWorkerThroughput(b *testing.B) {
 		b.Fatal(err)
 	default:
 	}
-	defer func() {
-		for _, w := range workers {
-			if w != nil {
-				_ = w.Close()
-			}
-		}
-	}()
 	for len(m.Workers()) < nWorkers {
 		goruntime.Gosched()
 	}

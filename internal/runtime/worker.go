@@ -452,40 +452,13 @@ func (w *Worker) readLoop(s *workerSession) {
 			payload = buf.B
 		}
 		switch typ {
-		case wire.FrameTuple:
-			// Zero-copy decode: the tuple's byte fields alias the pooled
-			// frame buffer, which travels with the job and returns to the
-			// pool only after the send loop has encoded the results.
-			t, terr := tuple.UnmarshalShared(payload)
-			if terr != nil {
-				w.cfg.Logger.Warn("swing worker: bad tuple", "err", terr)
-				buf.Release()
-				continue
-			}
-			job := getJob(t, buf)
-			// Queue first, order second: every job the send loop waits on
-			// is then guaranteed to reach a pool goroutine that will
-			// signal its completion.
-			select {
-			case s.queue <- job:
-			case <-w.stop:
-				return
-			case <-s.sendGone:
-				return
-			}
-			select {
-			case s.order <- job:
-			case <-w.stop:
-				return
-			case <-s.sendGone:
-				return
-			}
-			continue // buffer ownership moved to the job
 		case wire.FrameTupleBatch:
-			// A batch decodes into a chain of jobs sharing one refcounted
-			// frame buffer (every tuple's byte fields alias it) and takes
-			// ONE handoff on each channel for the whole chain — the
-			// per-tuple queue/order round trips collapse to per-batch.
+			// The only data frame. It decodes into a chain of jobs sharing
+			// one refcounted frame buffer (every tuple's byte fields alias
+			// it) and takes ONE handoff on each channel for the whole
+			// chain. Queue first, order second: every job the send loop
+			// waits on is then guaranteed to reach a pool goroutine that
+			// will signal its completion.
 			head, n, derr := w.decodeTupleBatch(payload)
 			if derr != nil {
 				w.cfg.Logger.Warn("swing worker: bad tuple batch", "err", derr)
@@ -494,7 +467,8 @@ func (w *Worker) readLoop(s *workerSession) {
 				buf.Release()
 				continue
 			}
-			shared := &batchBuf{buf: buf}
+			shared := batchBufPool.Get().(*batchBuf)
+			shared.buf = buf
 			shared.refs.Store(int32(n))
 			for j := head; j != nil; j = j.next {
 				j.shared = shared
@@ -543,12 +517,11 @@ func (w *Worker) readLoop(s *workerSession) {
 // Jobs decoded from one FrameTupleBatch are linked through next into an
 // intra-batch chain: the read loop hands only the chain head to the
 // queue and order channels (one handoff per batch, not per tuple), and
-// the consumers walk the chain. All jobs of a chain alias one shared
-// refcounted frame buffer instead of owning buf.
+// the consumers walk the chain. Every job holds one reference on its
+// frame's shared buffer.
 type procJob struct {
 	t       *tuple.Tuple
-	buf     *wire.Buf // pooled frame backing t's byte fields (single tuples)
-	shared  *batchBuf // refcounted frame shared by a batch chain (nil otherwise)
+	shared  *batchBuf // refcounted frame backing t's byte fields
 	next    *procJob  // next job of the same batch chain
 	outs    []*tuple.Tuple
 	proc    time.Duration
@@ -566,34 +539,38 @@ type batchBuf struct {
 	refs atomic.Int32
 }
 
-// release drops one reference, returning the frame to the pool with the
-// last one.
+// batchBufPool keeps a one-tuple frame, the common case for Submit,
+// from paying an allocation for its refcount.
+var batchBufPool = sync.Pool{New: func() any { return new(batchBuf) }}
+
+// release drops one reference; the last one returns the frame and the
+// batchBuf itself to their pools.
 func (b *batchBuf) release() {
 	if b.refs.Add(-1) == 0 {
 		b.buf.Release()
+		b.buf = nil
+		batchBufPool.Put(b)
 	}
 }
 
 var jobPool = sync.Pool{New: func() any { return &procJob{done: make(chan struct{}, 1)} }}
 
-func getJob(t *tuple.Tuple, buf *wire.Buf) *procJob {
+func getJob(t *tuple.Tuple) *procJob {
 	j := jobPool.Get().(*procJob)
-	j.t, j.buf = t, buf
+	j.t = t
 	return j
 }
 
-// recycle releases the job's frame buffer (or its reference on a shared
-// batch frame) and returns it to the pool. Only the send loop calls it,
-// after the done token has been consumed, so the channel is guaranteed
-// empty for the next user. Callers walking a chain must read next before
-// recycling — recycle severs it.
+// recycle releases the job's reference on its frame and returns the job
+// to the pool. Only the send loop calls it, after the done token has
+// been consumed, so the channel is guaranteed empty for the next user.
+// Callers walking a chain must read next before recycling — recycle
+// severs it.
 func (j *procJob) recycle() {
-	if j.shared != nil {
+	if j.shared != nil { // nil once a deadline reaper took the reference
 		j.shared.release()
-	} else {
-		j.buf.Release()
 	}
-	j.t, j.buf, j.shared, j.next = nil, nil, nil, nil
+	j.t, j.shared, j.next = nil, nil, nil
 	for i := range j.outs {
 		j.outs[i] = nil
 	}
@@ -632,7 +609,7 @@ func (w *Worker) decodeTupleBatch(payload []byte) (*procJob, int, error) {
 		if terr := tuple.DecodeSharedInto(t, entry); terr != nil {
 			return terr
 		}
-		j := getJob(t, nil)
+		j := getJob(t)
 		if head == nil {
 			head = j
 		} else {
@@ -894,22 +871,16 @@ func (w *Worker) poolSlotWatchdog(s *workerSession, chain []graph.Processor) {
 				job.dropped = true
 				job.reason = wire.DropDeadline
 				// The child may still be inside the operator, reading tuple
-				// bytes that alias the frame buffer: ownership of the buffer
-				// (or the batch frame reference, when the tuple rode a
-				// FrameTupleBatch) moves to a reaper that releases it once
-				// the child surfaces.
-				buf := job.buf
+				// bytes that alias the frame buffer: the job's reference on
+				// the frame moves to a reaper that releases it once the
+				// child surfaces.
 				shared := job.shared
-				job.buf, job.shared = nil, nil
+				job.shared = nil
 				abandoned := runner
 				go func() {
 					select {
 					case <-abandoned.out:
-						if shared != nil {
-							shared.release()
-						} else {
-							buf.Release()
-						}
+						shared.release()
 					case <-w.stop:
 					}
 				}()

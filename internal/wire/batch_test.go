@@ -42,10 +42,10 @@ func TestWriteFrameSingleWrite(t *testing.T) {
 func TestAppendFrameMatchesWriteFrame(t *testing.T) {
 	payload := []byte{1, 2, 3, 4, 5}
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, FrameResult, payload); err != nil {
+	if err := WriteFrame(&buf, FrameResultBatch, payload); err != nil {
 		t.Fatal(err)
 	}
-	appended, err := AppendFrame([]byte("prefix"), FrameResult, payload)
+	appended, err := AppendFrame([]byte("prefix"), FrameResultBatch, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,14 +144,14 @@ func TestWriteFrameAllocs(t *testing.T) {
 func TestReadFrameBufRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("pooled payload")
-	if err := WriteFrame(&buf, FrameResult, payload); err != nil {
+	if err := WriteFrame(&buf, FrameResultBatch, payload); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteFrame(&buf, FrameStop, nil); err != nil {
 		t.Fatal(err)
 	}
 	typ, b, err := ReadFrameBuf(&buf)
-	if err != nil || typ != FrameResult {
+	if err != nil || typ != FrameResultBatch {
 		t.Fatalf("typ=%v err=%v", typ, err)
 	}
 	if !bytes.Equal(b.B, payload) {
@@ -230,31 +230,6 @@ func TestResultDropReasons(t *testing.T) {
 	}
 	if DropPanic.String() != "panic" || DropReason(7).String() != "reason(7)" {
 		t.Fatalf("DropReason.String: %q %q", DropPanic, DropReason(7))
-	}
-}
-
-// TestResultJSONFallback: payloads from the original JSON meta encoding
-// (clear high bit) still decode, so mixed-version captures and fuzz
-// corpora remain valid.
-func TestResultJSONFallback(t *testing.T) {
-	meta := ResultMeta{TupleID: 42, EmitNanos: 100, ProcNanos: 5}
-	mb, err := EncodeJSON(meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := make([]byte, 0, 4+len(mb)+2)
-	payload = append(payload, byte(len(mb)), 0, 0, 0)
-	payload = append(payload, mb...)
-	payload = append(payload, 0xAA, 0xBB)
-	got, tupleBytes, err := DecodeResult(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != meta {
-		t.Fatalf("meta %+v, want %+v", got, meta)
-	}
-	if !bytes.Equal(tupleBytes, []byte{0xAA, 0xBB}) {
-		t.Fatalf("tuple bytes %v", tupleBytes)
 	}
 }
 

@@ -45,12 +45,14 @@ const (
 	FrameStart
 	// FrameStop ends processing; the connection closes afterwards.
 	FrameStop
-	// FrameTuple carries one serialized data tuple downstream.
+	// FrameTuple carries one serialized data tuple. The runtime sends
+	// every tuple in a FrameTupleBatch; the type stays for tools that
+	// frame single tuples.
 	FrameTuple
-	// FrameResult carries a final result tuple upstream; it doubles as
-	// the ACK of §V-B, echoing the emit timestamp and reporting the
-	// worker's processing delay.
-	FrameResult
+	// frameReserved is type 6, retired: it carried single results,
+	// which now travel only in FrameResultBatch. Keeping the number
+	// keeps the later types'.
+	frameReserved
 	// FrameStats carries periodic worker-side statistics.
 	FrameStats
 	// FramePing is the master's liveness probe; the worker echoes the
@@ -60,10 +62,11 @@ const (
 	FramePing
 	// FramePong is the worker's echo of a FramePing payload.
 	FramePong
-	// FrameResultBatch carries many FrameResult payloads in one frame:
-	// u32 count, then count × (u32 length, result payload). Workers use
-	// it to batch acks/results on a short linger so one upstream write
-	// amortizes over many tuples.
+	// FrameResultBatch carries final result tuples upstream: u32 count,
+	// then count × (u32 length, result payload). Each result doubles as
+	// the ACK of §V-B, echoing the emit timestamp and reporting the
+	// worker's processing delay. Workers batch acks/results on a short
+	// linger so one upstream write amortizes over many tuples.
 	FrameResultBatch
 	// FrameRepHello opens a replication session: the standby identifies
 	// itself to the primary (JSON RepHello). The primary answers with a
@@ -84,10 +87,10 @@ const (
 	// link, carrying its current journal sequence; the standby answers
 	// with a FrameRepAck and uses ping silence to arm takeover.
 	FrameRepPing
-	// FrameTupleBatch carries many FrameTuple payloads in one frame —
-	// the downstream mirror of FrameResultBatch: u32 count, then count ×
-	// (u32 length, marshaled tuple). The master uses it to dispatch a
-	// whole SubmitBatch bound for one worker as a single write.
+	// FrameTupleBatch is the downstream data frame, the mirror of
+	// FrameResultBatch: u32 count, then count × (u32 length, marshaled
+	// tuple). The master sends every tuple bound for a worker in one,
+	// a single Submit as a batch of one.
 	FrameTupleBatch
 )
 
@@ -104,8 +107,6 @@ func (t FrameType) String() string {
 		return "stop"
 	case FrameTuple:
 		return "tuple"
-	case FrameResult:
-		return "result"
 	case FrameStats:
 		return "stats"
 	case FramePing:
@@ -331,9 +332,9 @@ type Deploy struct {
 }
 
 // DropReason classifies why a worker consumed a tuple without producing
-// a result. It rides in spare bits of the binary ResultMeta flags byte
-// (and a JSON field in the legacy encoding), so old encoders simply
-// produce DropNone and old decoders ignore the bits.
+// a result. It rides in spare bits of the binary ResultMeta flags byte,
+// so old encoders simply produce DropNone and old decoders ignore the
+// bits.
 type DropReason uint8
 
 // Drop reasons.
@@ -371,9 +372,9 @@ func (r DropReason) String() string {
 	}
 }
 
-// ResultMeta prefixes a FrameResult payload (before the tuple bytes).
+// ResultMeta prefixes a result payload (before the tuple bytes).
 //
-// A FrameResult with no tuple bytes after the meta is an ack-only frame:
+// A result with no tuple bytes after the meta is an ack-only result:
 // the worker consumed the input tuple (a stage filtered it out, or a
 // processor failed and Dropped is set) and produced no result. Ack-only
 // frames keep the master's in-flight tracker and latency estimates fresh
@@ -441,11 +442,9 @@ func DecodeJSON(data []byte, v any) error {
 	return nil
 }
 
-// Result payload encoding. The payload opens with a u32 meta length; a
-// set high bit marks the fixed-width binary meta written by AppendResult
-// (the hot path, allocation-free), a clear high bit a JSON meta (the
-// original encoding, still accepted on decode). Tuple bytes follow the
-// meta either way.
+// Result payload encoding. The payload opens with a u32 meta length
+// whose set high bit marks the fixed-width binary meta written by
+// AppendResult; tuple bytes follow the meta.
 // The flags byte packs Dropped in bit 0 and the DropReason in bits 1-3.
 // Reason bits were spare (always zero) before reasons existed, so both
 // directions stay compatible: an old decoder masks bit 0 only, an old
@@ -479,43 +478,26 @@ func AppendResult(dst []byte, meta ResultMeta, tupleBytes []byte) []byte {
 	return append(dst, tupleBytes...)
 }
 
-// EncodeResult builds a FrameResult payload: u32 meta length, meta,
-// tuple bytes.
-func EncodeResult(meta ResultMeta, tupleBytes []byte) ([]byte, error) {
-	out := make([]byte, 0, 4+binaryMetaSize+len(tupleBytes))
-	return AppendResult(out, meta, tupleBytes), nil
-}
-
-// DecodeResult splits a FrameResult payload. The returned tuple bytes
-// alias the input payload.
+// DecodeResult splits one result payload of a FrameResultBatch. The
+// returned tuple bytes alias the input payload.
 func DecodeResult(payload []byte) (ResultMeta, []byte, error) {
 	if len(payload) < 4 {
 		return ResultMeta{}, nil, fmt.Errorf("%w: short result", ErrBadFrame)
 	}
 	n := binary.LittleEndian.Uint32(payload[:4])
-	if n&binaryMetaFlag != 0 {
-		if n&^uint32(binaryMetaFlag) != binaryMetaSize || len(payload) < 4+binaryMetaSize {
-			return ResultMeta{}, nil, fmt.Errorf("%w: bad binary result meta", ErrBadFrame)
-		}
-		b := payload[4:]
-		meta := ResultMeta{
-			TupleID:   binary.LittleEndian.Uint64(b[0:8]),
-			Attempt:   b[8],
-			EmitNanos: int64(binary.LittleEndian.Uint64(b[9:17])),
-			ProcNanos: int64(binary.LittleEndian.Uint64(b[17:25])),
-			Dropped:   b[25]&metaFlagDropped != 0,
-			Reason:    DropReason(b[25]>>metaReasonShift) & metaReasonMask,
-		}
-		return meta, payload[4+binaryMetaSize:], nil
+	if n != binaryMetaFlag|binaryMetaSize || len(payload) < 4+binaryMetaSize {
+		return ResultMeta{}, nil, fmt.Errorf("%w: bad result meta", ErrBadFrame)
 	}
-	if int64(n) > int64(len(payload)-4) {
-		return ResultMeta{}, nil, fmt.Errorf("%w: result meta length %d", ErrBadFrame, n)
+	b := payload[4:]
+	meta := ResultMeta{
+		TupleID:   binary.LittleEndian.Uint64(b[0:8]),
+		Attempt:   b[8],
+		EmitNanos: int64(binary.LittleEndian.Uint64(b[9:17])),
+		ProcNanos: int64(binary.LittleEndian.Uint64(b[17:25])),
+		Dropped:   b[25]&metaFlagDropped != 0,
+		Reason:    DropReason(b[25]>>metaReasonShift) & metaReasonMask,
 	}
-	var meta ResultMeta
-	if err := DecodeJSON(payload[4:4+n], &meta); err != nil {
-		return ResultMeta{}, nil, err
-	}
-	return meta, payload[4+n:], nil
+	return meta, payload[4+binaryMetaSize:], nil
 }
 
 // ResultBatch accumulates result payloads for one FrameResultBatch

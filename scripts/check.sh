@@ -20,10 +20,11 @@ go test -race ./...
 # them, and this smoke run proves every dataplane benchmark still compiles
 # and completes one iteration.
 go test -run=NONE -bench=. -benchtime=1x ./internal/wire ./internal/tuple ./internal/runtime
-# The batched round-trip allocation budget (< 1 alloc/tuple across both
-# directions) only holds still at one core, and skips under -race, so
-# nothing above runs it; pin it here at GOMAXPROCS=1.
-GOMAXPROCS=1 go test -count=1 -run TestBatchRoundTripAllocs ./internal/runtime/
+# The round-trip allocation budgets — < 1 alloc/tuple across both
+# directions for a 64-tuple batch, and at most 4 for a one-tuple Submit —
+# only hold still at one core, and skip under -race, so nothing above
+# runs them; pin them here at GOMAXPROCS=1.
+GOMAXPROCS=1 go test -count=1 -run 'TestBatchRoundTripAllocs|TestSubmitRoundTripAllocs' ./internal/runtime/
 # Many-worker throughput smoke under the race detector, scaled down (64
 # workers, 4 submitters, 200 tuples) so the sharded hot state — in-flight
 # shards, RCU routing snapshot, segmented journal — is exercised under
