@@ -305,11 +305,11 @@ func TestBatchRoundTripAllocs(t *testing.T) {
 }
 
 // TestSubmitRoundTripAllocs pins the one-tuple round trip's allocation
-// budget: Submit is SubmitBatch over a batch of one, and that batch must
-// cost no more than the per-tuple path it replaced — at most 4
-// allocations across every goroutine for submit, dispatch, worker decode
-// and process, ack and in-order delivery. Like TestBatchRoundTripAllocs
-// it only runs at GOMAXPROCS=1 (scripts/check.sh runs it that way).
+// budget: Submit is SubmitBatch over a batch of one, and its round trip —
+// submit, dispatch, worker decode and process, ack and in-order
+// delivery — must cost at most 4 allocations across every goroutine.
+// Like TestBatchRoundTripAllocs it only runs at GOMAXPROCS=1
+// (scripts/check.sh runs it that way).
 func TestSubmitRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; ceiling holds for production builds only")
