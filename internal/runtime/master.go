@@ -1529,15 +1529,12 @@ func (m *Master) dispatch(ts []*tuple.Tuple, attempt uint8, deadline time.Time, 
 		if m.journal != nil && len(block) > 0 {
 			m.journalRound(block, attempt, bounced)
 		}
-		block = groupByWorker(block)
-		for lo := 0; lo < len(block); {
-			hi := lo + 1
-			for hi < len(block) && block[hi].worker == block[lo].worker {
-				hi++
-			}
-			id, n := block[lo].worker, len(again)
+		for len(block) > 0 {
+			var run []inflightEntry
+			run, block = splitWorker(block)
+			id, n := run[0].worker, len(again)
 			var err error
-			again, err = m.ship(workers[id], block[lo:hi], again)
+			again, err = m.ship(workers[id], run, again)
 			if errors.Is(err, ErrStopped) {
 				return err
 			}
@@ -1553,7 +1550,6 @@ func (m *Master) dispatch(ts []*tuple.Tuple, attempt uint8, deadline time.Time, 
 					bounced[t.ID] = true
 				}
 			}
-			lo = hi
 		}
 		ts = again
 		if len(ts) > 0 && round >= dispatchRetries {
@@ -1619,32 +1615,35 @@ func (m *Master) admit(wc *workerConn, now time.Time) bool {
 	return ok
 }
 
-// groupByWorker returns block's entries grouped by worker, keeping each
-// worker's tuples in routing order so a frame carries them in sequence.
-// A block bound for one worker — a Submit's, always — comes back as it
-// is, without a copy.
-func groupByWorker(block []inflightEntry) []inflightEntry {
-	same := 1
-	for same < len(block) && block[same].worker == block[0].worker {
-		same++
-	}
-	if same >= len(block) {
-		return block
-	}
-	out := make([]inflightEntry, 0, len(block))
+// splitWorker splits block[0]'s worker off block: run holds its entries
+// and rest the others, both in routing order. The in-flight table points
+// into run, and a block stays reachable until its last entry is acked,
+// so each worker's share gets a block of its own: one worker's backlog
+// pins no other worker's tuples. A block bound for one worker — a
+// Submit's, always — is returned whole, without a copy.
+func splitWorker(block []inflightEntry) (run, rest []inflightEntry) {
+	id := block[0].worker
+	n := 0
 	for i := range block {
-		if block[i].t == nil {
-			continue // already moved
-		}
-		id := block[i].worker
-		for j := i; j < len(block); j++ {
-			if block[j].t != nil && block[j].worker == id {
-				out = append(out, block[j])
-				block[j].t = nil
-			}
+		if block[i].worker == id {
+			n++
 		}
 	}
-	return out
+	if n == len(block) {
+		return block, nil
+	}
+	run = make([]inflightEntry, 0, n)
+	k := 0
+	for i := range block {
+		if block[i].worker == id {
+			run = append(run, block[i])
+		} else {
+			block[k] = block[i]
+			k++
+		}
+	}
+	clear(block[k:]) // drop the moved entries' tuple pointers
+	return run, block[:k]
 }
 
 // abandon settles a tuple dispatch could not place. One that bounced
