@@ -478,8 +478,8 @@ func serveMaster(app *swing.App, opt masterOpts, m *swing.Master) error {
 			st := m.Stats()
 			fmt.Printf("done: submitted=%d dropped=%d arrived=%d played=%d skipped=%d\n",
 				submitted, dropped, st.Arrived, st.Played, st.Skipped)
-			fmt.Printf("ledger: acked=%d retransmitted=%d hedged=%d shed=%d (overload %d, poison %d) workerDropped=%d evicted=%d inFlight=%d\n",
-				st.Acked, st.Retransmitted, st.Hedged, st.Shed, st.ShedOverload, st.ShedPoison, st.WorkerDropped, st.Evicted, st.InFlight)
+			fmt.Printf("ledger: acked=%d retransmitted=%d hedged=%d shadowed=%d shed=%d (overload %d, poison %d) workerDropped=%d evicted=%d inFlight=%d\n",
+				st.Acked, st.Retransmitted, st.Hedged, st.Shadowed, st.Shed, st.ShedOverload, st.ShedPoison, st.WorkerDropped, st.Evicted, st.InFlight)
 			if st.WorkerDropped > 0 {
 				fmt.Printf("drops: errors=%d panics=%d deadlines=%d filtered=%d\n",
 					st.DropErrors, st.DropPanics, st.DropDeadlines, st.Filtered)

@@ -66,8 +66,12 @@ type Ledger struct {
 	WorkerDropped  int64 `json:"worker_dropped"`
 	// Hedged counts speculative duplicate transmissions of stragglers; a
 	// hedge does not create a ledger entry, so it sits outside the balance.
-	Hedged  int64 `json:"hedged,omitempty"`
-	Evicted int64 `json:"evicted"`
+	Hedged int64 `json:"hedged,omitempty"`
+	// Shadowed counts shadow copies sent to unselected workers in probe
+	// windows; like a hedge it sits outside the balance, and the copy's
+	// or the dispatch's later result counts in the sink's Arrived only.
+	Shadowed int64 `json:"shadowed,omitempty"`
+	Evicted  int64 `json:"evicted"`
 	// Per-reason breakdown of WorkerDropped, plus Filtered: tuples a
 	// pipeline stage legitimately discarded (acked, not dropped).
 	DropErrors    int64 `json:"drop_errors,omitempty"`
@@ -90,7 +94,8 @@ func (l Ledger) CheckBalance() bool {
 // Batch summarizes the submit dataplane: SubmitBatch calls (a Submit
 // counts as a batch of one), tuple dispatches including re-dispatches,
 // and the FrameTupleBatch frames that carried them. Tuples ÷ Frames is
-// the realized coalescing factor; hedged duplicates do not count here.
+// the realized coalescing factor; hedged and shadow copies do not count
+// here.
 type Batch struct {
 	Submits int64 `json:"submits"`
 	Tuples  int64 `json:"tuples"`

@@ -131,11 +131,11 @@ func writeDashboard(w http.ResponseWriter, s Snapshot, events *EventLog) {
 	fmt.Fprintf(&b, `<h2>Ledger <span class="%s">(%s)</span></h2>`, cls, bal)
 	b.WriteString("<table><tr><th>submitted</th><th>acked</th><th>shed</th><th>shed_overload</th>" +
 		"<th>shed_poison</th><th>in_flight</th><th>retransmitting</th><th>retransmitted</th>" +
-		"<th>hedged</th><th>dropped</th><th>evicted</th><th>readopted</th><th>recovered</th></tr>")
-	fmt.Fprintf(&b, "<tr><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td></tr></table>",
+		"<th>hedged</th><th>shadowed</th><th>dropped</th><th>evicted</th><th>readopted</th><th>recovered</th></tr>")
+	fmt.Fprintf(&b, "<tr><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td></tr></table>",
 		s.Ledger.Submitted, s.Ledger.Acked, s.Ledger.Shed, s.Ledger.ShedOverload,
 		s.Ledger.ShedPoison, s.Ledger.InFlight, s.Ledger.Retransmitting, s.Ledger.Retransmitted,
-		s.Ledger.Hedged, s.Ledger.WorkerDropped, s.Ledger.Evicted, s.Ledger.Readopted, s.Ledger.Recovered)
+		s.Ledger.Hedged, s.Ledger.Shadowed, s.Ledger.WorkerDropped, s.Ledger.Evicted, s.Ledger.Readopted, s.Ledger.Recovered)
 
 	over := ""
 	if s.Routing.Overloaded {

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,10 +11,11 @@ import (
 // Table is an immutable snapshot of one router's routing table, built by
 // Router.Table and published RCU-style (the runtime swaps an
 // atomic.Pointer[Table] on every reconfigure or membership change). Pick
-// is safe for unlimited concurrent callers without any lock on the
-// weighted-random and round-robin paths: the selection, weights and
-// cumulative-weight slices are frozen at build time, and the only mutable
-// state — the shared probe budget and the round-robin cursor — is atomic.
+// and Shadow are safe for unlimited concurrent callers without any lock
+// on the weighted-random and round-robin paths: the selection, weights
+// and cumulative-weight slices are frozen at build time, and the only
+// mutable state — the shared probe budget and the round-robin cursor — is
+// atomic.
 // The deterministic SWRR ablation alone takes a small internal mutex
 // (credit accounting is inherently sequential).
 //
@@ -104,19 +106,15 @@ func (t *Table) Overloaded() bool { return t.overloaded }
 // Size returns the number of downstreams the snapshot routes over.
 func (t *Table) Size() int { return len(t.order) }
 
-// Pick chooses the downstream for one tuple. u must be uniform in [0, 1)
-// (the caller owns randomness so the snapshot stays lock-free); avoid is
-// the congestion hint honored only during probe mode, exactly like
-// Router.RouteAvoiding. Concurrent callers share the probe budget and the
-// round-robin cursor atomically.
+// Pick chooses the downstream for one tuple by policy alone. u must be
+// uniform in [0, 1) (the caller owns randomness so the snapshot stays
+// lock-free). Pick never spends probe budget: the live runtime probes
+// with shadow copies (Shadow) beside the policy pick, so avoid no longer
+// binds and is ignored. Concurrent callers share the round-robin cursor
+// atomically.
 func (t *Table) Pick(u float64, avoid func(id string) bool) (string, error) {
 	if len(t.selected) == 0 {
 		return "", ErrNoDownstream
-	}
-	if t.probeLeft.Load() > 0 {
-		if id, ok := t.pickProbe(avoid); ok {
-			return id, nil
-		}
 	}
 	switch {
 	case t.policy == RR:
@@ -126,6 +124,23 @@ func (t *Table) Pick(u float64, avoid func(id string) bool) (string, error) {
 	default:
 		return t.pickWeighted(u), nil
 	}
+}
+
+// Shadow claims one probe slot for a shadow copy: while the window lasts,
+// each tuple routed by Pick may also be copied to the worker its slot
+// names, so an unselected worker's estimate stays fresh (§V-B step 1)
+// without the tuple waiting on it. The slot cycles the full downstream
+// set, skipping avoided entries, exactly as Router.RouteAvoiding's probes
+// do, and shares its budget, migration and abandonment. The id is
+// returned only if that worker is outside the selected set — a slot that
+// names a selected worker is used up without a copy, since its estimate
+// is fed by policy traffic anyway.
+func (t *Table) Shadow(avoid func(id string) bool) (string, bool) {
+	id, ok := t.pickProbe(avoid)
+	if !ok || slices.Contains(t.selected, id) {
+		return "", false
+	}
+	return id, true
 }
 
 // pickProbe claims one probe slot and cycles the full downstream set,

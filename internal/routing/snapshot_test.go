@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -116,9 +117,7 @@ func TestTableProbeBudgetMigrates(t *testing.T) {
 		t.Fatalf("armed budget = %d, want 8", got)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := tbl.Pick(0.5, nil); err != nil {
-			t.Fatal(err)
-		}
+		tbl.Shadow(nil) // each claims one slot; B and C are both selected
 	}
 	// Mid-window rebuild (e.g. a membership change): 3 slots remain.
 	tbl2 := r.Table()
@@ -211,11 +210,13 @@ func TestObserveBatchMatchesRepeatedObserve(t *testing.T) {
 	}
 }
 
-// TestTableProbeBudgetNeverNegative hammers pickProbe from many goroutines
+// TestTableProbeBudgetNeverNegative hammers Shadow from many goroutines
 // against one armed window while a sampler watches the counter: the total
 // number of successful probe claims must equal the armed budget exactly,
 // and the CAS-decrement loop must never let the counter go below zero
-// (the old blind Add(-1) let losers drive it arbitrarily negative).
+// (the old blind Add(-1) let losers drive it arbitrarily negative). Only
+// B is selected, so exactly the claims that name C, D or E — three of
+// every four — return a shadow target.
 func TestTableProbeBudgetNeverNegative(t *testing.T) {
 	cfg := DefaultConfig(LRS)
 	cfg.ProbeEvery = 1
@@ -229,8 +230,11 @@ func TestTableProbeBudgetNeverNegative(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r.Reconfigure(0)
+	r.Reconfigure(1) // unsampled B alone covers Λ
 	tbl := r.Table()
+	if ids, _ := r.Selected(); len(ids) != 1 || ids[0] != "B" {
+		t.Fatalf("selected %v, want [B]", ids)
+	}
 
 	done := make(chan struct{})
 	var sampler sync.WaitGroup
@@ -257,7 +261,7 @@ func TestTableProbeBudgetNeverNegative(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				if _, ok := tbl.pickProbe(nil); ok {
+				if _, ok := tbl.Shadow(nil); ok {
 					claims.Add(1)
 				}
 			}
@@ -266,8 +270,8 @@ func TestTableProbeBudgetNeverNegative(t *testing.T) {
 	wg.Wait()
 	close(done)
 	sampler.Wait()
-	if got := claims.Load(); got != 64 {
-		t.Fatalf("probe claims = %d, want exactly the armed budget 64", got)
+	if got := claims.Load(); got != 48 {
+		t.Fatalf("shadow targets = %d, want 48: the armed budget 64 less the 16 slots naming B", got)
 	}
 	if got := tbl.probeLeft.Load(); got != 0 {
 		t.Fatalf("drained budget = %d, want 0", got)
@@ -307,10 +311,10 @@ func TestTableAbandonSurvivesRebuild(t *testing.T) {
 		}
 		return true
 	}
-	// The pick claims a slot, finds every downstream congested, and
-	// abandons the window; it must still route via the policy path.
-	if _, err := t1.Pick(0.5, avoidAll); err != nil {
-		t.Fatal(err)
+	// The shadow claims a slot, finds every downstream congested, and
+	// abandons the window without naming a target.
+	if _, ok := t1.Shadow(avoidAll); ok {
+		t.Fatal("shadow target named although every downstream is congested")
 	}
 	if t2 == nil {
 		t.Fatal("avoid callback never ran: probe path not taken")
@@ -318,7 +322,7 @@ func TestTableAbandonSurvivesRebuild(t *testing.T) {
 	if got := t2.ProbeLeft(); got != 0 {
 		t.Fatalf("abandoned window resurrected in successor: budget %d, want 0", got)
 	}
-	if _, ok := t2.pickProbe(nil); ok {
+	if _, ok := t2.Shadow(nil); ok {
 		t.Fatal("successor handed out a probe from an abandoned window")
 	}
 
@@ -332,6 +336,80 @@ func TestTableAbandonSurvivesRebuild(t *testing.T) {
 	t1.abandonProbes()
 	if got := t3.ProbeLeft(); got != 8 {
 		t.Fatalf("stale abandonment clipped a fresh window: budget %d, want 8", got)
+	}
+}
+
+// TestPickIgnoresProbeWindow: Pick draws by policy even while a probe
+// window is open — its draws follow the frozen weights and spend no
+// budget — while Shadow names each unselected downstream exactly once per
+// len(order) slots and never a selected one.
+func TestPickIgnoresProbeWindow(t *testing.T) {
+	cfg := DefaultConfig(LRS)
+	cfg.ProbeEvery = 1
+	cfg.ProbeTuples = 12
+	r, err := NewRouter(cfg, testRNG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := []string{"B", "C", "D", "E"}
+	for _, id := range order {
+		if err := r.AddDownstream(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	feed(t, r, "B", 10*time.Millisecond, 5*time.Millisecond)  // μ 100/s
+	feed(t, r, "C", 20*time.Millisecond, 10*time.Millisecond) // μ 50/s
+	feed(t, r, "D", 200*time.Millisecond, 100*time.Millisecond)
+	feed(t, r, "E", 400*time.Millisecond, 200*time.Millisecond)
+	r.Reconfigure(120) // needs B and C: 100 < 120 ≤ 150
+	tbl := r.Table()
+	if ids, _ := r.Selected(); !slices.Equal(ids, []string{"B", "C"}) {
+		t.Fatalf("selected %v, want [B C]", ids)
+	}
+	if got := tbl.ProbeLeft(); got != 12 {
+		t.Fatalf("armed budget = %d, want 12", got)
+	}
+
+	want := map[string]float64{}
+	for i, id := range tbl.selected {
+		want[id] = tbl.weights[i]
+	}
+	rng := rand.New(rand.NewPCG(3, 5))
+	const n = 20000
+	counts := map[string]int{}
+	for i := 0; i < n; i++ {
+		id, err := tbl.Pick(rng.Float64(), func(string) bool { return true })
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts[id]++
+	}
+	if len(counts) != len(want) {
+		t.Fatalf("Pick drew outside the selected set in a probe window: %v", counts)
+	}
+	for id, w := range want {
+		if got := float64(counts[id]) / n; math.Abs(got-w) > 0.02 {
+			t.Errorf("%s: empirical share %.3f, weight %.3f", id, got, w)
+		}
+	}
+	if got := tbl.ProbeLeft(); got != 12 {
+		t.Fatalf("Pick spent probe budget: %d left, want 12", got)
+	}
+
+	for cycle := 0; cycle < 3; cycle++ {
+		var named []string
+		for i := 0; i < len(order); i++ {
+			if id, ok := tbl.Shadow(nil); ok {
+				named = append(named, id)
+			}
+		}
+		slices.Sort(named)
+		if !slices.Equal(named, []string{"D", "E"}) {
+			t.Fatalf("cycle %d: shadow targets %v, want each unselected id once: [D E]", cycle, named)
+		}
+	}
+	if _, ok := tbl.Shadow(nil); ok || tbl.ProbeLeft() != 0 {
+		t.Fatalf("shadow outlived the window: budget %d", tbl.ProbeLeft())
 	}
 }
 

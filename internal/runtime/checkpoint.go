@@ -73,11 +73,12 @@ type checkpointState struct {
 	Retransmitted int64 `json:"retransmitted"`
 	Shed          int64 `json:"shed"`
 	ShedOverload  int64 `json:"shedOverload"`
-	// ShedPoison / Hedged and the per-reason drop counters are omitted
-	// when zero, so checkpoints from masters predating failure containment
-	// decode with all of them zero.
+	// ShedPoison / Hedged / Shadowed and the per-reason drop counters are
+	// omitted when zero, so checkpoints from masters predating failure
+	// containment or shadow probes decode with all of them zero.
 	ShedPoison    int64 `json:"shedPoison,omitempty"`
 	Hedged        int64 `json:"hedged,omitempty"`
+	Shadowed      int64 `json:"shadowed,omitempty"`
 	WorkerDropped int64 `json:"workerDropped"`
 	DropErrors    int64 `json:"dropErrors,omitempty"`
 	DropPanics    int64 `json:"dropPanics,omitempty"`

@@ -1,11 +1,13 @@
 package runtime
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"github.com/swingframework/swing/internal/obs"
+	"github.com/swingframework/swing/internal/routing"
 	"github.com/swingframework/swing/internal/tuple"
 	"github.com/swingframework/swing/internal/wire"
 )
@@ -172,6 +174,28 @@ func (m *Master) hedgeSweep(now time.Time) {
 	}
 }
 
+// spareTarget returns the connection of worker id if it can take a copy
+// of a tuple whose dispatch sits on primary — a hedge or a shadow probe:
+// not the primary itself, connected, with send-queue room and a closed
+// breaker. A copy is extra work, so it never takes a half-open breaker's
+// probe slot or waits for a queue slot. nil means id is no spare.
+func spareTarget(workers map[string]*workerConn, primary, id string) *workerConn {
+	if id == primary {
+		return nil
+	}
+	wc, ok := workers[id]
+	if !ok || len(wc.slots) == cap(wc.slots) {
+		return nil
+	}
+	wc.mu.Lock()
+	closed := wc.br.state == breakerClosed
+	wc.mu.Unlock()
+	if !closed {
+		return nil
+	}
+	return wc
+}
+
 // hedge duplicates one straggler to a second worker in a one-entry
 // FrameTupleBatch. The frame is marshaled inside the shard critical
 // section that confirms the entry is still live and flags it hedged:
@@ -181,28 +205,16 @@ func (m *Master) hedgeSweep(now time.Time) {
 // non-blocking before the lock — a sweep must never stall the master on
 // a slow hedge target — and returned on any losing race.
 func (m *Master) hedge(e *inflightEntry, workers map[string]*workerConn) bool {
-	id, err := m.table.Load().Pick(m.pickU(), func(cand string) bool {
-		if cand == e.worker {
-			return true
-		}
-		wc, ok := workers[cand]
-		if !ok || len(wc.slots) == cap(wc.slots) {
-			return true
-		}
-		wc.mu.Lock()
-		closed := wc.br.state == breakerClosed
-		wc.mu.Unlock()
-		return !closed
-	})
-	if err != nil || id == e.worker {
-		// Pick's avoid hint is only binding in probe mode; a draw that
-		// lands back on the straggler's own worker would burn the one-shot
-		// hedge flag on a duplicate down the same stalled link. Leave the
-		// entry unhedged so the next sweep redraws.
+	id, err := m.table.Load().Pick(m.pickU(), nil)
+	if err != nil {
 		return false
 	}
-	wc, ok := workers[id]
-	if !ok {
+	wc := spareTarget(workers, e.worker, id)
+	if wc == nil {
+		// A draw that lands back on the straggler's own worker would burn
+		// the one-shot hedge flag on a duplicate down the same stalled
+		// link, and one on a full or sick worker would not help. Leave the
+		// entry unhedged so the next sweep redraws.
 		return false
 	}
 	select {
@@ -210,29 +222,87 @@ func (m *Master) hedge(e *inflightEntry, workers map[string]*workerConn) bool {
 	default:
 		return false // target filled up since the pick
 	}
-	fb := wire.GetBuf(0)
 	s := m.inflight.shard(e.t.ID)
 	s.mu.Lock()
 	cur, live := s.m[e.t.ID]
 	if !live || cur != e || e.hedged {
 		s.mu.Unlock()
-		fb.Release()
 		<-wc.slots
 		return false // acked, retransmitted, or hedged since collection
 	}
-	var batch wire.TupleBatch
-	batch.SetBuf(fb.B)
-	if err := appendTupleEntry(&batch, e.t); err != nil {
+	fb := oneEntryFrame(e.t)
+	if fb == nil {
 		s.mu.Unlock()
-		fb.Release()
 		<-wc.slots
 		return false
 	}
 	e.hedged = true
 	s.led.hedged++
 	s.mu.Unlock()
-	fb.B = batch.Payload()
 	wc.out <- outFrame{typ: wire.FrameTupleBatch, payload: fb.B, buf: fb}
 	m.noteDispatchedN(wc, 1)
 	return true
+}
+
+// shadowCopy is one tuple's shadow probe: a one-entry FrameTupleBatch
+// for an unselected worker, marshaled before the tuple's own dispatch is
+// tracked and sent only after that dispatch is queued.
+type shadowCopy struct {
+	t  *tuple.Tuple
+	wc *workerConn
+	fb *wire.Buf
+}
+
+// shadow claims the probe slot for one tuple routed to primary during a
+// probe window (§V-B step 1) and, if the slot names an unselected spare
+// worker, marshals the copy that will refresh that worker's estimate.
+// The tuple itself keeps its policy pick, so in-order playback never
+// waits on a probe: the sink plays whichever result arrives first. The
+// copy is marshaled here, before the dispatch is tracked, because once
+// tracked the retransmit path may rewrite the tuple (see hedge).
+func (m *Master) shadow(table *routing.Table, workers map[string]*workerConn, t *tuple.Tuple, primary string) (shadowCopy, bool) {
+	id, ok := table.Shadow(func(id string) bool { return spareTarget(workers, primary, id) == nil })
+	if !ok {
+		return shadowCopy{}, false
+	}
+	fb := oneEntryFrame(t)
+	if fb == nil {
+		return shadowCopy{}, false
+	}
+	return shadowCopy{t: t, wc: workers[id], fb: fb}, true
+}
+
+// oneEntryFrame marshals t as a one-entry FrameTupleBatch payload in a
+// pooled buffer, or returns nil if t does not marshal.
+func oneEntryFrame(t *tuple.Tuple) *wire.Buf {
+	fb := wire.GetBuf(0)
+	var batch wire.TupleBatch
+	batch.SetBuf(fb.B)
+	if appendTupleEntry(&batch, t) != nil {
+		fb.Release()
+		return nil
+	}
+	fb.B = batch.Payload()
+	return fb
+}
+
+// sendShadow enqueues a shadow copy once its tuple's dispatch frame is
+// queued, without waiting for a send-queue slot. A copy whose tuple goes
+// round again (listed in again) or whose worker's queue filled up since
+// the claim is dropped. A copy takes no journal record and no ledger
+// entry; only the Shadowed annotation counts it.
+func (m *Master) sendShadow(c shadowCopy, again []*tuple.Tuple) {
+	if slices.Contains(again, c.t) {
+		c.fb.Release()
+		return
+	}
+	select {
+	case c.wc.slots <- struct{}{}:
+	default:
+		c.fb.Release()
+		return
+	}
+	c.wc.out <- outFrame{typ: wire.FrameTupleBatch, payload: c.fb.B, buf: c.fb}
+	m.noteDispatchedN(c.wc, 1)
+	m.inflight.noteShadowed(c.t.ID)
 }

@@ -87,6 +87,12 @@ type ledgerCounters struct {
 	// a hedge duplicates a dispatch, not a tuple, so
 	// acked + shed + inflight + orphaned == submitted is untouched.
 	hedged int64
+	// shadowed counts shadow copies: tuples also sent to an unselected
+	// worker during a probe window so its estimate stays fresh. Like
+	// hedged it annotates the ledger outside the balance — a copy is
+	// never tracked, and its result, when it loses, is counted in
+	// Arrived and dropped at the sink like a hedge's duplicate.
+	shadowed int64
 	// orphaned counts entries taken off the table by takeWorker and not
 	// yet re-dispatched (trackSubmitBatch) or abandoned (shedOrphan/
 	// shedUntracked): a dead worker's backlog in the retransmitter's
@@ -108,6 +114,7 @@ func (l *ledgerCounters) add(o ledgerCounters) {
 	l.shedOverload += o.shedOverload
 	l.shedPoison += o.shedPoison
 	l.hedged += o.hedged
+	l.shadowed += o.shadowed
 	l.orphaned += o.orphaned
 }
 
@@ -464,6 +471,7 @@ func (t *inflightTable) seedLedger(c *checkpointState) {
 		shedOverload:  c.ShedOverload,
 		shedPoison:    c.ShedPoison,
 		hedged:        c.Hedged,
+		shadowed:      c.Shadowed,
 	}
 	s.mu.Unlock()
 }
@@ -486,6 +494,15 @@ func (t *inflightTable) ledgerSnapshot() (ledgerCounters, int) {
 		t.shards[i].mu.Unlock()
 	}
 	return led, n
+}
+
+// noteShadowed counts one shadow copy of tuple id, sent beside its
+// tracked dispatch; the copy itself takes no entry.
+func (t *inflightTable) noteShadowed(id uint64) {
+	s := t.shard(id)
+	s.mu.Lock()
+	s.led.shadowed++
+	s.mu.Unlock()
 }
 
 // size reports the approximate number of tracked tuples — admission

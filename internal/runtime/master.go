@@ -731,7 +731,9 @@ type MasterStats struct {
 	// Submitted counts distinct tuples successfully enqueued toward a
 	// worker (retransmissions of the same tuple are not re-counted).
 	Submitted int64
-	// Arrived counts result frames carrying a result tuple.
+	// Arrived counts result frames carrying a result tuple, including
+	// the later result of a tuple a hedge or shadow copy sent twice,
+	// which the sink drops.
 	Arrived int64
 	Played  int64
 	Skipped int64
@@ -771,6 +773,12 @@ type MasterStats struct {
 	// worker. A hedge duplicates a dispatch, not a tuple, so it annotates
 	// the ledger without extending the balance.
 	Hedged int64
+	// Shadowed counts shadow copies: tuples also sent to an unselected
+	// worker in a probe window to refresh its estimate (§V-B). Like a
+	// hedge, a copy annotates the ledger without extending the balance;
+	// whichever of the copy's and the dispatch's results arrives second
+	// is counted in Arrived and dropped at the sink.
+	Shadowed int64
 	// Evicted counts hung workers the failure detector removed: their
 	// connection was alive but silent past DeadAfter.
 	Evicted int64
@@ -787,9 +795,9 @@ type MasterStats struct {
 	InFlight int
 	// SubmitBatches counts SubmitBatch calls, each Submit counting as a
 	// batch of one. BatchedTuples counts tuple dispatches — first
-	// attempts and re-dispatches, not hedged duplicates — and BatchFrames
-	// the FrameTupleBatch frames that carried them, so BatchedTuples /
-	// BatchFrames is the realized coalescing factor.
+	// attempts and re-dispatches, not hedged or shadow copies — and
+	// BatchFrames the FrameTupleBatch frames that carried them, so
+	// BatchedTuples / BatchFrames is the realized coalescing factor.
 	SubmitBatches int64
 	BatchedTuples int64
 	BatchFrames   int64
@@ -845,6 +853,7 @@ func (m *Master) Stats() MasterStats {
 		ShedOverload:   led.shedOverload,
 		ShedPoison:     led.shedPoison,
 		Hedged:         led.hedged,
+		Shadowed:       led.shadowed,
 		Retransmitting: led.orphaned,
 		WorkerDropped:  m.workerDropped.Load(),
 		DropErrors:     m.dropErrors.Load(),
@@ -1482,7 +1491,9 @@ const dispatchRetries = 9
 // breaker, a worker that left or died mid-send, a full queue in
 // admission mode — goes round again with the refusing worker excluded,
 // for up to dispatchRetries more rounds. A tuple still unplaced then is
-// settled by abandon.
+// settled by abandon. In a probe window a placed tuple may also leave as
+// a shadow copy to an unselected worker (shadow), sent after the round's
+// frames are queued.
 func (m *Master) dispatch(ts []*tuple.Tuple, attempt uint8, deadline time.Time, avoid []string) error {
 	var (
 		firstErr error
@@ -1500,7 +1511,10 @@ func (m *Master) dispatch(ts []*tuple.Tuple, attempt uint8, deadline time.Time, 
 		}
 		table, workers, now := m.table.Load(), m.workerMap(), time.Now()
 		block := make([]inflightEntry, 0, len(ts))
-		var again []*tuple.Tuple
+		var (
+			again  []*tuple.Tuple
+			copies []shadowCopy
+		)
 		for _, t := range ts {
 			wc, refused, err := m.route(table, workers, avoid, excluded, now)
 			if refused != "" {
@@ -1522,6 +1536,13 @@ func (m *Master) dispatch(ts []*tuple.Tuple, attempt uint8, deadline time.Time, 
 				t: t, worker: wc.id, attempt: attempt, deadline: deadline, sentAt: now,
 				failedOn: avoid,
 			})
+			// A probe window copies the tuple to the unselected worker its
+			// slot names; a poison suspect is never copied.
+			if len(avoid) == 0 && table.ProbeLeft() > 0 {
+				if c, ok := m.shadow(table, workers, t, wc.id); ok {
+					copies = append(copies, c)
+				}
+			}
 		}
 		// Journal before tracking or enqueueing: once a tuple can reach a
 		// worker its write-ahead record must already exist, or a crash
@@ -1536,6 +1557,9 @@ func (m *Master) dispatch(ts []*tuple.Tuple, attempt uint8, deadline time.Time, 
 			var err error
 			again, err = m.ship(workers[id], run, again)
 			if errors.Is(err, ErrStopped) {
+				for _, c := range copies {
+					c.fb.Release()
+				}
 				return err
 			}
 			if err != nil && firstErr == nil {
@@ -1550,6 +1574,9 @@ func (m *Master) dispatch(ts []*tuple.Tuple, attempt uint8, deadline time.Time, 
 					bounced[t.ID] = true
 				}
 			}
+		}
+		for _, c := range copies {
+			m.sendShadow(c, again)
 		}
 		ts = again
 		if len(ts) > 0 && round >= dispatchRetries {
@@ -1571,19 +1598,13 @@ func (m *Master) dispatch(ts []*tuple.Tuple, attempt uint8, deadline time.Time, 
 // nothing is selected, or the draw landed on a worker in avoid and no
 // connected, admissible, unburned worker is left.
 func (m *Master) route(table *routing.Table, workers map[string]*workerConn, avoid, excluded []string, now time.Time) (wc *workerConn, refused string, err error) {
-	id, err := table.Pick(m.pickU(), func(id string) bool {
-		if slices.Contains(excluded, id) || slices.Contains(avoid, id) {
-			return true
-		}
-		wc, ok := workers[id]
-		return !ok || len(wc.slots) == cap(wc.slots)
-	})
+	id, err := table.Pick(m.pickU(), nil)
 	if err != nil {
 		return nil, "", ErrNoWorkers
 	}
 	if slices.Contains(avoid, id) {
-		// Weighted draws ignore the skip hint, and a tuple sent back to a
-		// worker it already burned would bounce among them forever.
+		// A tuple sent back to a worker it already burned would bounce
+		// among them forever.
 		for _, wc := range workers {
 			if !slices.Contains(avoid, wc.id) && !slices.Contains(excluded, wc.id) && m.admit(wc, now) {
 				return wc, "", nil
@@ -1854,7 +1875,7 @@ func (m *Master) snapshotState() *checkpointState {
 	led, _ := m.inflight.ledgerSnapshot()
 	st.Submitted, st.Acked, st.Retransmitted = led.submitted, led.acked, led.retransmitted
 	st.Shed, st.ShedOverload = led.shed, led.shedOverload
-	st.ShedPoison, st.Hedged = led.shedPoison, led.hedged
+	st.ShedPoison, st.Hedged, st.Shadowed = led.shedPoison, led.hedged, led.shadowed
 	st.WorkerDropped = m.workerDropped.Load()
 	st.DropErrors, st.DropPanics = m.dropErrors.Load(), m.dropPanics.Load()
 	st.DropDeadlines, st.Filtered = m.dropDeadlines.Load(), m.filtered.Load()

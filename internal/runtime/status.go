@@ -38,6 +38,7 @@ func (m *Master) StatusSnapshot() obs.Snapshot {
 			Retransmitting: led.orphaned,
 			WorkerDropped:  m.workerDropped.Load(),
 			Hedged:         led.hedged,
+			Shadowed:       led.shadowed,
 			DropErrors:     m.dropErrors.Load(),
 			DropPanics:     m.dropPanics.Load(),
 			DropDeadlines:  m.dropDeadlines.Load(),

@@ -53,10 +53,11 @@ go test -race -count=1 \
     ./internal/runtime/
 # Failure-containment smoke under the race detector: operator panic
 # isolation, the per-tuple deadline watchdog, poison quarantine vs
-# breaker semantics, hedged retransmits, and the seeded chaos nemesis
+# breaker semantics, hedged retransmits, shadow probes (re-selection of
+# a sped-up worker, first result wins), and the seeded chaos nemesis
 # (deterministic schedule + a short composed run with invariant polling).
 go test -race -count=1 \
-    -run 'TestOperatorPanicContained|TestOpDeadlineAbandonsHungTuple|TestPoisonQuarantineSparesHealthyBreakers|TestSickWorkerStillTripsBreaker|TestHedgedRetransmitStragglers' \
+    -run 'TestOperatorPanicContained|TestOpDeadlineAbandonsHungTuple|TestPoisonQuarantineSparesHealthyBreakers|TestSickWorkerStillTripsBreaker|TestHedgedRetransmitStragglers|TestShadowProbeReselectsSpedUpWorker|TestShadowCopyFirstResultWins' \
     ./internal/runtime/
 go test -race -count=1 -run 'TestScheduleDeterministic|TestNemesisSmoke' ./internal/chaos/
 # Batched-dataplane smoke under the race detector: downstream frame
