@@ -111,7 +111,7 @@ func run(args []string) error {
 		shapeSeed = fs.Int64("shape-seed", 1, "master: PRNG seed for shaping jitter and loss draws")
 
 		// Dataplane tuning (master; deployed to every worker).
-		shards   = fs.Int("shards", 0, "master: hot-state shard count, rounded up to a power of two and capped at 128 (0 = GOMAXPROCS)")
+		shards   = fs.Int("shards", 0, "master: shard count for the in-flight table and dedup set, rounded up to a power of two and capped at 128 (0 = GOMAXPROCS)")
 		parallel = fs.Int("parallelism", 0, "master: worker processor-pool width deployed to every worker (0 = worker GOMAXPROCS)")
 		linger   = fs.Duration("linger", 0, "master: worker ack/result batching window; a result may wait up to this long to share a frame (0 = opportunistic batching only)")
 		subBatch = fs.Int("submit-batch", 1, "master: source-side submit batch size; frames accumulate into one SubmitBatch of up to this many tuples (1 = one Submit per tuple, sent as a batch of one)")

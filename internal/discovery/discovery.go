@@ -26,43 +26,33 @@ type Announcement struct {
 	App string
 	// Addr is the master's control address ("host:port").
 	Addr string
-	// Epoch is the master's incarnation number (0 on beacons from masters
-	// predating crash recovery). Workers prefer the highest epoch they
+	// Epoch is the master's incarnation number (1 when fresh, one more
+	// after each recovery; 0 names no incarnation). Workers prefer the highest epoch they
 	// hear: after a master restart, stale beacons still in flight from the
 	// dead incarnation must not win the race against the live one.
 	Epoch uint64
 }
 
-// Encode renders the announcement datagram. The epoch field is appended
-// only when set, so beacons stay parseable by pre-epoch listeners (which
-// split on whitespace and reject anything but three fields).
+// Encode renders the announcement datagram: magic, app, address and
+// epoch, separated by spaces.
 func (a Announcement) Encode() []byte {
-	s := Magic + " " + a.App + " " + a.Addr
-	if a.Epoch > 0 {
-		s += " " + strconv.FormatUint(a.Epoch, 10)
-	}
-	return []byte(s)
+	return []byte(Magic + " " + a.App + " " + a.Addr + " " + strconv.FormatUint(a.Epoch, 10))
 }
 
 // ErrBadAnnouncement reports an unparseable datagram.
 var ErrBadAnnouncement = errors.New("discovery: bad announcement")
 
-// Parse decodes an announcement datagram: the 3-field pre-epoch form or
-// the 4-field form with a trailing epoch.
+// Parse decodes an announcement datagram in the form Encode writes.
 func Parse(b []byte) (Announcement, error) {
 	parts := strings.Fields(string(b))
-	if (len(parts) != 3 && len(parts) != 4) || parts[0] != Magic {
+	if len(parts) != 4 || parts[0] != Magic {
 		return Announcement{}, fmt.Errorf("%w: %q", ErrBadAnnouncement, string(b))
 	}
-	ann := Announcement{App: parts[1], Addr: parts[2]}
-	if len(parts) == 4 {
-		epoch, err := strconv.ParseUint(parts[3], 10, 64)
-		if err != nil {
-			return Announcement{}, fmt.Errorf("%w: epoch %q", ErrBadAnnouncement, parts[3])
-		}
-		ann.Epoch = epoch
+	epoch, err := strconv.ParseUint(parts[3], 10, 64)
+	if err != nil {
+		return Announcement{}, fmt.Errorf("%w: epoch %q", ErrBadAnnouncement, parts[3])
 	}
-	return ann, nil
+	return Announcement{App: parts[1], Addr: parts[2], Epoch: epoch}, nil
 }
 
 // Announcer broadcasts the master's presence on a fixed period.
@@ -128,7 +118,8 @@ func Listen(listenAddr, app string, timeout time.Duration) (Announcement, error)
 // below minEpoch are ignored. A worker that was joined to incarnation N
 // passes N so a not-yet-dead announcer from the crashed master (or a
 // zombie that lost a partition) cannot steer it back to a stale address.
-// Epoch-less (pre-recovery) beacons are only accepted when minEpoch is 0.
+// Epoch-0 beacons, which name no incarnation, are only accepted when
+// minEpoch is 0.
 func ListenSince(listenAddr, app string, minEpoch uint64, timeout time.Duration) (Announcement, error) {
 	pc, err := net.ListenPacket("udp", listenAddr)
 	if err != nil {

@@ -138,22 +138,17 @@ func TestEncodeParseEpoch(t *testing.T) {
 	if got != ann {
 		t.Fatalf("got %+v, want %+v", got, ann)
 	}
-	// Epoch 0 encodes to the 3-field pre-epoch form: old listeners split
-	// on whitespace and reject a fourth field.
-	legacy := Announcement{App: "facerec", Addr: "192.168.1.2:7000"}
-	if s := string(legacy.Encode()); s != "SWING1 facerec 192.168.1.2:7000" {
-		t.Fatalf("epoch-0 beacon = %q, not the 3-field form", s)
+	// Epoch 0 is written like any other epoch: a beacon has one form.
+	zero := Announcement{App: "facerec", Addr: "192.168.1.2:7000"}
+	if s := string(zero.Encode()); s != "SWING1 facerec 192.168.1.2:7000 0" {
+		t.Fatalf("epoch-0 beacon = %q, not the 4-field form", s)
 	}
 }
 
 func TestParseEpochForms(t *testing.T) {
-	// 3-field beacons from pre-epoch masters parse with Epoch 0.
-	got, err := Parse([]byte("SWING1 facerec 10.0.0.1:7000"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Epoch != 0 {
-		t.Fatalf("3-field beacon epoch = %d, want 0", got.Epoch)
+	// The 3-field form without an epoch is not a beacon any more.
+	if _, err := Parse([]byte("SWING1 facerec 10.0.0.1:7000")); !errors.Is(err, ErrBadAnnouncement) {
+		t.Fatalf("3-field beacon err = %v", err)
 	}
 	// A non-numeric fourth field is a malformed beacon, not an app name.
 	if _, err := Parse([]byte("SWING1 facerec 10.0.0.1:7000 banana")); !errors.Is(err, ErrBadAnnouncement) {
@@ -166,10 +161,10 @@ func TestListenSinceLegacyBeacons(t *testing.T) {
 	target := fmt.Sprintf("127.0.0.1:%d", port)
 	listenAddr := fmt.Sprintf("127.0.0.1:%d", port)
 
-	// A pre-epoch master announces in the 3-field form (no epoch). A
-	// worker that has never joined an incarnation (minEpoch 0) may adopt
-	// it; one that served epoch 1 or later must not — an epoch-less
-	// beacon cannot prove it is newer than what the worker already had.
+	// An epoch-0 beacon names no incarnation. A worker that has never
+	// joined one (minEpoch 0) may adopt it; one that served epoch 1 or
+	// later must not — the beacon cannot prove it is newer than what the
+	// worker already had.
 	legacy, err := NewAnnouncer(target, Announcement{App: "facerec", Addr: "10.0.0.3:3"}, 30*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -177,14 +172,14 @@ func TestListenSinceLegacyBeacons(t *testing.T) {
 	defer func() { _ = legacy.Close() }()
 
 	if _, err := ListenSince(listenAddr, "facerec", 1, 400*time.Millisecond); err == nil {
-		t.Fatal("epoch-less beacon accepted at minEpoch 1")
+		t.Fatal("epoch-0 beacon accepted at minEpoch 1")
 	}
 	got, err := ListenSince(listenAddr, "facerec", 0, 5*time.Second)
 	if err != nil {
 		t.Fatalf("ListenSince at minEpoch 0: %v", err)
 	}
 	if got.Addr != "10.0.0.3:3" || got.Epoch != 0 {
-		t.Fatalf("got %+v, want the legacy beacon", got)
+		t.Fatalf("got %+v, want the epoch-0 beacon", got)
 	}
 }
 

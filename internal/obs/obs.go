@@ -144,24 +144,19 @@ type Worker struct {
 	Samples          int64   `json:"samples"`
 }
 
-// Journal is the write-ahead journal's depth across its shard segments.
+// Journal is the write-ahead journal's depth.
 type Journal struct {
-	Segments   int    `json:"segments"`
 	Generation uint64 `json:"generation"`
-	// Records counts records appended this incarnation across segments.
+	// Records counts records appended this incarnation.
 	Records int64 `json:"records"`
 	// PendingBytes is group-commit buffered data not yet flushed.
 	PendingBytes int64 `json:"pending_bytes"`
-	// Bytes is the total appended payload across segments.
+	// Bytes is the total appended payload.
 	Bytes int64 `json:"bytes"`
-	// SegmentRecords / SegmentBytes break Records / Bytes down per shard
-	// segment, index-aligned.
-	SegmentRecords []int64 `json:"segment_records,omitempty"`
-	SegmentBytes   []int64 `json:"segment_bytes,omitempty"`
 	// CheckpointHoldMicros is how long the last checkpoint cycle held the
-	// journal locks — the stall it imposed on appends — and
+	// journal lock — the stall it imposed on appends — and
 	// CheckpointMicros its total time, including the encode, save and
-	// retire that run after the locks are released. Both are zero until
+	// retire that run after the lock is released. Both are zero until
 	// the first cycle.
 	CheckpointHoldMicros int64 `json:"checkpoint_hold_us"`
 	CheckpointMicros     int64 `json:"checkpoint_us"`

@@ -66,7 +66,7 @@ func testSnapshot() Snapshot {
 			ID: "B", Health: "healthy", Breaker: "closed", Selected: true,
 			Weight: 0.75, LatencyMillis: 12.5, Samples: 42,
 		}},
-		Journal: &Journal{Segments: 2, Records: 10, Bytes: 640},
+		Journal: &Journal{Records: 10, Bytes: 640},
 	}
 	s.Ledger.Balanced = s.Ledger.CheckBalance()
 	return s

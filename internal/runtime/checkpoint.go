@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"time"
 
 	"github.com/swingframework/swing/internal/routing"
@@ -23,20 +24,20 @@ import (
 // journal file whose generation reached the checkpoint's, which makes
 // the update crash-safe without cross-file atomicity.
 //
-// The cycle is a fuzzy checkpoint in the ARIES manner: the journal locks
-// are held only for the cut, and the slow work follows on the
+// The cycle is a fuzzy checkpoint in the ARIES manner: the journal lock
+// is held only for the cut, and the slow work follows on the
 // checkpointing goroutine while the dataplane runs on.
 //
 //	lock → snapshot(gen+1) → set journal(gen) aside → open journal(gen+1)
 //	     → unlock → encode → write ckpt(gen+1) → rename → retire journal(gen)
 //
 // A crash before the rename leaves the checkpoint at gen: the set-aside
-// gen files and the live gen+1 files both replay on top of it, merged by
-// (epoch, seq) — together they hold every record since that checkpoint.
-// A crash after the rename gates the gen files out (the new checkpoint
-// folded them in), whether or not retire deleted them yet. A failed save
-// keeps every set-aside file, and the next successful one retires them
-// all; file names carry their generation, so no later cut overwrites one.
+// gen file and the live gen+1 file both replay on top of it, in that
+// order — together they hold every record since that checkpoint. A crash
+// after the rename gates the gen file out (the new checkpoint folded it
+// in), whether or not retire deleted it yet. A failed save keeps every
+// set-aside file, and the next successful one retires them all; file
+// names carry their generation, so no later cut overwrites one.
 //
 // On-disk layout: u32 length | JSON | u32 crc32c(JSON). A short, corrupt
 // or torn checkpoint fails closed — recovery reports the error rather
@@ -197,15 +198,14 @@ type recoveredState struct {
 
 // recoverState merges the checkpoint (if any) with the journal's
 // replayable prefix. Every journal file the previous incarnation wrote —
-// live segments and set-aside generations — is discovered and parsed; a
-// file is replayed only when its generation reached the checkpoint's. An
-// older file predates the snapshot and is wholly folded in already; a
-// file at or above it holds records written after the snapshot's cut
-// (see the cycle above). Replayable files merge into one global record
-// order by (epoch, seq).
+// set-aside generations, then the live file — is replayed in file order,
+// which is append order; a file's records apply only when its generation
+// reached the checkpoint's. An older file predates the snapshot and is
+// wholly folded in already; a file at or above it holds records written
+// after the snapshot's cut (see the cycle above).
 //
 // The recovered generation is the highest one on disk, not only the
-// checkpoint's: after a failed save the live files run ahead of the
+// checkpoint's: after a failed save the live file runs ahead of the
 // checkpoint, and the next incarnation must start above every file it
 // leaves behind, so that its own first checkpoint gates them all out.
 func recoverState(journalPath, ckptPath string) (*recoveredState, error) {
@@ -213,30 +213,27 @@ func recoverState(journalPath, ckptPath string) (*recoveredState, error) {
 	if err != nil {
 		return nil, err
 	}
-	var (
-		segs      []*segmentReplay
-		truncated bool
-	)
-	for _, p := range listJournalSegments(journalPath) {
-		sr, err := replaySegment(p)
-		if err != nil {
+	// A build that split the journal wrote segment i > 0 at "<path>.s<i>".
+	// Replaying without them would drop their un-acked tuples from the
+	// ledger, so refuse to start instead.
+	if segs, _ := filepath.Glob(journalPath + ".s[1-9]*"); len(segs) > 0 {
+		return nil, fmt.Errorf("runtime: journal segment %s is from a build that split the journal; this build replays one journal file", segs[0])
+	}
+	var minGen uint64
+	if ckpt != nil {
+		minGen = ckpt.Generation
+	}
+	rep := newJournalReplay()
+	for _, f := range journalFiles(journalPath) {
+		if err := rep.replayFile(f.path, minGen); err != nil {
 			return nil, err
 		}
-		if sr == nil {
-			continue
-		}
-		truncated = truncated || sr.truncated
-		if ckpt != nil && sr.generation < ckpt.Generation {
-			continue
-		}
-		segs = append(segs, sr)
 	}
-	rep := mergeSegments(segs)
 	rs := &recoveredState{
 		pending:          make(map[uint64]*inflightEntry),
 		acked:            make(map[uint64]struct{}),
 		estimates:        make(map[string]routing.Estimate),
-		journalTruncated: truncated,
+		journalTruncated: rep.truncated,
 	}
 	if ckpt != nil {
 		rs.prevEpoch = ckpt.Epoch
@@ -258,7 +255,7 @@ func recoverState(journalPath, ckptPath string) (*recoveredState, error) {
 		}
 	}
 
-	// Stale segments were gated out above, so the merged replay applies
+	// Stale files were gated out above, so the replay applies
 	// unconditionally on top of the checkpoint.
 	if rep.epoch > rs.prevEpoch {
 		rs.prevEpoch = rep.epoch
@@ -266,12 +263,8 @@ func recoverState(journalPath, ckptPath string) (*recoveredState, error) {
 	if rep.generation > rs.generation {
 		rs.generation = rep.generation
 	}
-	for id, raw := range rep.submits {
+	for id, t := range rep.submits {
 		if _, dup := rs.pending[id]; dup {
-			continue
-		}
-		t, err := tuple.Unmarshal(raw)
-		if err != nil {
 			continue
 		}
 		rs.pending[id] = &inflightEntry{t: t}

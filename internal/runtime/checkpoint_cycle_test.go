@@ -23,23 +23,24 @@ type jop struct {
 }
 
 func submitOp(id uint64) jop { return jop{recSubmit, id} }
+func resendOp(id uint64) jop { return jop{recResend, id} }
 func ackOp(id uint64) jop    { return jop{recAck, id} }
 func shedOp(id uint64) jop   { return jop{recShed, id} }
 
 // writeJournalFile writes one journal file at path holding generation
-// gen, stamping its records from the shared sequence counter seq so
-// files written one after another merge back in the same order.
-func writeJournalFile(t *testing.T, path string, epoch, gen uint64, seq *atomic.Uint64, ops ...jop) {
+// gen. A resend record raises its tuple to attempt 1.
+func writeJournalFile(t *testing.T, path string, epoch, gen uint64, ops ...jop) {
 	t.Helper()
 	j, err := openJournal(path, epoch, gen, FsyncNever, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.seq = seq
 	for _, op := range ops {
 		switch op.typ {
 		case recSubmit:
 			err = j.appendSubmit(frameTuple(op.id))
+		case recResend:
+			err = j.appendResend(op.id, 1)
 		case recAck:
 			err = j.appendAck(op.id)
 		case recShed:
@@ -78,40 +79,33 @@ func asideFiles(path string) []string {
 func TestParseJournalName(t *testing.T) {
 	const base = "/d/wal"
 	cases := []struct {
-		name  string
-		ok    bool
-		idx   int
-		aside bool
-		gen   uint64
+		name string
+		ok   bool
+		gen  uint64
 	}{
-		{base + ".s1", true, 1, false, 0},
-		{base + ".s12", true, 12, false, 0},
-		{base + ".g7", true, 0, true, 7},
-		{base + ".s3.g7", true, 3, true, 7},
-		{base + ".s0", false, 0, false, 0},
-		{base + ".s3.", false, 0, false, 0},
-		{base + ".s3.g", false, 0, false, 0},
-		{base + ".s3.tmp", false, 0, false, 0},
-		{base + ".ckpt", false, 0, false, 0},
-		{base + ".ckpt.tmp", false, 0, false, 0},
-		{base + ".tmp", false, 0, false, 0},
-		{base + ".gx", false, 0, false, 0},
+		{base + ".g7", true, 7},
+		{base + ".g0", true, 0},
+		{base + ".g", false, 0},
+		{base + ".g7.tmp", false, 0},
+		{base + ".ckpt", false, 0},
+		{base + ".ckpt.tmp", false, 0},
+		{base + ".tmp", false, 0},
+		{base + ".gx", false, 0},
 	}
 	for _, c := range cases {
-		f, ok := parseJournalName(base, c.name)
+		gen, ok := parseJournalName(base, c.name)
 		if ok != c.ok {
 			t.Errorf("%s: ok = %v, want %v", c.name, ok, c.ok)
 			continue
 		}
-		if ok && (f.idx != c.idx || f.aside != c.aside || f.gen != c.gen) {
-			t.Errorf("%s: got idx=%d aside=%v gen=%d, want %d/%v/%d",
-				c.name, f.idx, f.aside, f.gen, c.idx, c.aside, c.gen)
+		if ok && gen != c.gen {
+			t.Errorf("%s: got gen=%d, want %d", c.name, gen, c.gen)
 		}
 	}
 }
 
 // TestSetAsideFromStrandedName: a failed cut whose rename back also
-// failed leaves the segment writing under its set-aside name with no
+// failed leaves the journal writing under its set-aside name with no
 // live file. The next cut must start from there — not fail on the
 // missing live path forever — and every record must stay in the file of
 // the generation it was written in.
@@ -161,21 +155,18 @@ func TestSetAsideFromStrandedName(t *testing.T) {
 		t.Fatalf("%d journal files on disk, want %d", got, len(want))
 	}
 	for p, w := range want {
-		sr, err := replaySegment(p)
-		if err != nil || sr == nil {
-			t.Fatalf("%s: replay %v, err %v", filepath.Base(p), sr, err)
-		}
+		gen, recs, _ := readJournalFile(t, p)
 		var ids []uint64
-		for _, r := range sr.recs {
+		for _, r := range recs {
 			tp, err := tuple.Unmarshal(r.payload)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ids = append(ids, tp.ID)
 		}
-		if sr.generation != w.gen || fmt.Sprint(ids) != fmt.Sprint(w.ids) {
+		if gen != w.gen || fmt.Sprint(ids) != fmt.Sprint(w.ids) {
 			t.Errorf("%s: generation %d tuples %v, want %d %v",
-				filepath.Base(p), sr.generation, ids, w.gen, w.ids)
+				filepath.Base(p), gen, ids, w.gen, w.ids)
 		}
 	}
 }
@@ -184,9 +175,7 @@ func TestSetAsideFromStrandedName(t *testing.T) {
 // crash point of the checkpoint cycle can leave behind and checks that
 // recovery yields the exact backlog, counters and dedup set. The base
 // checkpoint is at generation 3 with tuples 1–10 submitted, 1–9 acked
-// and tuple 10 pending. Journal files span two segments, so set-aside
-// names of both the base path and a numbered segment are exercised. Each
-// state is then handed to a restarting master: its first checkpoint must
+// and tuple 10 pending. Each state is then handed to a restarting master: its first checkpoint must
 // retire every set-aside file, and a crash right after it must recover
 // to the same ledger.
 func TestCheckpointCycleCrashPoints(t *testing.T) {
@@ -196,11 +185,9 @@ func TestCheckpointCycleCrashPoints(t *testing.T) {
 		gen  uint64
 		ops  []jop
 	}
-	seg := func(i int) func(string) string {
-		return func(p string) string { return segmentPath(p, i) }
-	}
-	aside := func(i int, gen uint64) func(string) string {
-		return func(p string) string { return setAsidePath(segmentPath(p, i), gen) }
+	live := func(p string) string { return p }
+	aside := func(gen uint64) func(string) string {
+		return func(p string) string { return setAsidePath(p, gen) }
 	}
 	cases := []struct {
 		name    string
@@ -220,10 +207,8 @@ func TestCheckpointCycleCrashPoints(t *testing.T) {
 			name: "ckpt G, set-aside G, live G+1", ckptGen: g,
 			ckptSubmitted: 10, ckptAcked: 9, ckptPending: []uint64{10},
 			files: []file{
-				{aside(0, g), g, []jop{submitOp(11), ackOp(10)}},
-				{aside(1, g), g, []jop{submitOp(12)}},
-				{seg(0), g + 1, []jop{ackOp(11), submitOp(13)}},
-				{seg(1), g + 1, []jop{submitOp(14)}},
+				{aside(g), g, []jop{submitOp(11), ackOp(10), submitOp(12)}},
+				{live, g + 1, []jop{ackOp(11), submitOp(13), submitOp(14)}},
 			},
 			wantPending: []uint64{12, 13, 14}, wantDedup: []uint64{10, 11},
 			wantSubmitted: 14, wantAcked: 11, wantGen: g + 1,
@@ -234,8 +219,7 @@ func TestCheckpointCycleCrashPoints(t *testing.T) {
 			name: "ckpt G, set-aside G, live missing", ckptGen: g,
 			ckptSubmitted: 10, ckptAcked: 9, ckptPending: []uint64{10},
 			files: []file{
-				{aside(0, g), g, []jop{submitOp(11), ackOp(10), submitOp(12)}},
-				{seg(1), g, []jop{submitOp(13)}},
+				{aside(g), g, []jop{submitOp(11), ackOp(10), submitOp(12), submitOp(13)}},
 			},
 			wantPending: []uint64{11, 12, 13}, wantDedup: []uint64{10},
 			wantSubmitted: 13, wantAcked: 10, wantGen: g,
@@ -245,10 +229,8 @@ func TestCheckpointCycleCrashPoints(t *testing.T) {
 			name: "ckpt G+1, leftover set-aside G", ckptGen: g + 1,
 			ckptSubmitted: 12, ckptAcked: 10, ckptPending: []uint64{11, 12},
 			files: []file{
-				{aside(0, g), g, []jop{submitOp(11), ackOp(10)}},
-				{aside(1, g), g, []jop{submitOp(12)}},
-				{seg(0), g + 1, []jop{ackOp(11)}},
-				{seg(1), g + 1, nil},
+				{aside(g), g, []jop{submitOp(11), ackOp(10), submitOp(12)}},
+				{live, g + 1, []jop{ackOp(11)}},
 			},
 			wantPending: []uint64{12}, wantDedup: []uint64{11},
 			wantSubmitted: 12, wantAcked: 11, wantGen: g + 1,
@@ -259,12 +241,9 @@ func TestCheckpointCycleCrashPoints(t *testing.T) {
 			name: "ckpt G, set-aside G and G+1, live G+2", ckptGen: g,
 			ckptSubmitted: 10, ckptAcked: 9, ckptPending: []uint64{10},
 			files: []file{
-				{aside(0, g), g, []jop{submitOp(11), ackOp(10)}},
-				{aside(1, g), g, []jop{submitOp(12)}},
-				{aside(0, g+1), g + 1, []jop{ackOp(11)}},
-				{aside(1, g+1), g + 1, []jop{submitOp(13)}},
-				{seg(0), g + 2, []jop{shedOp(12), submitOp(15)}},
-				{seg(1), g + 2, []jop{submitOp(14)}},
+				{aside(g), g, []jop{submitOp(11), ackOp(10), submitOp(12)}},
+				{aside(g + 1), g + 1, []jop{ackOp(11), submitOp(13)}},
+				{live, g + 2, []jop{shedOp(12), submitOp(15), submitOp(14)}},
 			},
 			wantPending: []uint64{13, 14, 15}, wantDedup: []uint64{10, 11},
 			wantSubmitted: 15, wantAcked: 11, wantShed: 1, wantGen: g + 2,
@@ -289,9 +268,8 @@ func TestCheckpointCycleCrashPoints(t *testing.T) {
 			if err := saveCheckpoint(cpath, st); err != nil {
 				t.Fatal(err)
 			}
-			var seq atomic.Uint64
 			for _, f := range c.files {
-				writeJournalFile(t, f.path(jpath), 1, f.gen, &seq, f.ops...)
+				writeJournalFile(t, f.path(jpath), 1, f.gen, f.ops...)
 			}
 
 			rs, err := recoverState(jpath, cpath)
@@ -402,8 +380,8 @@ func TestFailedCheckpointSavesLoseNothing(t *testing.T) {
 	submitFrames(t, m1, src, 10) // still in flight at the crash
 	m1.Crash()
 	st1 := m1.Stats()
-	if n := len(asideFiles(jpath)); n != 2*4 {
-		t.Fatalf("%d set-aside files after two failed cycles over 4 segments, want 8", n)
+	if n := len(asideFiles(jpath)); n != 2 {
+		t.Fatalf("%d set-aside files after two failed cycles, want 2", n)
 	}
 
 	rs, err := recoverState(jpath, cpath)
@@ -448,8 +426,8 @@ func TestFailedCheckpointSavesLoseNothing(t *testing.T) {
 	submitFrames(t, m2, src, 10)
 	resolved(m2, 50)
 	failCycle(m2)
-	if n := len(asideFiles(jpath)); n != 2*4 {
-		t.Fatalf("%d set-aside files after two failed cycles, want 8", n)
+	if n := len(asideFiles(jpath)); n != 2 {
+		t.Fatalf("%d set-aside files after two failed cycles, want 2", n)
 	}
 	unblock()
 	submitFrames(t, m2, src, 10)

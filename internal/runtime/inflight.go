@@ -32,9 +32,9 @@ type inflightEntry struct {
 	hedged bool
 }
 
-// maxShards caps hot-state fan-out: each shard is a map plus a mutex, and
-// each journal segment an open file, so unbounded -shards values would
-// only waste descriptors past the point of contention relief.
+// maxShards caps hot-state fan-out: each shard is a map plus a mutex, so
+// unbounded -shards values would only waste memory past the point of
+// contention relief.
 const maxShards = 128
 
 // ceilPow2 rounds n up to the next power of two (minimum 1), clamped to

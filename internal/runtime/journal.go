@@ -7,39 +7,42 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/swingframework/swing/internal/tuple"
 )
 
 // The master's write-ahead journal (§IV-C's coordinator made crash-safe):
-// an append-only file of checksummed records tracking every tuple's life —
+// one append-only file of checksummed records tracking every tuple's life —
 // submitted, retransmitted, acked, shed — so a restarted master can rebuild
 // the exact ledger and the un-acked backlog of its previous incarnation.
-// Checkpoints (checkpoint.go) snapshot the full state and start the
-// journal on a fresh generation, bounding both replay time and file size.
+// Every record goes in under one lock and group-commits with the records
+// that piled up behind it, so the file's record order is the master's
+// append order and recovery replays it as written. Checkpoints
+// (checkpoint.go) snapshot the full state, set the file aside as
+// "<path>.g<gen>" and start the next generation at the journal path,
+// bounding both replay time and file size.
 //
 // Record layout (all integers little-endian):
 //
 //	u32 payloadLen | u8 type | payload | u32 crc32c(type || payload)
+//
+// Every file opens with a meta record (u64 epoch | u64 generation).
+// Lifecycle payloads are the marshaled tuple (submit), u64 id | u8
+// attempt (resend), u64 id (ack) and u64 id | u8 overload (shed). A meta
+// of any other length is a format this build does not write, and
+// recovery fails on it rather than guess.
 //
 // The trailing checksum makes a torn tail — a partial record from a crash
 // mid-append — detectable: recovery replays records until the first short
 // read or checksum mismatch, then truncates the file at the last good
 // offset. Everything before the tear is trusted; the tear itself is
 // discarded (its tuple stays pending and is retransmitted, never lost).
-//
-// Since the hot-state sharding work the journal is usually one segment of
-// a journalSet (journalset.go): lifecycle records are spread across
-// segments by hashed tuple ID, each segment group-commits independently,
-// and a shared sequence counter stamps every record so recovery can merge
-// segments back into one global order. Format v2 therefore prefixes each
-// lifecycle payload with the u64 sequence; the meta record carries the
-// format so replay still reads v1 files from earlier releases (whose
-// in-file order is their global order).
 
 // journalRecType distinguishes journal records.
 type journalRecType uint8
@@ -123,12 +126,6 @@ func ParseFsyncMode(s string) (FsyncMode, error) {
 // flush, so a record is never split across generations and the file
 // handle never changes under the leader's feet.
 type journal struct {
-	// seq stamps every lifecycle record with its position in the global
-	// append order. A standalone journal owns its counter; segments of a
-	// journalSet share the set's counter, which is what lets recovery
-	// merge concurrently written segments by (epoch, seq).
-	seq *atomic.Uint64
-
 	mu       sync.Mutex
 	cond     *sync.Cond
 	f        *os.File
@@ -213,7 +210,7 @@ func openJournal(path string, epoch, generation uint64, mode FsyncMode, every ti
 	if every <= 0 {
 		every = 100 * time.Millisecond
 	}
-	j := &journal{seq: new(atomic.Uint64), f: f, path: path, cur: path, mode: mode, every: every, lastSync: time.Now(), gen: generation}
+	j := &journal{f: f, path: path, cur: path, mode: mode, every: every, lastSync: time.Now(), gen: generation}
 	j.cond = sync.NewCond(&j.mu)
 	if err := j.append(recMeta, metaPayload(epoch, generation)); err != nil {
 		_ = f.Close()
@@ -226,28 +223,10 @@ func openJournal(path string, epoch, generation uint64, mode FsyncMode, every ti
 	return j, nil
 }
 
-// journalFormatV2 marks seq-stamped lifecycle records. A 16-byte meta
-// payload (epoch, generation) is implicit format v1 — files written
-// before sequence stamping, replayed in file order.
-const journalFormatV2 = 2
-
 func metaPayload(epoch, generation uint64) []byte {
-	b := make([]byte, 0, 24)
+	b := make([]byte, 0, 16)
 	b = binary.LittleEndian.AppendUint64(b, epoch)
-	b = binary.LittleEndian.AppendUint64(b, generation)
-	return binary.LittleEndian.AppendUint64(b, journalFormatV2)
-}
-
-func parseMetaPayload(b []byte) (epoch, generation, format uint64, err error) {
-	switch len(b) {
-	case 16:
-		return binary.LittleEndian.Uint64(b[:8]), binary.LittleEndian.Uint64(b[8:]), 1, nil
-	case 24:
-		return binary.LittleEndian.Uint64(b[:8]), binary.LittleEndian.Uint64(b[8:16]),
-			binary.LittleEndian.Uint64(b[16:]), nil
-	default:
-		return 0, 0, 0, fmt.Errorf("runtime: journal meta record has %d bytes, want 16 or 24", len(b))
-	}
+	return binary.LittleEndian.AppendUint64(b, generation)
 }
 
 // reserveLocked begins a record in the pending buffer: length
@@ -273,7 +252,7 @@ func (j *journal) sealLocked(start int) {
 	j.nbytes += int64(len(j.pending) - start)
 }
 
-// depth reports the segment's observability counters: records and bytes
+// depth reports the journal's observability counters: records and bytes
 // appended this incarnation, and the bytes currently buffered awaiting
 // group commit.
 func (j *journal) depth() (records, bytes, pending int64) {
@@ -401,50 +380,29 @@ func (j *journal) append(typ journalRecType, payload []byte) error {
 	return j.commitAndUnlock()
 }
 
-// appendSubmit logs a first-attempt dispatch: the full tuple, so recovery
-// can rebuild and retransmit it. The tuple is serialized straight into
-// the pending batch buffer — no intermediate allocation. The sequence is
-// drawn before the segment lock, so within one segment records may land
-// slightly out of sequence order; recovery sorts by seq, not file order.
+// appendSubmit logs a first-attempt dispatch: a batch of one.
 func (j *journal) appendSubmit(t *tuple.Tuple) error {
-	seq := j.seq.Add(1)
-	j.mu.Lock()
-	start, err := j.reserveLocked(recSubmit)
-	if err != nil {
-		j.mu.Unlock()
-		return err
-	}
-	p, err := tuple.AppendMarshal(binary.LittleEndian.AppendUint64(j.pending, seq), t)
-	if err != nil {
-		j.pending = j.pending[:start]
-		j.mu.Unlock()
-		return err
-	}
-	j.pending = p
-	j.sealLocked(start)
-	return j.commitAndUnlock()
+	return j.appendSubmitBatch([]*tuple.Tuple{t})
 }
 
-// appendSubmitBatch logs a batch of first-attempt dispatches under one
-// lock acquisition and one group-commit entry: every tuple's record is
-// reserved, serialized and sealed into the same pending buffer, then a
-// single commitAndUnlock rides them all out on one flush. Each record
-// still gets its own sequence number, so recovery is indistinguishable
-// from per-tuple appends. A tuple that fails to marshal is truncated
-// back out of the buffer; the first such error is reported after the
-// rest of the batch commits.
+// appendSubmitBatch logs a batch of first-attempt dispatches — the full
+// tuples, so recovery can rebuild and retransmit them — under one lock
+// acquisition and one group-commit entry: every tuple is serialized
+// straight into the pending buffer as its own record, then a single
+// commitAndUnlock rides them all out on one flush. A tuple that fails to
+// marshal is truncated back out of the buffer; the first such error is
+// reported after the rest of the batch commits.
 func (j *journal) appendSubmitBatch(ts []*tuple.Tuple) error {
 	j.mu.Lock()
 	var firstErr error
 	sealed := 0
 	for _, t := range ts {
-		seq := j.seq.Add(1)
 		start, err := j.reserveLocked(recSubmit)
 		if err != nil {
 			j.mu.Unlock()
 			return err // broken journal: nothing more can append
 		}
-		p, err := tuple.AppendMarshal(binary.LittleEndian.AppendUint64(j.pending, seq), t)
+		p, err := tuple.AppendMarshal(j.pending, t)
 		if err != nil {
 			j.pending = j.pending[:start]
 			if firstErr == nil {
@@ -468,10 +426,7 @@ func (j *journal) appendSubmitBatch(ts []*tuple.Tuple) error {
 
 // appendResend logs a retransmission's new attempt counter.
 func (j *journal) appendResend(id uint64, attempt uint8) error {
-	b := make([]byte, 0, 17)
-	b = binary.LittleEndian.AppendUint64(b, j.seq.Add(1))
-	b = binary.LittleEndian.AppendUint64(b, id)
-	return j.append(recResend, append(b, attempt))
+	return j.append(recResend, append(binary.LittleEndian.AppendUint64(make([]byte, 0, 9), id), attempt))
 }
 
 // appendAck logs a worker acknowledgment: a batch of one.
@@ -481,8 +436,8 @@ func (j *journal) appendAck(id uint64) error {
 
 // appendAckBatch logs a batch of worker acknowledgments under one lock
 // acquisition and one group-commit entry — the result-path mirror of
-// appendSubmitBatch. Each ack is still its own record with its own
-// sequence number, so replay cannot tell the batch from per-ack appends.
+// appendSubmitBatch. Each ack is still its own record, so replay cannot
+// tell the batch from per-ack appends.
 func (j *journal) appendAckBatch(ids []uint64) error {
 	if len(ids) == 0 {
 		return nil
@@ -494,7 +449,6 @@ func (j *journal) appendAckBatch(ids []uint64) error {
 			j.mu.Unlock()
 			return err
 		}
-		j.pending = binary.LittleEndian.AppendUint64(j.pending, j.seq.Add(1))
 		j.pending = binary.LittleEndian.AppendUint64(j.pending, id)
 		j.sealLocked(start)
 	}
@@ -504,22 +458,17 @@ func (j *journal) appendAckBatch(ids []uint64) error {
 // appendShed logs an abandoned tuple; overload marks admission-control
 // shedding (the ShedOverload ledger subset).
 func (j *journal) appendShed(id uint64, overload bool) error {
-	b := make([]byte, 0, 17)
-	b = binary.LittleEndian.AppendUint64(b, j.seq.Add(1))
-	b = binary.LittleEndian.AppendUint64(b, id)
+	var flag byte
 	if overload {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
+		flag = 1
 	}
-	return j.append(recShed, b)
+	return j.append(recShed, append(binary.LittleEndian.AppendUint64(make([]byte, 0, 9), id), flag))
 }
 
-// setAsideLocked starts the next generation on this segment: the
-// current file is renamed aside to setAsidePath(path, gen) — its name
-// carries the generation it holds, so no later cut overwrites it — and a
-// fresh file with the new generation's meta record takes over the live
-// path. Only renames and a small write happen here; the checkpointer
+// setAsideLocked starts the next generation: the current file is
+// renamed aside to setAsidePath(path, gen) — its name carries the
+// generation it holds, so no later cut overwrites it — and a fresh file
+// with the new generation's meta record takes over the live path. Only renames and a small write happen here; the checkpointer
 // calls it holding j.mu — after quiescing any in-flight group-commit
 // flush — so no returned append lands in the old generation after the
 // state snapshot was taken (it would double-count on recovery). Records
@@ -530,7 +479,7 @@ func (j *journal) appendShed(id uint64, overload bool) error {
 // The set-aside handle is returned for the caller to close after
 // releasing the lock, and the file stays on disk until a checkpoint at a
 // later generation is installed: until then recovery still needs it. On
-// failure the segment keeps writing its current file, renamed back to
+// failure the journal keeps writing its current file, renamed back to
 // the live path; should even that rename fail, the file stays under its
 // set-aside name (cur), where recovery finds it and the next cut starts.
 func (j *journal) setAsideLocked(epoch, generation uint64) (*os.File, error) {
@@ -600,105 +549,71 @@ func (j *journal) close() error {
 	return cerr
 }
 
-// segRecord is one lifecycle record read back from a segment, with the
-// global order key recovery merges by. payload is the v1-shaped body
-// (seq prefix already stripped for v2 files).
-type segRecord struct {
-	epoch   uint64
-	seq     uint64
-	typ     journalRecType
-	payload []byte
+// retire deletes every set-aside file whose generation is below gen.
+// The checkpointer calls it only once a checkpoint at gen is installed:
+// recovery then gates those files out, so they hold nothing it needs.
+// Deleting a large file frees its blocks, which is why this runs
+// outside the journal lock.
+func (j *journal) retire(gen uint64) {
+	for _, f := range journalFiles(j.path) {
+		if f.aside && f.gen < gen {
+			_ = os.Remove(f.path)
+		}
+	}
 }
 
-// segmentReplay is the raw parse of one journal segment: its meta header
-// plus every intact lifecycle record, torn tail already truncated.
-type segmentReplay struct {
-	path       string
-	epoch      uint64
-	generation uint64
-	format     uint64
-	recs       []segRecord
-	truncated  bool
+// setAsidePath names the journal file set aside at a checkpoint cut
+// while it held generation gen.
+func setAsidePath(path string, gen uint64) string {
+	return fmt.Sprintf("%s.g%d", path, gen)
 }
 
-// replaySegment reads one segment file, collects its replayable prefix
-// and truncates any torn tail in place. A missing file returns
-// (nil, nil): that segment was never written.
-func replaySegment(path string) (*segmentReplay, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("runtime: open journal for recovery: %w", err)
-	}
-	defer func() { _ = f.Close() }()
-
-	sr := &segmentReplay{path: path}
-	// Count every good record's bytes so a torn tail truncates exactly at
-	// the last intact boundary.
-	good := int64(0)
-	first := true
-	fileOrder := uint64(0)
-	for {
-		typ, payload, err := readJournalRecord(f)
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if errors.Is(err, errTornRecord) {
-			sr.truncated = true
-			if err := f.Truncate(good); err != nil {
-				return nil, fmt.Errorf("runtime: truncate torn journal tail: %w", err)
-			}
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if first {
-			if typ != recMeta {
-				// No meta record: not a journal we wrote. Treat as torn from
-				// the start rather than guessing at its contents.
-				sr.truncated = true
-				if err := f.Truncate(0); err != nil {
-					return nil, fmt.Errorf("runtime: truncate foreign journal: %w", err)
-				}
-				return sr, nil
-			}
-			if sr.epoch, sr.generation, sr.format, err = parseMetaPayload(payload); err != nil {
-				return nil, err
-			}
-			first = false
-			good += int64(4 + 1 + len(payload) + 4)
-			continue
-		}
-		good += int64(4 + 1 + len(payload) + 4)
-		if typ == recMeta {
-			// A second meta record never occurs in a well-formed segment;
-			// ignore defensively.
-			continue
-		}
-		fileOrder++
-		seq := fileOrder
-		if sr.format >= journalFormatV2 {
-			if len(payload) < 8 {
-				continue // malformed lifecycle record; skip defensively
-			}
-			seq = binary.LittleEndian.Uint64(payload[:8])
-			payload = payload[8:]
-		}
-		sr.recs = append(sr.recs, segRecord{epoch: sr.epoch, seq: seq, typ: typ, payload: payload})
-	}
-	return sr, nil
+// journalFile is one journal file found on disk: the live file, or
+// (aside) one set aside at generation gen.
+type journalFile struct {
+	path  string
+	aside bool
+	gen   uint64
 }
 
-// journalReplay is the merged lifecycle view of one journal generation —
-// possibly assembled from several concurrently written segments.
+// journalFiles lists the journal files of path that exist on disk in
+// replay order: set-aside generations, oldest first, then the live file.
+// A set-aside file is found even when the live file is missing (a crash
+// between the rename and the new file's creation).
+func journalFiles(path string) []journalFile {
+	var out []journalFile
+	matches, _ := filepath.Glob(path + ".g*")
+	for _, p := range matches {
+		if gen, ok := parseJournalName(path, p); ok {
+			out = append(out, journalFile{path: p, aside: true, gen: gen})
+		}
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].gen < out[b].gen })
+	if _, err := os.Stat(path); err == nil {
+		out = append(out, journalFile{path: path})
+	}
+	return out
+}
+
+// parseJournalName recognizes p as "<path>.g<gen>", a file set aside at a
+// checkpoint cut. Anything else beside the journal — the checkpoint,
+// ".tmp" leftovers — is not a journal file.
+func parseJournalName(path, p string) (uint64, bool) {
+	r, ok := strings.CutPrefix(p, path+".g")
+	if !ok {
+		return 0, false
+	}
+	gen, err := strconv.ParseUint(r, 10, 64)
+	return gen, err == nil
+}
+
+// journalReplay is the lifecycle view recovery reads back from the
+// journal files at or above the checkpoint's generation.
 type journalReplay struct {
 	epoch      uint64
 	generation uint64
-	// submits maps tuple ID → marshaled tuple bytes for attempt-0 records.
-	submits map[uint64][]byte
+	// submits maps tuple ID → the tuple of its attempt-0 record.
+	submits map[uint64]*tuple.Tuple
 	// attempts maps tuple ID → highest attempt seen in resend records.
 	attempts map[uint64]uint8
 	// acked and shed are the IDs released after their submit; a true shed
@@ -710,77 +625,88 @@ type journalReplay struct {
 	truncated bool
 }
 
-// mergeSegments folds segment replays into one journalReplay, applying
-// lifecycle records in global (epoch, seq) order — the order the running
-// master emitted them, regardless of which segment each landed in or how
-// group commit interleaved writes within a segment.
-func mergeSegments(segs []*segmentReplay) *journalReplay {
-	rep := &journalReplay{
-		submits:  make(map[uint64][]byte),
+func newJournalReplay() *journalReplay {
+	return &journalReplay{
+		submits:  make(map[uint64]*tuple.Tuple),
 		attempts: make(map[uint64]uint8),
 		acked:    make(map[uint64]struct{}),
 		shed:     make(map[uint64]bool),
 	}
-	var all []segRecord
-	for _, sr := range segs {
-		if sr == nil {
-			continue
-		}
-		if sr.epoch > rep.epoch {
-			rep.epoch = sr.epoch
-		}
-		if sr.generation > rep.generation {
-			rep.generation = sr.generation
-		}
-		rep.truncated = rep.truncated || sr.truncated
-		all = append(all, sr.recs...)
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].epoch != all[j].epoch {
-			return all[i].epoch < all[j].epoch
-		}
-		return all[i].seq < all[j].seq
-	})
-	for _, r := range all {
-		switch r.typ {
-		case recSubmit:
-			t, err := tuple.Unmarshal(r.payload)
-			if err == nil {
-				rep.submits[t.ID] = r.payload
-			}
-		case recResend:
-			if len(r.payload) == 9 {
-				id := binary.LittleEndian.Uint64(r.payload[:8])
-				if r.payload[8] > rep.attempts[id] {
-					rep.attempts[id] = r.payload[8]
-				}
-				rep.resends++
-			}
-		case recAck:
-			if len(r.payload) == 8 {
-				rep.acked[binary.LittleEndian.Uint64(r.payload)] = struct{}{}
-			}
-		case recShed:
-			if len(r.payload) == 9 {
-				rep.shed[binary.LittleEndian.Uint64(r.payload[:8])] = r.payload[8] != 0
-			}
-		}
-	}
-	return rep
 }
 
-// replayJournal reads the single journal file at path, replays its
-// replayable prefix and truncates any torn tail in place. A missing file
-// returns an empty replay (nil error): a fresh start. Multi-segment
-// recovery goes through replaySegment + mergeSegments (recoverState),
-// which gates each segment's generation individually.
-func replayJournal(path string) (*journalReplay, error) {
-	sr, err := replaySegment(path)
+// replayFile reads one journal file in record order and truncates any
+// torn tail in place. Its records are applied only when the file's
+// generation reached minGen: an older file was wholly folded into the
+// checkpoint. A missing file is skipped; a meta record this build does
+// not write fails the replay.
+func (rep *journalReplay) replayFile(path string, minGen uint64) error {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("runtime: open journal for recovery: %w", err)
 	}
-	if sr == nil {
-		return mergeSegments(nil), nil
+	defer func() { _ = f.Close() }()
+
+	// Count every good record's bytes so a torn tail truncates exactly at
+	// the last intact boundary.
+	good := int64(0)
+	apply := false
+	for {
+		typ, payload, err := readJournalRecord(f)
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		if err != nil || (good == 0 && typ != recMeta) {
+			// A torn tail is cut at the last intact record. A file that
+			// does not open with a meta record is not a journal we wrote,
+			// and is cut to nothing rather than guessed at.
+			rep.truncated = true
+			if err := f.Truncate(good); err != nil {
+				return fmt.Errorf("runtime: truncate torn journal tail: %w", err)
+			}
+			return nil
+		}
+		good += int64(4 + 1 + len(payload) + 4)
+		if typ == recMeta {
+			if len(payload) != 16 {
+				return fmt.Errorf("runtime: journal %s: meta record has %d bytes, want 16 (a format this build does not write)", path, len(payload))
+			}
+			gen := binary.LittleEndian.Uint64(payload[8:])
+			if apply = gen >= minGen; apply {
+				rep.epoch = max(rep.epoch, binary.LittleEndian.Uint64(payload[:8]))
+				rep.generation = max(rep.generation, gen)
+			}
+			continue
+		}
+		if apply {
+			rep.applyRecord(typ, payload)
+		}
 	}
-	return mergeSegments([]*segmentReplay{sr}), nil
+}
+
+// applyRecord folds one lifecycle record into the replay. Malformed
+// payloads are skipped defensively.
+func (rep *journalReplay) applyRecord(typ journalRecType, payload []byte) {
+	switch typ {
+	case recSubmit:
+		if t, err := tuple.Unmarshal(payload); err == nil {
+			rep.submits[t.ID] = t
+		}
+	case recResend:
+		if len(payload) == 9 {
+			id := binary.LittleEndian.Uint64(payload[:8])
+			rep.attempts[id] = max(rep.attempts[id], payload[8])
+			rep.resends++
+		}
+	case recAck:
+		if len(payload) == 8 {
+			rep.acked[binary.LittleEndian.Uint64(payload)] = struct{}{}
+		}
+	case recShed:
+		if len(payload) == 9 {
+			rep.shed[binary.LittleEndian.Uint64(payload[:8])] = payload[8] != 0
+		}
+	}
 }

@@ -69,13 +69,9 @@ func TestJournalGroupCommitConcurrent(t *testing.T) {
 	for w := 0; w < writers; w++ {
 		for i := 0; i < perWriter; i++ {
 			id := uint64(w*perWriter + i + 1)
-			b, ok := rep.submits[id]
+			tp, ok := rep.submits[id]
 			if !ok {
-				t.Fatalf("submit %d missing", id)
-			}
-			tp, err := tuple.Unmarshal(b)
-			if err != nil {
-				t.Fatalf("submit %d corrupt: %v", id, err)
+				t.Fatalf("submit %d missing or corrupt", id)
 			}
 			got, err := tp.MustString("payload")
 			if err != nil || got != fmt.Sprintf("w%d-%d", w, i) {

@@ -171,13 +171,11 @@ type MasterConfig struct {
 	// handshake; excess connects are refused immediately (default 32;
 	// < 0 removes the cap).
 	MaxPendingHandshakes int
-	// Shards is the hot-state fan-out: the in-flight ledger, the
-	// cross-epoch dedup set and the write-ahead journal are each split
-	// into this many independently locked shards/segments, keyed by
-	// hashed tuple ID. Rounded up to a power of two and capped at 128;
-	// zero or negative defaults to GOMAXPROCS at startup. One shard
-	// reproduces the pre-sharding layout (including the single-file
-	// journal).
+	// Shards is the hot-state fan-out: the in-flight ledger and the
+	// cross-epoch dedup set are each split into this many independently
+	// locked shards, keyed by hashed tuple ID. Rounded up to a power of
+	// two and capped at 128; zero or negative defaults to GOMAXPROCS at
+	// startup. The write-ahead journal is one file whatever the count.
 	Shards int
 	// StatusAddr enables the observability plane: an HTTP listener at
 	// this address (host:port; ":0" picks a free port, see StatusAddr())
@@ -395,10 +393,10 @@ type Master struct {
 	// Crash recovery (immutable after StartMaster returns, except
 	// generation, which only the checkpointer advances under ckptMu —
 	// atomically, so status sampling can read it without the journal
-	// locks).
+	// lock).
 	epoch      uint64
 	generation atomic.Uint64
-	journal    *journalSet
+	journal    *journal
 	// ckptMu serializes whole checkpoint cycles — the periodic loop,
 	// standby attach and Close — so one cycle's save and retire finish
 	// before the next cut. The dataplane never takes it.
@@ -604,8 +602,8 @@ func (m *Master) pickU() float64 {
 }
 
 // initRecovery rebuilds the previous incarnation's state from checkpoint
-// plus journal segments, persists a fresh checkpoint under the new epoch,
-// and opens a new journal generation. It runs before the listener admits
+// plus journal, persists a fresh checkpoint under the new epoch, and
+// opens a new journal generation. It runs before the listener admits
 // anyone, so re-joining workers always see the final epoch and warm
 // estimates.
 func (m *Master) initRecovery() error {
@@ -659,11 +657,16 @@ func (m *Master) initRecovery() error {
 	if err := saveCheckpoint(m.cfg.CheckpointPath, st); err != nil {
 		return err
 	}
-	js, err := openJournalSet(m.cfg.JournalPath, m.cfg.Shards, m.epoch, m.generation.Load(), m.cfg.Fsync, m.cfg.FsyncEvery)
+	gen := m.generation.Load()
+	j, err := openJournal(m.cfg.JournalPath, m.epoch, gen, m.cfg.Fsync, m.cfg.FsyncEvery)
 	if err != nil {
 		return err
 	}
-	m.journal = js
+	// The set-aside files of the previous incarnation are folded into the
+	// checkpoint just written; left behind, they would replay twice on
+	// the next crash.
+	j.retire(gen)
+	m.journal = j
 	if rs.prevEpoch > 0 {
 		m.events.Record(obs.EventEpoch, "",
 			fmt.Sprintf("recovered from epoch %d", rs.prevEpoch), m.recovered)
@@ -1440,9 +1443,9 @@ const submitBatchMaxBytes = 256 << 10
 // SubmitBatch routes a slice of fresh tuples into the swarm as one
 // dataplane operation: the routing snapshot is loaded once, ledger
 // inserts take one lock per touched in-flight shard, journal records
-// land under one group-commit entry per touched segment, and tuples
-// bound for the same worker coalesce into FrameTupleBatch frames — one
-// queue slot, one header and one Write per frame instead of per tuple.
+// land under one group-commit entry, and tuples bound for the same
+// worker coalesce into FrameTupleBatch frames — one queue slot, one
+// header and one Write per frame instead of per tuple.
 //
 // Per-tuple semantics are preserved: every sequence number is burned,
 // admission shedding runs once up front, and breaker admission is
@@ -1812,11 +1815,11 @@ func (m *Master) routerOverloaded() bool {
 }
 
 // journalRound writes a round's write-ahead records: submit records
-// for first attempts, in one group commit per touched segment, and
-// resend records for re-dispatches. Tuples that bounced off a send queue
-// in an earlier round already have theirs. Append failures are logged,
-// not fatal — the master keeps serving with recovery degraded rather
-// than stalling the stream on a sick disk.
+// for first attempts, in one group commit, and resend records for
+// re-dispatches. Tuples that bounced off a send queue in an earlier
+// round already have theirs. Append failures are logged, not fatal —
+// the master keeps serving with recovery degraded rather than stalling
+// the stream on a sick disk.
 func (m *Master) journalRound(block []inflightEntry, attempt uint8, bounced map[uint64]bool) {
 	var (
 		subs []*tuple.Tuple
@@ -1838,8 +1841,6 @@ func (m *Master) journalRound(block []inflightEntry, attempt uint8, bounced map[
 		}
 	}
 	if len(subs) > 0 {
-		// appendSubmitBatch regroups subs by segment in place; subs is
-		// this call's own scratch.
 		if aerr := m.journal.appendSubmitBatch(subs); aerr != nil && err == nil {
 			err = aerr
 		}
@@ -1860,7 +1861,7 @@ func (m *Master) journalShed(id uint64, overload bool) {
 }
 
 // snapshotState captures a checkpoint body from the live counters. The
-// caller must either hold the journal locks (checkpointAnd) or otherwise
+// caller must either hold the journal lock (checkpointAnd) or otherwise
 // exclude journal appends (initRecovery) so the snapshot and the journal
 // generation stay consistent. The un-acked tuples are marshaled here, in
 // one buffer, because re-dispatch rewrites a tuple's attempt and emit
@@ -1900,7 +1901,7 @@ func (m *Master) snapshotState() *checkpointState {
 	sort.Slice(st.Estimates, func(i, j int) bool { return st.Estimates[i].ID < st.Estimates[j].ID })
 	ents := m.inflight.snapshotEntries()
 	// Size the buffer up front: growing it by doubling costs several
-	// times the marshal itself, and all of it inside the journal locks.
+	// times the marshal itself, and all of it inside the journal lock.
 	size := 0
 	for _, e := range ents {
 		size += e.t.WireSize()
@@ -1924,18 +1925,18 @@ func (m *Master) checkpointNow() error {
 	return m.checkpointAnd(nil)
 }
 
-// checkpointAnd runs one checkpoint cycle (see checkpoint.go). Every
-// journal segment lock is held only for the cut: quiesce, snapshot, set
-// each segment's file aside and open the next generation. No lifecycle
-// event can land in the old generation after the snapshot — it would be
-// double-counted on recovery. Closing the set-aside files, encoding,
-// saving and retiring follow after the locks are released, so the
-// dataplane stalls only for the cut.
+// checkpointAnd runs one checkpoint cycle (see checkpoint.go). The
+// journal lock is held only for the cut: quiesce, snapshot, set the file
+// aside and open the next generation. No lifecycle event can land in the
+// old generation after the snapshot — it would be double-counted on
+// recovery. Closing the set-aside file, encoding, saving and retiring
+// follow after the lock is released, so the dataplane stalls only for
+// the cut.
 //
 // fn (if non-nil) runs inside the locked window, after the cut
 // succeeded, with the new generation and the checkpoint body — encoded
 // under the lock on this path. The replicator attaches standbys through
-// it: the new generation's files start empty, so a subscriber registered
+// it: the new generation's file starts empty, so a subscriber registered
 // inside this window sees the checkpoint image plus exactly the record
 // bytes flushed after it, with nothing missing and nothing doubled.
 func (m *Master) checkpointAnd(fn func(epoch, generation uint64, body []byte)) error {
@@ -1947,33 +1948,33 @@ func (m *Master) checkpointAnd(fn func(epoch, generation uint64, body []byte)) e
 	start := time.Now()
 	defer func() { m.ckptTook.Store(int64(time.Since(start))) }()
 
-	m.journal.lockAll()
-	// Wait out any group-commit flush in flight on every segment so the
-	// file handles are stable and every returned append is on disk before
-	// the snapshot.
-	m.journal.quiesceAllLocked()
+	m.journal.mu.Lock()
+	// Wait out any group-commit flush in flight so the file handle is
+	// stable and every returned append is on disk before the snapshot.
+	m.journal.quiesceLocked()
 	gen := m.generation.Load() + 1
 	st := m.snapshotState()
 	st.Generation = gen
-	old, err := m.journal.setAsideAllLocked(m.epoch, gen)
-	// Advance even after a failed cut: the segments it reached already
-	// write at gen, and the rest keep their own generation, so the next
-	// cut's file names stay unique.
-	m.generation.Store(gen)
+	old, err := m.journal.setAsideLocked(m.epoch, gen)
 	var body []byte
-	if err == nil && fn != nil {
-		if body, err = encodeCheckpoint(st); err == nil {
-			fn(m.epoch, gen, body)
+	if err == nil {
+		// A failed cut leaves the file at its own generation, so only a
+		// successful one advances.
+		m.generation.Store(gen)
+		if fn != nil {
+			if body, err = encodeCheckpoint(st); err == nil {
+				fn(m.epoch, gen, body)
+			}
 		}
 	}
-	m.journal.unlockAll()
+	m.journal.mu.Unlock()
 	m.ckptHold.Store(int64(time.Since(start)))
 
-	// Every byte in the set-aside files was written before the cut, and
-	// they stay on disk until a checkpoint covers them, so a failed
-	// close loses nothing recovery needs.
-	for _, f := range old {
-		_ = f.Close()
+	// Every byte in the set-aside file was written before the cut, and it
+	// stays on disk until a checkpoint covers it, so a failed close loses
+	// nothing recovery needs.
+	if old != nil {
+		_ = old.Close()
 	}
 	if err != nil {
 		return err

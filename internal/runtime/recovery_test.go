@@ -3,10 +3,15 @@ package runtime
 import (
 	"bytes"
 	"encoding/base64"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -30,6 +35,49 @@ func frameTuple(id uint64) *tuple.Tuple {
 // worker's backlog awaiting retransmission.
 func ledgerBalanced(st MasterStats) bool {
 	return st.Acked+st.Shed+int64(st.InFlight)+st.Retransmitting == st.Submitted
+}
+
+// replayJournal replays the one journal file at path, with no checkpoint
+// gating.
+func replayJournal(path string) (*journalReplay, error) {
+	rep := newJournalReplay()
+	return rep, rep.replayFile(path, 0)
+}
+
+// journalRecord is one lifecycle record read back from a journal file.
+type journalRecord struct {
+	typ     journalRecType
+	payload []byte
+}
+
+// readJournalFile reads the journal file at path without modifying it.
+// It returns the file's generation, its intact lifecycle records in file
+// order, and the offset at which each intact record ends, the meta
+// record's first.
+func readJournalFile(t *testing.T, path string) (gen uint64, recs []journalRecord, ends []int64) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = f.Close() }()
+	var off int64
+	for {
+		typ, payload, err := readJournalRecord(f)
+		if err != nil {
+			if !errors.Is(err, io.EOF) && !errors.Is(err, errTornRecord) {
+				t.Fatal(err)
+			}
+			return gen, recs, ends
+		}
+		off += int64(4 + 1 + len(payload) + 4)
+		ends = append(ends, off)
+		if typ == recMeta {
+			gen = binary.LittleEndian.Uint64(payload[8:])
+			continue
+		}
+		recs = append(recs, journalRecord{typ, payload})
+	}
 }
 
 func TestJournalReplayRoundTrip(t *testing.T) {
@@ -230,31 +278,28 @@ func TestCheckpointRoundTripAndCorruption(t *testing.T) {
 	}
 }
 
+// TestRecoverStateIgnoresStaleJournal gates journal files by generation:
+// a file below the checkpoint's generation is wholly folded into it and
+// must not replay, while a file at the checkpoint's generation replays
+// on top of it.
 func TestRecoverStateIgnoresStaleJournal(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "wal")
 	cpath := filepath.Join(dir, "ckpt")
 
-	// Checkpoint at generation 5; journal left behind at generation 4,
-	// as a crash between a restart's checkpoint and its opening of the
-	// new journal leaves it: every journal record is already folded
-	// into the checkpoint, so replaying it would double-count.
+	// Checkpoint at generation 5; a set-aside file at generation 3 and
+	// the live journal at generation 4 left behind, as a crash between a
+	// restart's checkpoint and its opening of the new journal leaves
+	// them: every record is already folded into the checkpoint, so
+	// replaying either would double-count.
 	if err := saveCheckpoint(cpath, &checkpointState{
 		Version: checkpointVersion, Epoch: 2, Generation: 5,
 		Submitted: 10, Acked: 10, NextSeq: 10,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	j, err := openJournal(jpath, 2, 4, FsyncNever, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.appendSubmit(frameTuple(3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.close(); err != nil {
-		t.Fatal(err)
-	}
+	writeJournalFile(t, setAsidePath(jpath, 3), 2, 3, submitOp(1001))
+	writeJournalFile(t, jpath, 2, 4, submitOp(3))
 
 	rs, err := recoverState(jpath, cpath)
 	if err != nil {
@@ -268,6 +313,188 @@ func TestRecoverStateIgnoresStaleJournal(t *testing.T) {
 	}
 	if rs.prevEpoch != 2 || rs.generation != 5 {
 		t.Fatalf("recovered epoch/gen = %d/%d, want 2/5", rs.prevEpoch, rs.generation)
+	}
+
+	// A live file at the checkpoint's generation replays; the stale
+	// set-aside file beside it still does not.
+	writeJournalFile(t, jpath, 2, 5, submitOp(1), submitOp(2))
+	rs, err = recoverState(jpath, cpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := rs.pending[1001]; ok {
+		t.Error("stale set-aside file replayed; tuple 1001 double-counted")
+	}
+	if got := sortedIDs(rs.pending); fmt.Sprint(got) != "[1 2]" {
+		t.Errorf("pending = %v, want [1 2]", got)
+	}
+	if rs.counters.Submitted != 12 || rs.generation != 5 {
+		t.Errorf("Submitted = %d, generation = %d; want 12, 5", rs.counters.Submitted, rs.generation)
+	}
+}
+
+// TestJournalCutAtEveryRecordBoundary writes one generation of submit,
+// resend, ack and shed records for 50 tuples, then crashes it at every
+// record boundary and at one byte inside every record: a copy of the
+// file truncated there must recover to exactly the ledger its intact
+// records describe, and report a torn tail exactly when the cut falls
+// mid-record.
+func TestJournalCutAtEveryRecordBoundary(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "src")
+	j, err := openJournal(src, 1, 1, FsyncNever, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Batch b submits tuples 5b+1..5b+5 and resends 5b+1; then the
+	// previous batch's 5b+2 and 5b+4 are acked and its 5b+3 is shed, so
+	// releases interleave with later submits. 5b+5 stays pending.
+	const batches = 10
+	release := func(b int) error {
+		base := uint64(5 * b)
+		if err := j.appendAckBatch([]uint64{base + 2, base + 4}); err != nil {
+			return err
+		}
+		return j.appendShed(base+3, b%2 == 0)
+	}
+	for b := 0; b < batches; b++ {
+		ts := make([]*tuple.Tuple, 5)
+		for i := range ts {
+			ts[i] = frameTuple(uint64(5*b + i + 1))
+		}
+		if err := j.appendSubmitBatch(ts); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.appendResend(uint64(5*b+1), 1); err != nil {
+			t.Fatal(err)
+		}
+		if b > 0 {
+			if err := release(b - 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := release(batches - 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, recs, ends := readJournalFile(t, src)
+	if want := 5*batches + batches + 2*batches + batches; len(recs) != want {
+		t.Fatalf("journal holds %d lifecycle records, want %d", len(recs), want)
+	}
+
+	// Cut points: the empty file, every record's end, and the middle of
+	// every record (the meta record's included).
+	type cut struct {
+		at   int64
+		torn bool
+		recs int // lifecycle records wholly before the cut
+	}
+	cuts := []cut{{0, false, 0}}
+	for i, end := range ends {
+		start := int64(0)
+		if i > 0 {
+			start = ends[i-1]
+		}
+		whole := max(i-1, 0) // records before this one, meta excluded
+		cuts = append(cuts, cut{(start + end) / 2, true, whole}, cut{end, false, i})
+	}
+	for _, c := range cuts {
+		jpath := filepath.Join(t.TempDir(), "wal")
+		if err := os.WriteFile(jpath, raw[:c.at], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rs, err := recoverState(jpath, jpath+".ckpt")
+		if err != nil {
+			t.Fatalf("cut at %d: %v", c.at, err)
+		}
+
+		// The oracle: what the intact records say.
+		submitted := map[uint64]bool{}
+		released := map[uint64]bool{}
+		resent := map[uint64]bool{}
+		var delivered []uint64
+		for _, r := range recs[:c.recs] {
+			switch r.typ {
+			case recSubmit:
+				tp, err := tuple.Unmarshal(r.payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				submitted[tp.ID] = true
+			case recResend:
+				resent[binary.LittleEndian.Uint64(r.payload)] = true
+			case recAck:
+				id := binary.LittleEndian.Uint64(r.payload)
+				released[id] = true
+				delivered = append(delivered, id)
+			case recShed:
+				released[binary.LittleEndian.Uint64(r.payload)] = true
+			}
+		}
+		for id := range released {
+			if _, ok := rs.pending[id]; ok {
+				t.Fatalf("cut at %d: acked or shed tuple %d still pending", c.at, id)
+			}
+		}
+		for id := range submitted {
+			e, ok := rs.pending[id]
+			if ok == released[id] {
+				t.Fatalf("cut at %d: tuple %d pending = %v, released = %v", c.at, id, ok, released[id])
+			}
+			if ok && (e.attempt == 1) != resent[id] {
+				t.Fatalf("cut at %d: tuple %d at attempt %d, resent = %v", c.at, id, e.attempt, resent[id])
+			}
+		}
+		cn := rs.counters
+		if cn.Submitted != int64(len(submitted)) || cn.Acked+cn.Shed+int64(len(rs.pending)) != cn.Submitted {
+			t.Fatalf("cut at %d: submitted %d (want %d), acked %d + shed %d + pending %d unbalanced",
+				c.at, cn.Submitted, len(submitted), cn.Acked, cn.Shed, len(rs.pending))
+		}
+		for _, id := range delivered {
+			if _, ok := rs.acked[id]; !ok {
+				t.Fatalf("cut at %d: delivered ack %d missing from the dedup set", c.at, id)
+			}
+		}
+		if rs.journalTruncated != c.torn {
+			t.Fatalf("cut at %d: journalTruncated = %v, want %v", c.at, rs.journalTruncated, c.torn)
+		}
+	}
+}
+
+// TestRecoverStateRejectsOtherFormats: recovery reads only the journal
+// format this build writes. A meta record of another length fails it,
+// and so does a segment file "<path>.s<i>" left by a build that split
+// the journal, since replaying without it would lose its un-acked
+// tuples.
+func TestRecoverStateRejectsOtherFormats(t *testing.T) {
+	for _, n := range []int{8, 24} {
+		jpath := filepath.Join(t.TempDir(), "wal")
+		meta := make([]byte, n)
+		if err := os.WriteFile(jpath, encodeJournalRecord(recMeta, meta), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := recoverState(jpath, jpath+".ckpt"); err == nil {
+			t.Errorf("%d-byte meta record recovered", n)
+		}
+	}
+	for _, name := range []string{"wal.s1", "wal.s3.g7"} {
+		dir := t.TempDir()
+		jpath := filepath.Join(dir, "wal")
+		writeJournalFile(t, jpath, 1, 1, submitOp(1))
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := recoverState(jpath, jpath+".ckpt")
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("leftover %s: recovery error %v, want one naming the file", name, err)
+		}
 	}
 }
 
@@ -290,7 +517,7 @@ func startRecoverableMaster(t *testing.T, mem *transport.Mem, jpath string, col 
 		Fsync:           FsyncNever,
 		RetryDeadline:   5 * time.Second,
 		// Several shards so every crash/recovery scenario in this file
-		// exercises the segmented journal layout, not just segment 0.
+		// exercises the sharded in-flight table and dedup set.
 		Shards: 4,
 		Logger: quietLogger(),
 	}
@@ -479,10 +706,12 @@ func TestCheckpointWarmRestart(t *testing.T) {
 			t.Fatalf("Submit: %v", err)
 		}
 	}
+	// A result is acked before it is played, so wait for both: the
+	// counters compared below must not move after the snapshot.
 	waitFor(t, 5*time.Second, func() bool {
 		st := m1.Stats()
-		return st.Acked == n && st.InFlight == 0
-	}, "all acked")
+		return st.Acked == n && st.Played == n && st.InFlight == 0
+	}, "all acked and played")
 	m1.routerMu.Lock()
 	want := m1.router.Estimates()["w1"]
 	m1.routerMu.Unlock()
@@ -731,4 +960,43 @@ func TestMasterKillSoak(t *testing.T) {
 	t.Cleanup(func() {
 		testutil.CheckLeaked(t, baseline, 15*time.Second)
 	})
+}
+
+// TestLegacySingleFileJournalRecovers replays a journal written byte by
+// byte rather than by the journal code — 16-byte meta, unstamped
+// lifecycle records, the format builds before journal sharding wrote
+// too — so the on-disk format cannot drift unnoticed.
+func TestLegacySingleFileJournalRecovers(t *testing.T) {
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, "wal")
+
+	// Hand-write the journal: meta, then lifecycle records.
+	var raw []byte
+	meta := make([]byte, 0, 16)
+	meta = binary.LittleEndian.AppendUint64(meta, 1) // epoch
+	meta = binary.LittleEndian.AppendUint64(meta, 0) // generation
+	raw = append(raw, encodeJournalRecord(recMeta, meta)...)
+	for id := uint64(1); id <= 3; id++ {
+		tb, err := tuple.Marshal(frameTuple(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw = append(raw, encodeJournalRecord(recSubmit, tb)...)
+	}
+	ack := binary.LittleEndian.AppendUint64(nil, 2)
+	raw = append(raw, encodeJournalRecord(recAck, ack)...)
+	if err := os.WriteFile(jpath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rs, err := recoverState(jpath, filepath.Join(dir, "wal.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.counters.Submitted != 3 || rs.counters.Acked != 1 {
+		t.Errorf("replay: submitted=%d acked=%d, want 3/1", rs.counters.Submitted, rs.counters.Acked)
+	}
+	if len(rs.pending) != 2 {
+		t.Errorf("replay pending = %d, want 2", len(rs.pending))
+	}
 }

@@ -22,8 +22,8 @@ import (
 // window of the cut, with the checkpoint image as its first queued
 // frame. On this path the image is encoded inside the window (the
 // periodic cycle encodes after it); saving and retiring still follow
-// after the locks are released. The cut starts every journal segment on
-// an empty file, so the subscriber needs no historical bytes: it sees
+// after the lock is released. The cut starts the journal on an empty
+// file, so the subscriber needs no historical bytes: it sees
 // the checkpoint base plus exactly the record batches flushed after it,
 // nothing missing and nothing doubled. Records are forwarded at flush
 // time (the journal tap), not append time, because records still
@@ -35,15 +35,11 @@ import (
 // rather than allowed to backpressure the primary's group-commit path;
 // it redials and re-attaches through a fresh checkpoint.
 //
-// Acknowledgment runs on a tap-count watermark, not journal sequence
-// numbers: every flushed batch is stamped with a monotone flush index
-// (tapSeq), and the standby echoes the highest index it has applied.
-// Journal sequences cannot serve here — they are drawn before the
-// segment lock, and segments flush independently, so a later-flushing
-// segment's batch can carry a sequence watermark that covers records
-// another segment has not streamed yet. Tap indices are assigned at
-// flush time under r.mu, so index order equals queue order and
-// "acked index ≥ N" really means every batch up to N is in the mirror.
+// Acknowledgment runs on a tap-count watermark: every flushed batch is
+// stamped with a monotone flush index (tapSeq), and the standby echoes
+// the highest index it has applied. Tap indices are assigned at flush
+// time under r.mu, so index order equals queue order and "acked index
+// ≥ N" really means every batch up to N is in the mirror.
 // That exactness is what lets waitFlushed give sink delivery a
 // semi-synchronous guarantee: a result is only released to the sink
 // once every attached standby has mirrored the ack record, closing the
@@ -109,30 +105,28 @@ func startReplicator(m *Master) (*replicator, error) {
 		stop: make(chan struct{}),
 	}
 	r.cond = sync.NewCond(&r.mu)
-	m.journal.lockAll()
-	m.journal.setTapLocked(r.fanout)
-	m.journal.unlockAll()
+	m.journal.mu.Lock()
+	m.journal.tap = r.fanout
+	m.journal.mu.Unlock()
 	r.wg.Add(2)
 	go r.acceptLoop()
 	go r.pingLoop()
 	return r, nil
 }
 
-// fanout is the journal tap: it runs with the flushing segment's lock
-// held, so it only copies the batch into one shared frame payload and
-// enqueues it per subscriber — never blocking, never taking other
-// journal locks. The tap index is assigned under r.mu after the batch
+// fanout is the journal tap: it runs with the journal lock held, so it
+// only copies the batch into one shared frame payload and enqueues it
+// per subscriber — never blocking, never re-entering the journal. The tap index is assigned under r.mu after the batch
 // bytes are fixed, so index order equals queue order: a standby that
 // has acked index N holds every batch up to N in its mirror.
-func (r *replicator) fanout(seg int, b []byte) {
+func (r *replicator) fanout(b []byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.tapSeq++
 	if len(r.subs) == 0 {
 		return
 	}
-	payload := wire.AppendRepRecords(make([]byte, 0, 12+len(b)), wire.RepRecords{
-		Seg:  uint32(seg),
+	payload := wire.AppendRepRecords(make([]byte, 0, 8+len(b)), wire.RepRecords{
 		Seq:  r.tapSeq,
 		Data: b,
 	})

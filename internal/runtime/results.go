@@ -12,8 +12,7 @@ import (
 // FrameResultBatch as one operation — the upstream mirror of SubmitBatch.
 // Per frame: one clock read; the per-entry bookkeeping in entry order
 // (dedup, latency banking, hedge ring, poison, in-flight ack, breaker);
-// one group commit of the frame's ack records per touched journal
-// segment; one semi-sync wait; one decode of the frame's result tuples
+// one group commit of the frame's ack records; one semi-sync wait; one decode of the frame's result tuples
 // into a single block; and one pass under sinkMu. WAL-before-sink holds
 // per tuple because no result of the frame is played before the frame's
 // ack records are in the file (and, with a standby attached, in every

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,8 +17,8 @@ import (
 	"github.com/swingframework/swing/internal/wire"
 )
 
-// startJournalMaster starts a worker-less master journaling to four
-// segments, for driving the result path directly.
+// startJournalMaster starts a worker-less journaling master with a
+// four-way sharded in-flight table, for driving the result path directly.
 func startJournalMaster(t *testing.T, onResult func(Result)) *Master {
 	t.Helper()
 	app, err := apps.FaceRecognition()
@@ -45,51 +44,34 @@ func startJournalMaster(t *testing.T, onResult func(Result)) *Master {
 }
 
 // TestResultFrameOneFlushPerSegment: one result frame's acks reach the
-// journal as one group commit per touched segment — not one write per
-// ack — and every ack is still its own record.
+// journal file as one group commit — one flush, not one write per ack —
+// and every ack is still its own record.
 func TestResultFrameOneFlushPerSegment(t *testing.T) {
 	m := startJournalMaster(t, nil)
 	const n = 128
 	var rb wire.ResultBatch
-	touched := make(map[uint64]bool)
 	block := make([]inflightEntry, n)
 	for id := uint64(1); id <= n; id++ {
 		block[id-1] = inflightEntry{t: tuple.New(id, id)}
 		rb.Add(wire.ResultMeta{TupleID: id, EmitNanos: time.Now().UnixNano()}, nil)
-		touched[mix64(id)&m.journal.mask] = true
 	}
 	m.inflight.trackSubmitBatch(block)
-	var mu sync.Mutex
-	flushes := make([]int, len(m.journal.segs))
-	m.journal.lockAll()
-	m.journal.quiesceAllLocked()
-	m.journal.setTapLocked(func(seg int, _ []byte) {
-		mu.Lock()
-		flushes[seg]++
-		mu.Unlock()
-	})
-	m.journal.unlockAll()
-	recordsBefore, _, _ := m.journal.depths()
+	var flushes atomic.Int64
+	m.journal.mu.Lock()
+	m.journal.quiesceLocked()
+	m.journal.tap = func([]byte) { flushes.Add(1) }
+	m.journal.mu.Unlock()
+	recordsBefore, _, _ := m.journal.depth()
 
 	var sc resultScratch
 	if err := m.handleResultBatch(&workerConn{id: "w"}, &sc, rb.Payload(), time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	recordsAfter, _, _ := m.journal.depths()
-	mu.Lock()
-	defer mu.Unlock()
-	var records int64
-	for i := range flushes {
-		want := 0
-		if touched[uint64(i)] {
-			want = 1
-		}
-		if flushes[i] != want {
-			t.Errorf("segment %d flushed %d times for one frame, want %d", i, flushes[i], want)
-		}
-		records += recordsAfter[i] - recordsBefore[i]
+	recordsAfter, _, _ := m.journal.depth()
+	if f := flushes.Load(); f != 1 {
+		t.Errorf("journal flushed %d times for one frame, want 1", f)
 	}
-	if records != n {
+	if records := recordsAfter - recordsBefore; records != n {
 		t.Errorf("frame appended %d ack records, want %d", records, n)
 	}
 	if st := m.Stats(); st.Acked != n || st.InFlight != 0 {
@@ -127,13 +109,13 @@ func TestResultFrameSiblingBytesIndependent(t *testing.T) {
 	}
 }
 
-// ackRecordsOnDisk reads every journal segment at path without
-// modifying it and returns the tuple IDs of the ack records found.
+// ackRecordsOnDisk reads every journal file at path without modifying
+// it and returns the tuple IDs of the ack records found.
 func ackRecordsOnDisk(t *testing.T, path string) map[uint64]bool {
 	t.Helper()
 	acked := make(map[uint64]bool)
-	for _, p := range listJournalSegments(path) {
-		f, err := os.Open(p)
+	for _, jf := range journalFiles(path) {
+		f, err := os.Open(jf.path)
 		if err != nil {
 			t.Error(err)
 			continue
@@ -146,8 +128,8 @@ func ackRecordsOnDisk(t *testing.T, path string) map[uint64]bool {
 				}
 				break
 			}
-			if typ == recAck && len(payload) == 16 {
-				acked[binary.LittleEndian.Uint64(payload[8:])] = true
+			if typ == recAck && len(payload) == 8 {
+				acked[binary.LittleEndian.Uint64(payload)] = true
 			}
 		}
 		_ = f.Close()

@@ -210,15 +210,9 @@ func TestShadowCopyFirstResultWins(t *testing.T) {
 	// final checkpoint.
 	run.m.Crash()
 	submits := map[uint64]int{}
-	for _, p := range listJournalSegments(jpath) {
-		sr, err := replaySegment(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sr == nil {
-			continue
-		}
-		for _, rec := range sr.recs {
+	for _, f := range journalFiles(jpath) {
+		_, recs, _ := readJournalFile(t, f.path)
+		for _, rec := range recs {
 			if rec.typ != recSubmit {
 				continue
 			}

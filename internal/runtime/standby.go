@@ -17,7 +17,7 @@ import (
 // The standby side of hot-standby replication. A Standby dials the
 // primary's replication listener, mirrors its durable state — the
 // checkpoint image byte-for-byte, then every journal record batch the
-// primary flushes, appended to mirror segment files under the same
+// primary flushes, appended to one mirror journal file under the same
 // generation — and arms a takeover timer on the primary's ping cadence.
 // When the primary has been silent for TakeoverAfter, the standby
 // promotes: it runs StartMaster over its mirror, which drives the exact
@@ -29,12 +29,11 @@ import (
 //
 // The mirror is applied with the same framing the primary wrote, so
 // promotion needs no special-case code: recoverState cannot tell a
-// replicated mirror from a local crash's leftovers. Each mirrored
-// segment file begins with a meta record the standby writes itself —
-// the primary's checkpoint cut writes segment headers straight to disk,
-// bypassing the flush tap, so they are deliberately absent from the
-// stream and reconstructed here from the checkpoint's (epoch,
-// generation).
+// replicated mirror from a local crash's leftovers. The mirror file
+// begins with a meta record the standby writes itself — the primary's
+// checkpoint cut writes the journal header straight to disk, bypassing
+// the flush tap, so it is deliberately absent from the stream and
+// reconstructed here from the checkpoint's (epoch, generation).
 
 // ErrStandbyClosed reports an operation on a standby after Close.
 var ErrStandbyClosed = errors.New("runtime: standby closed")
@@ -68,7 +67,7 @@ type Standby struct {
 	cfg StandbyConfig
 
 	// Mirror state, owned by the run goroutine.
-	segFiles   map[uint32]*os.File
+	mirror     *os.File // the mirror journal file, opened on first records
 	epoch      uint64
 	gen        uint64
 	haveCkpt   bool
@@ -112,7 +111,6 @@ func StartStandby(cfg StandbyConfig) (*Standby, error) {
 	}
 	s := &Standby{
 		cfg:      cfg,
-		segFiles: make(map[uint32]*os.File),
 		promoted: make(chan struct{}),
 		stop:     make(chan struct{}),
 	}
@@ -164,7 +162,7 @@ func (s *Standby) Close() error {
 // been silent past the takeover window — promote.
 func (s *Standby) run() {
 	defer s.wg.Done()
-	defer s.closeSegFiles()
+	defer s.closeMirror()
 	for {
 		select {
 		case <-s.stop:
@@ -286,14 +284,14 @@ func (s *Standby) serve(conn net.Conn) {
 }
 
 // resetMirror replaces the whole mirror with a fresh checkpoint image:
-// stale segment files from the previous sync are deleted, the
-// checkpoint body is installed byte-for-byte, and subsequent record
-// batches append against the new generation.
+// journal files from the previous sync are deleted, the checkpoint body
+// is installed byte-for-byte, and subsequent record batches append
+// against the new generation.
 func (s *Standby) resetMirror(ck wire.RepCheckpoint) error {
-	s.closeSegFiles()
-	for _, p := range listJournalSegments(s.cfg.Master.JournalPath) {
-		if err := os.Remove(p); err != nil {
-			return fmt.Errorf("runtime: clear mirror segment: %w", err)
+	s.closeMirror()
+	for _, f := range journalFiles(s.cfg.Master.JournalPath) {
+		if err := os.Remove(f.path); err != nil {
+			return fmt.Errorf("runtime: clear mirror journal: %w", err)
 		}
 	}
 	if err := saveCheckpointBytes(s.cfg.Master.CheckpointPath, ck.Data); err != nil {
@@ -308,26 +306,23 @@ func (s *Standby) resetMirror(ck wire.RepCheckpoint) error {
 	return nil
 }
 
-// applyRecords appends one flushed batch to its mirror segment file,
+// applyRecords appends one flushed batch to the mirror journal file,
 // creating the file — with the meta record recoverState expects at the
 // head of every generation — on first touch.
 func (s *Standby) applyRecords(rr wire.RepRecords) error {
-	f, ok := s.segFiles[rr.Seg]
-	if !ok {
-		var err error
-		f, err = os.OpenFile(segmentPath(s.cfg.Master.JournalPath, int(rr.Seg)),
-			os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if s.mirror == nil {
+		f, err := os.OpenFile(s.cfg.Master.JournalPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 		if err != nil {
-			return fmt.Errorf("runtime: open mirror segment: %w", err)
+			return fmt.Errorf("runtime: open mirror journal: %w", err)
 		}
 		if _, err := f.Write(encodeJournalRecord(recMeta, metaPayload(s.epoch, s.gen))); err != nil {
 			_ = f.Close()
 			return fmt.Errorf("runtime: write mirror meta: %w", err)
 		}
-		s.segFiles[rr.Seg] = f
+		s.mirror = f
 	}
-	if _, err := f.Write(rr.Data); err != nil {
-		return fmt.Errorf("runtime: append mirror segment: %w", err)
+	if _, err := s.mirror.Write(rr.Data); err != nil {
+		return fmt.Errorf("runtime: append mirror journal: %w", err)
 	}
 	if rr.Seq > s.applied.Load() {
 		s.applied.Store(rr.Seq)
@@ -335,12 +330,12 @@ func (s *Standby) applyRecords(rr wire.RepRecords) error {
 	return nil
 }
 
-// closeSegFiles releases the mirror segment file handles.
-func (s *Standby) closeSegFiles() {
-	for _, f := range s.segFiles {
-		_ = f.Close()
+// closeMirror releases the mirror journal file handle.
+func (s *Standby) closeMirror() {
+	if s.mirror != nil {
+		_ = s.mirror.Close()
+		s.mirror = nil
 	}
-	s.segFiles = make(map[uint32]*os.File)
 }
 
 // promote turns the mirror into a live master: StartMaster runs the
@@ -351,7 +346,7 @@ func (s *Standby) closeSegFiles() {
 // refused by workers that have re-adopted, and stale workers dialing
 // the zombie are refused by it in turn once they carry the new epoch.
 func (s *Standby) promote() {
-	s.closeSegFiles()
+	s.closeMirror()
 	s.cfg.Logger.Info("swing standby: primary silent, promoting",
 		"standby", s.cfg.ID, "takeover_after", s.cfg.TakeoverAfter,
 		"applied_seq", s.applied.Load())

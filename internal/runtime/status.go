@@ -112,22 +112,15 @@ func (m *Master) StatusSnapshot() obs.Snapshot {
 	})
 
 	if m.journal != nil {
-		records, bytes, pending := m.journal.depths()
-		j := &obs.Journal{
-			Segments:       len(records),
-			Generation:     m.generation.Load(),
-			PendingBytes:   pending,
-			SegmentRecords: records,
-			SegmentBytes:   bytes,
-
+		records, bytes, pending := m.journal.depth()
+		snap.Journal = &obs.Journal{
+			Generation:           m.generation.Load(),
+			Records:              records,
+			Bytes:                bytes,
+			PendingBytes:         pending,
 			CheckpointHoldMicros: m.ckptHold.Load() / int64(time.Microsecond),
 			CheckpointMicros:     m.ckptTook.Load() / int64(time.Microsecond),
 		}
-		for i := range records {
-			j.Records += records[i]
-			j.Bytes += bytes[i]
-		}
-		snap.Journal = j
 	}
 	if m.rep != nil {
 		snap.Replication = m.rep.status(now)

@@ -1,8 +1,8 @@
 // Replication frame payloads. A hot-standby master tails the primary's
 // write-ahead journal over one duplex connection: the standby opens with
 // a FrameRepHello, the primary answers with a FrameRepCheckpoint base
-// image, then streams FrameRepRecords batches (raw journal bytes, per
-// segment) interleaved with FrameRepPing probes. The standby reports its
+// image, then streams FrameRepRecords batches (raw journal bytes)
+// interleaved with FrameRepPing probes. The standby reports its
 // applied watermark with FrameRepAck frames, from which the primary
 // derives replication lag.
 //
@@ -28,7 +28,7 @@ type RepHello struct {
 
 // RepCheckpoint is the decoded form of a FrameRepCheckpoint payload: the
 // primary's current checkpoint image plus the (epoch, generation) pair
-// the image was cut at. Journal segments started at the same instant are
+// the image was cut at. The journal file started at the same instant is
 // empty, so Data is a complete state base: every later FrameRepRecords
 // byte applies strictly on top of it.
 type RepCheckpoint struct {
@@ -40,17 +40,15 @@ type RepCheckpoint struct {
 }
 
 // RepRecords is the decoded form of a FrameRepRecords payload: one
-// flushed batch of raw journal record bytes for one segment.
+// flushed batch of raw journal record bytes.
 type RepRecords struct {
-	// Seg is the journal segment index the bytes belong to.
-	Seg uint32
 	// Seq is the primary's flush-batch watermark: a monotone index
 	// assigned per flushed batch in stream order, so "applied ≤ Seq"
 	// means every earlier batch is in the mirror too. The standby echoes
 	// the highest applied watermark in FrameRepAck.
 	Seq uint64
 	// Data holds encoded journal records, byte-identical to what the
-	// primary appended to its own segment file.
+	// primary appended to its own journal file.
 	Data []byte
 }
 
@@ -76,9 +74,8 @@ func DecodeRepCheckpoint(payload []byte) (RepCheckpoint, error) {
 }
 
 // AppendRepRecords appends an encoded FrameRepRecords payload:
-// u32 seg | u64 seq | raw journal bytes.
+// u64 seq | raw journal bytes.
 func AppendRepRecords(dst []byte, rr RepRecords) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, rr.Seg)
 	dst = binary.LittleEndian.AppendUint64(dst, rr.Seq)
 	return append(dst, rr.Data...)
 }
@@ -86,13 +83,12 @@ func AppendRepRecords(dst []byte, rr RepRecords) []byte {
 // DecodeRepRecords splits a FrameRepRecords payload. Data aliases the
 // input.
 func DecodeRepRecords(payload []byte) (RepRecords, error) {
-	if len(payload) < 12 {
+	if len(payload) < 8 {
 		return RepRecords{}, fmt.Errorf("%w: short repRecords", ErrBadFrame)
 	}
 	return RepRecords{
-		Seg:  binary.LittleEndian.Uint32(payload[0:4]),
-		Seq:  binary.LittleEndian.Uint64(payload[4:12]),
-		Data: payload[12:],
+		Seq:  binary.LittleEndian.Uint64(payload[0:8]),
+		Data: payload[8:],
 	}, nil
 }
 

@@ -12,7 +12,7 @@ import (
 func FuzzRepCodec(f *testing.F) {
 	f.Add(AppendRepCheckpoint(nil, RepCheckpoint{Epoch: 3, Generation: 7,
 		Data: []byte(`{"version":1,"epoch":3}`)}))
-	f.Add(AppendRepRecords(nil, RepRecords{Seg: 2, Seq: 41,
+	f.Add(AppendRepRecords(nil, RepRecords{Seq: 41,
 		Data: []byte{9, 0, 0, 0, 2, 'p', 'a', 'y', 'l', 'o', 'a', 'd', '!'}}))
 	f.Add(AppendRepSeq(nil, 12345))
 	f.Add([]byte{})

@@ -76,15 +76,15 @@ const (
 	// the master persists on disk) plus its (epoch, generation) header so
 	// the standby can reset its mirror to a known-consistent base.
 	FrameRepCheckpoint
-	// FrameRepRecords carries a batch of raw journal record bytes for one
-	// segment, exactly as flushed to the primary's disk, plus the journal
-	// sequence watermark after the batch.
+	// FrameRepRecords carries a batch of raw journal record bytes,
+	// exactly as flushed to the primary's disk, plus the flush-batch
+	// watermark after the batch.
 	FrameRepRecords
 	// FrameRepAck is the standby's applied-watermark report; the primary
 	// derives replication lag from it.
 	FrameRepAck
 	// FrameRepPing is the primary's liveness probe on the replication
-	// link, carrying its current journal sequence; the standby answers
+	// link, carrying its current flush watermark; the standby answers
 	// with a FrameRepAck and uses ping silence to arm takeover.
 	FrameRepPing
 	// FrameTupleBatch is the downstream data frame, the mirror of

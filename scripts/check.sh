@@ -27,8 +27,8 @@ go test -run=NONE -bench=. -benchtime=1x ./internal/wire ./internal/tuple ./inte
 GOMAXPROCS=1 go test -count=1 -run 'TestBatchRoundTripAllocs|TestSubmitRoundTripAllocs' ./internal/runtime/
 # Many-worker throughput smoke under the race detector, scaled down (64
 # workers, 4 submitters, 200 tuples) so the sharded hot state — in-flight
-# shards, RCU routing snapshot, segmented journal — is exercised under
-# real concurrency on every check run without benchmark-scale cost.
+# shards, RCU routing snapshot — and the journal's group commit are
+# exercised under real concurrency on every check run without benchmark-scale cost.
 SWING_BENCH_WORKERS=64 SWING_BENCH_SUBMITTERS=4 \
     go test -race -run=NONE -bench=ManyWorkerThroughput -benchtime=200x ./internal/runtime
 # Same smoke with batched submitters: SubmitBatch packing, per-shard
@@ -68,19 +68,20 @@ go test -race -count=1 \
     -run 'TestBatchedDispatchReducesDownstreamFrames|TestLedgerConsistentUnderConcurrentSubmitBatch|TestSubmitBatchShapedLossRecovery|TestSubmitBatchProcessorDrops|TestShapedBatch|TestFaultyTupleCounters' \
     ./internal/runtime/ ./internal/transport/
 # Batched result-path smoke under the race detector: one journal group
-# commit per touched segment per result frame, ack-batch replay, results
+# commit per result frame, recovery from a crash at every record
+# boundary of the journal file, results
 # reaching the sink only after their ack records are in the journal and
 # (with a standby attached) in its mirror, independent bytes fields for
 # the results of one frame, the hostile tuple-batch count guard, and the
 # batched sink pass.
 go test -race -count=1 \
-    -run 'TestResultFrame|TestHostileTupleBatchCount|TestSegmentedJournalRecoveryMergesByEpochSeq|TestReorderCapFloor' \
+    -run 'TestResultFrame|TestHostileTupleBatchCount|TestJournalCutAtEveryRecordBoundary|TestReorderCapFloor' \
     ./internal/runtime/
 go test -race -count=1 -run 'TestSharedBytesAppendDoesNotClobberSibling|TestDecodeSharedIntoBlock|TestInternNameCapped' \
     ./internal/tuple/
 # Checkpoint-cycle smoke under the race detector, ten times: a 5 ms
 # checkpoint period under four SubmitBatch submitters with a standby
-# attaching mid-run (the cut holds the journal locks only for the
+# attaching mid-run (the cut holds the journal lock only for the
 # switch; encode, save and retire run beside live appends), plus the
 # crash-point table and the failed-save recovery.
 go test -race -count=10 -run 'TestCheckpointCycleConcurrencySmoke' ./internal/runtime/
