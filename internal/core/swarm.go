@@ -10,6 +10,7 @@ import (
 	"github.com/swingframework/swing/internal/graph"
 	"github.com/swingframework/swing/internal/metrics"
 	"github.com/swingframework/swing/internal/netem"
+	"github.com/swingframework/swing/internal/reorder"
 	"github.com/swingframework/swing/internal/routing"
 	"github.com/swingframework/swing/internal/sim"
 )
@@ -138,17 +139,14 @@ type swarm struct {
 	opUnits []string // operator unit IDs in topological order
 
 	// Sink-side state.
-	sinkMeter  *metrics.RateMeter
-	reorderBuf map[uint64]time.Duration
-	reorderCap int
-	nextPlay   uint64
+	sinkMeter *metrics.RateMeter
+	playback  *reorder.Ring[struct{}]
 
 	// Counters.
 	generated   int64
 	delivered   int64
 	droppedSrc  int64
 	lostOnLeave int64
-	skipped     int64
 
 	// Aggregates.
 	latency   metrics.Summary
@@ -173,23 +171,19 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	s := &swarm{
-		cfg:        cfg,
-		eng:        sim.New(cfg.Seed),
-		rc:         rc,
-		devices:    make(map[string]*devState),
-		unitInsts:  make(map[string][]*instState),
-		insts:      make(map[string]*instState),
-		flows:      make(map[string]*flow),
-		sinkMeter:  metrics.NewRateMeter(time.Second),
-		reorderBuf: make(map[uint64]time.Duration),
-		frameRecs:  make(map[uint64]*frameRec),
-		thrSeries:  metrics.NewSeries("throughput"),
-		srcSeries:  make(map[string]*metrics.Series),
+		cfg:       cfg,
+		eng:       sim.New(cfg.Seed),
+		rc:        rc,
+		devices:   make(map[string]*devState),
+		unitInsts: make(map[string][]*instState),
+		insts:     make(map[string]*instState),
+		flows:     make(map[string]*flow),
+		sinkMeter: metrics.NewRateMeter(time.Second),
+		frameRecs: make(map[uint64]*frameRec),
+		thrSeries: metrics.NewSeries("throughput"),
+		srcSeries: make(map[string]*metrics.Series),
 	}
-	s.reorderCap = int(cfg.ReorderBuffer.Seconds() * cfg.InputFPS)
-	if s.reorderCap < 1 {
-		s.reorderCap = 1
-	}
+	s.playback = reorder.New[struct{}](int(cfg.ReorderBuffer.Seconds() * cfg.InputFPS))
 	if err := s.setup(); err != nil {
 		return nil, err
 	}
@@ -822,30 +816,15 @@ func (s *swarm) sinkArrive(t *simTuple) {
 	// up on the missing frames and jump to the earliest buffered one.
 	// Frames arriving after playback has passed them are late and never
 	// played (they were already counted as skipped).
-	if t.seq >= s.nextPlay {
-		s.reorderBuf[t.seq] = now
-	}
+	s.playback.Arrive(t.seq, struct{}{})
 	for {
-		if _, ok := s.reorderBuf[s.nextPlay]; ok {
-			delete(s.reorderBuf, s.nextPlay)
-			if s.cfg.KeepFrameRecords {
-				s.markPlayed(s.nextPlay, now)
-			}
-			s.nextPlay++
-			continue
+		seq, _, ok := s.playback.Play()
+		if !ok {
+			break
 		}
-		if len(s.reorderBuf) >= s.reorderCap {
-			min := uint64(math.MaxUint64)
-			for seq := range s.reorderBuf {
-				if seq < min {
-					min = seq
-				}
-			}
-			s.skipped += int64(min - s.nextPlay)
-			s.nextPlay = min
-			continue
+		if s.cfg.KeepFrameRecords {
+			s.markPlayed(seq, now)
 		}
-		break
 	}
 }
 
@@ -925,7 +904,7 @@ func (s *swarm) finish() *Result {
 		Delivered:        s.delivered,
 		DroppedAtSource:  s.droppedSrc,
 		LostOnLeave:      s.lostOnLeave,
-		SkippedByReorder: s.skipped,
+		SkippedByReorder: s.playback.Skipped(),
 		ThroughputFPS:    float64(s.delivered) / dur.Seconds(),
 		Latency:          s.latency,
 		Transmission:     s.txSum,

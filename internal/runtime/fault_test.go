@@ -379,10 +379,11 @@ func TestReorderCapFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = m.Close() })
-	if m.rcap < minReorderCap {
-		t.Fatalf("rcap = %d, want >= %d", m.rcap, minReorderCap)
+	if c := m.sink.Cap(); c < minReorderCap {
+		t.Fatalf("ring cap = %d, want >= %d", c, minReorderCap)
 	}
 	// Out-of-order arrivals within the floor are buffered, not skipped.
+	m.nextSeq.Store(3) // seqs 0-2 were issued
 	m.deliverBatch([]Result{
 		{Tuple: tuple.New(1, 1)},
 		{Tuple: tuple.New(2, 2)},

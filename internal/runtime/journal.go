@@ -511,23 +511,6 @@ func (j *journal) setAsideLocked(epoch, generation uint64) (*os.File, error) {
 	return old, nil
 }
 
-// sync flushes buffered records and forces them to stable storage.
-func (j *journal) sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.quiesceLocked()
-	if err := j.flushPendingLocked(); err != nil {
-		return err
-	}
-	if err := j.f.Sync(); err != nil {
-		if j.broken == nil {
-			j.broken = fmt.Errorf("runtime: journal sync: %w", err)
-		}
-		return j.broken
-	}
-	return nil
-}
-
 // close flushes, syncs and closes the journal file. Later appends fail.
 func (j *journal) close() error {
 	j.mu.Lock()

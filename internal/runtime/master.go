@@ -26,6 +26,7 @@ import (
 
 	"github.com/swingframework/swing/internal/apps"
 	"github.com/swingframework/swing/internal/obs"
+	"github.com/swingframework/swing/internal/reorder"
 	"github.com/swingframework/swing/internal/routing"
 	"github.com/swingframework/swing/internal/transport"
 	"github.com/swingframework/swing/internal/tuple"
@@ -353,13 +354,12 @@ type Master struct {
 	workersMu sync.Mutex
 	workers   atomic.Pointer[map[string]*workerConn]
 
-	sinkMu   sync.Mutex
-	reorder  map[uint64]Result
-	nextPlay uint64
-	rcap     int
-	skipped  int64
-	played   int64
-	arrived  int64
+	// sink is the reordering service's playback ring; sinkMu guards it
+	// with the sink counters.
+	sinkMu  sync.Mutex
+	sink    *reorder.Ring[Result]
+	played  int64
+	arrived int64
 
 	// inflight carries both the routed-but-unacked entries and the
 	// fault-tolerance ledger, sharded by hashed tuple ID; counters move
@@ -476,8 +476,7 @@ func StartMaster(cfg MasterConfig) (*Master, error) {
 		cfg:      cfg,
 		ln:       ln,
 		router:   router,
-		reorder:  make(map[uint64]Result),
-		rcap:     rcap,
+		sink:     reorder.New[Result](rcap),
 		inflight: newInflightTable(cfg.Shards),
 		epoch:    1,
 		events:   obs.NewEventLog(256),
@@ -623,8 +622,8 @@ func (m *Master) initRecovery() error {
 	m.filtered.Store(c.Filtered)
 	m.evicted.Store(c.Evicted)
 	m.readopted.Store(c.Readopted)
-	m.arrived, m.played, m.skipped = c.Arrived, c.Played, c.Skipped
-	m.nextPlay = c.NextPlay
+	m.arrived, m.played = c.Arrived, c.Played
+	m.sink.Reset(c.NextPlay, c.Skipped)
 	m.nextSeq.Store(c.NextSeq)
 	if len(rs.estimates) > 0 {
 		m.withRouter(func(r *routing.Router) { r.SeedEstimates(rs.estimates) })
@@ -873,7 +872,7 @@ func (m *Master) Stats() MasterStats {
 		BatchFrames:    m.batchFrames.Load(),
 	}
 	m.sinkMu.Lock()
-	st.Arrived, st.Played, st.Skipped = m.arrived, m.played, m.skipped
+	st.Arrived, st.Played, st.Skipped = m.arrived, m.played, m.sink.Skipped()
 	m.sinkMu.Unlock()
 	now := time.Now()
 	for _, wc := range m.workerMap() {
@@ -1883,7 +1882,8 @@ func (m *Master) snapshotState() *checkpointState {
 	st.Evicted, st.Readopted = m.evicted.Load(), m.readopted.Load()
 	st.NextSeq = m.nextSeq.Load()
 	m.sinkMu.Lock()
-	st.Arrived, st.Played, st.Skipped, st.NextPlay = m.arrived, m.played, m.skipped, m.nextPlay
+	st.Arrived, st.Played = m.arrived, m.played
+	st.Skipped, st.NextPlay = m.sink.Skipped(), m.sink.Next()
 	m.sinkMu.Unlock()
 	// Flush banked ack samples so the persisted estimates include every
 	// acknowledged tuple's latency, then read under routerMu.

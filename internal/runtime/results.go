@@ -158,38 +158,31 @@ func (m *Master) decodeResults(wc *workerConn, pending []pendingResult, dst []Re
 }
 
 // deliverBatch plays one frame's results in sequence order (§IV-C
-// "Reordering Service") in a single sinkMu pass, applying the reorder
-// buffer's skip rule after every arrival exactly as per-result delivery
-// would, then hands the released plays to OnResult outside the lock.
-// plays is caller-owned scratch, returned emptied for reuse.
+// "Reordering Service") in a single sinkMu pass, running the playback
+// ring after every arrival exactly as per-result delivery would, then
+// hands the released plays to OnResult outside the lock. A result whose
+// seq this master never issued is counted as arrived but not buffered:
+// one corrupt entry far ahead of playback would otherwise grow the ring
+// to cover the gap. plays is caller-owned scratch, returned emptied for
+// reuse.
 func (m *Master) deliverBatch(rs []Result, plays []Result) []Result {
 	plays = plays[:0]
 	m.sinkMu.Lock()
+	// Every result's seq was issued before it arrived, so one load bounds
+	// the whole frame.
+	issued := m.nextSeq.Load()
 	for _, r := range rs {
 		m.arrived++
-		if r.Tuple.SeqNo >= m.nextPlay {
-			m.reorder[r.Tuple.SeqNo] = r
+		if r.Tuple.SeqNo < issued {
+			m.sink.Arrive(r.Tuple.SeqNo, r)
 		}
 		for {
-			if pr, ok := m.reorder[m.nextPlay]; ok {
-				delete(m.reorder, m.nextPlay)
-				plays = append(plays, pr)
-				m.played++
-				m.nextPlay++
-				continue
+			_, pr, ok := m.sink.Play()
+			if !ok {
+				break
 			}
-			if len(m.reorder) >= m.rcap {
-				min := ^uint64(0)
-				for seq := range m.reorder {
-					if seq < min {
-						min = seq
-					}
-				}
-				m.skipped += int64(min - m.nextPlay)
-				m.nextPlay = min
-				continue
-			}
-			break
+			plays = append(plays, pr)
+			m.played++
 		}
 	}
 	m.sinkMu.Unlock()

@@ -85,6 +85,7 @@ func TestResultFrameOneFlushPerSegment(t *testing.T) {
 func TestResultFrameSiblingBytesIndependent(t *testing.T) {
 	col := &resultCollector{}
 	m := startJournalMaster(t, col.add)
+	m.nextSeq.Store(2) // seqs 0 and 1 were issued
 	var rb wire.ResultBatch
 	for seq := uint64(0); seq < 2; seq++ {
 		b, err := tuple.Marshal(tuple.New(seq, seq).Set("frame", tuple.Bytes([]byte{byte(seq), 1, 2, 3})))
@@ -198,6 +199,33 @@ func TestResultFrameAcksDurableBeforeSink(t *testing.T) {
 				t.Fatalf("%d results reached the sink before their ack records were durable", e)
 			}
 		})
+	}
+}
+
+// TestHostileResultSeqNotBuffered: a result carrying a seq this master
+// never issued is counted as arrived but never enters the playback ring,
+// so a corrupt entry far ahead of playback cannot grow the ring to cover
+// the gap, and the issued results around it still play in order.
+func TestHostileResultSeqNotBuffered(t *testing.T) {
+	m := startJournalMaster(t, nil)
+	m.nextSeq.Store(2) // seqs 0 and 1 were issued
+	hostile := tuple.New(9, 2+1<<16)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m.deliverBatch([]Result{{Tuple: tuple.New(1, 1)}, {Tuple: hostile}, {Tuple: tuple.New(0, 0)}}, nil)
+	runtime.ReadMemStats(&after)
+	st := m.Stats()
+	if st.Arrived != 3 || st.Played != 2 || st.Skipped != 0 {
+		t.Fatalf("arrived %d, played %d, skipped %d; want 3, 2, 0", st.Arrived, st.Played, st.Skipped)
+	}
+	m.sinkMu.Lock()
+	buffered, next := m.sink.Len(), m.sink.Next()
+	m.sinkMu.Unlock()
+	if buffered != 0 || next != 2 {
+		t.Fatalf("ring holds %d results with next seq %d; want 0 and 2", buffered, next)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("delivering a hostile seq allocated %d bytes", grew)
 	}
 }
 

@@ -59,7 +59,7 @@ func (m *Master) StatusSnapshot() obs.Snapshot {
 	}
 
 	m.sinkMu.Lock()
-	snap.Sink = obs.Sink{Arrived: m.arrived, Played: m.played, Skipped: m.skipped}
+	snap.Sink = obs.Sink{Arrived: m.arrived, Played: m.played, Skipped: m.sink.Skipped()}
 	m.sinkMu.Unlock()
 
 	m.routerMu.Lock()

@@ -39,3 +39,27 @@ func BenchmarkTupleUnmarshal(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDecodeSharedIntoBlock measures the result path's frame
+// decode: 256 tuples of 600 B payload decoded into one []Tuple block,
+// block allocation included.
+func BenchmarkDecodeSharedIntoBlock(b *testing.B) {
+	const n = 256
+	encs := make([][]byte, n)
+	for i := range encs {
+		t := New(uint64(i), uint64(i)).Set("frame", Bytes(make([]byte, 600)))
+		var err error
+		if encs[i], err = Marshal(t); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		block := make([]Tuple, n)
+		for j, data := range encs {
+			if err := DecodeSharedInto(&block[j], data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -35,21 +35,10 @@ const (
 func fieldFraming(f Field) int {
 	n := 1 + len(f.Name) + 1 // nameLen, name, kind
 	switch f.Value.kind {
-	case KindBytes:
-		n += 4 + len(f.Value.b)
-	case KindString:
-		n += 4 + len(f.Value.s)
-	case KindInt64, KindFloat64:
-		n += 8
-	case KindBool:
-		n++
-	case KindFloatMatrix:
-		n += 8
-		if f.Value.m != nil {
-			n += 8 * len(f.Value.m.Data)
-		}
+	case KindBytes, KindString:
+		n += 4
 	}
-	return n
+	return n + f.Value.WireSize()
 }
 
 // Marshal serializes the tuple into a fresh byte slice.
@@ -87,25 +76,19 @@ func AppendMarshal(dst []byte, t *Tuple) ([]byte, error) {
 		buf = append(buf, byte(len(f.Name)))
 		buf = append(buf, f.Name...)
 		buf = append(buf, byte(f.Value.kind))
-		switch f.Value.kind {
+		switch v := f.Value; v.kind {
 		case KindBytes:
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f.Value.b)))
-			buf = append(buf, f.Value.b...)
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(v.num))
+			buf = append(buf, v.bytes()...)
 		case KindString:
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f.Value.s)))
-			buf = append(buf, f.Value.s...)
-		case KindInt64:
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(f.Value.i))
-		case KindFloat64:
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f.Value.f))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(v.num))
+			buf = append(buf, v.str()...)
+		case KindInt64, KindFloat64:
+			buf = binary.LittleEndian.AppendUint64(buf, v.num)
 		case KindBool:
-			if f.Value.yes {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
-			}
+			buf = append(buf, byte(v.num))
 		case KindFloatMatrix:
-			m := f.Value.m
+			m := v.matrix()
 			if m == nil {
 				m = &Matrix{}
 			}
@@ -319,7 +302,9 @@ func decode(t *Tuple, data []byte, share bool) error {
 				return err
 			}
 			if share {
-				v = Bytes(raw[:n:n])
+				// A Value keeps no capacity, so AsBytes caps the alias at
+				// its length and an append cannot reach the next field.
+				v = Bytes(raw)
 			} else {
 				b := make([]byte, n)
 				copy(b, raw)

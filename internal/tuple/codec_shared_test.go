@@ -198,6 +198,9 @@ func TestSharedBytesAppendDoesNotClobberSibling(t *testing.T) {
 			// Grow the first tuple's trailing bytes field across the whole
 			// of the second tuple's encoding.
 			ab, _ := a.MustBytes("frame")
+			if cap(ab) != len(ab) {
+				t.Fatalf("aliased bytes have cap %d for len %d", cap(ab), len(ab))
+			}
 			_ = append(ab, bytes.Repeat([]byte{0xEE}, len(buf)-split)...)
 			if !b.Equal(second) {
 				t.Fatalf("appending to the first tuple's bytes rewrote its sibling: %+v", b.Fields())

@@ -10,9 +10,11 @@
 package tuple
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Kind identifies the dynamic type of a tuple field value.
@@ -67,76 +69,128 @@ func (m *Matrix) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
 // Set assigns the element at (r, c).
 func (m *Matrix) Set(r, c int, v float64) { m.Data[r*m.Cols+c] = v }
 
-// Value is a single typed tuple field value.
+// Value is a single typed tuple field value, packed into three words so
+// a decoded tuple block stays small and carries one pointer per value
+// for the collector to scan. By kind:
+//
+//	bytes:   p = the slice's data pointer, num = its length
+//	string:  p = the string's data pointer, num = its length
+//	int64:   num = the value's bits
+//	float64: num = math.Float64bits of the value
+//	bool:    num = 0 or 1
+//	matrix:  p = the *Matrix
+//
+// p keeps the payload alive. A bytes value remembers no capacity, so
+// AsBytes returns a slice capped at its length.
 type Value struct {
+	p    unsafe.Pointer
+	num  uint64
 	kind Kind
-
-	b   []byte
-	s   string
-	i   int64
-	f   float64
-	yes bool
-	m   *Matrix
 }
 
 // Bytes wraps a byte slice as a Value. The slice is not copied; callers
 // that retain the input must not mutate it afterwards.
-func Bytes(b []byte) Value { return Value{kind: KindBytes, b: b} }
+func Bytes(b []byte) Value {
+	return Value{p: unsafe.Pointer(unsafe.SliceData(b)), num: uint64(len(b)), kind: KindBytes}
+}
 
 // String wraps a string as a Value.
-func String(s string) Value { return Value{kind: KindString, s: s} }
+func String(s string) Value {
+	return Value{p: unsafe.Pointer(unsafe.StringData(s)), num: uint64(len(s)), kind: KindString}
+}
 
 // Int64 wraps an int64 as a Value.
-func Int64(i int64) Value { return Value{kind: KindInt64, i: i} }
+func Int64(i int64) Value { return Value{num: uint64(i), kind: KindInt64} }
 
 // Float64 wraps a float64 as a Value.
-func Float64(f float64) Value { return Value{kind: KindFloat64, f: f} }
+func Float64(f float64) Value { return Value{num: math.Float64bits(f), kind: KindFloat64} }
 
 // Bool wraps a bool as a Value.
-func Bool(b bool) Value { return Value{kind: KindBool, yes: b} }
+func Bool(b bool) Value {
+	v := Value{kind: KindBool}
+	if b {
+		v.num = 1
+	}
+	return v
+}
 
 // FloatMatrix wraps a Matrix as a Value. The matrix is not copied.
-func FloatMatrix(m *Matrix) Value { return Value{kind: KindFloatMatrix, m: m} }
+func FloatMatrix(m *Matrix) Value { return Value{p: unsafe.Pointer(m), kind: KindFloatMatrix} }
 
 // Kind reports the value's dynamic kind; zero for an unset Value.
 func (v Value) Kind() Kind { return v.kind }
 
-// AsBytes returns the byte payload and whether the value holds one.
-func (v Value) AsBytes() ([]byte, bool) { return v.b, v.kind == KindBytes }
+// AsBytes returns the byte payload and whether the value holds one. The
+// slice's capacity equals its length, so appending to it reallocates.
+// Nil bytes come back nil; empty non-nil bytes come back empty non-nil.
+func (v Value) AsBytes() ([]byte, bool) {
+	if v.kind != KindBytes {
+		return nil, false
+	}
+	return v.bytes(), true
+}
 
 // AsString returns the string payload and whether the value holds one.
-func (v Value) AsString() (string, bool) { return v.s, v.kind == KindString }
+func (v Value) AsString() (string, bool) {
+	if v.kind != KindString {
+		return "", false
+	}
+	return v.str(), true
+}
 
 // AsInt64 returns the int64 payload and whether the value holds one.
-func (v Value) AsInt64() (int64, bool) { return v.i, v.kind == KindInt64 }
+func (v Value) AsInt64() (int64, bool) {
+	if v.kind != KindInt64 {
+		return 0, false
+	}
+	return int64(v.num), true
+}
 
 // AsFloat64 returns the float64 payload and whether the value holds one.
-func (v Value) AsFloat64() (float64, bool) { return v.f, v.kind == KindFloat64 }
+func (v Value) AsFloat64() (float64, bool) {
+	if v.kind != KindFloat64 {
+		return 0, false
+	}
+	return math.Float64frombits(v.num), true
+}
 
 // AsBool returns the bool payload and whether the value holds one.
-func (v Value) AsBool() (bool, bool) { return v.yes, v.kind == KindBool }
+func (v Value) AsBool() (bool, bool) {
+	if v.kind != KindBool {
+		return false, false
+	}
+	return v.num != 0, true
+}
 
 // AsFloatMatrix returns the matrix payload and whether the value holds one.
-func (v Value) AsFloatMatrix() (*Matrix, bool) { return v.m, v.kind == KindFloatMatrix }
+func (v Value) AsFloatMatrix() (*Matrix, bool) {
+	if v.kind != KindFloatMatrix {
+		return nil, false
+	}
+	return v.matrix(), true
+}
+
+// bytes, str and matrix read p back by kind; the caller has checked it.
+func (v Value) bytes() []byte   { return unsafe.Slice((*byte)(v.p), v.num) }
+func (v Value) str() string     { return unsafe.String((*byte)(v.p), v.num) }
+func (v Value) matrix() *Matrix { return (*Matrix)(v.p) }
 
 // WireSize returns the number of payload bytes this value contributes when
 // serialized, excluding per-field framing. It is the quantity the network
 // model charges for transmission.
 func (v Value) WireSize() int {
 	switch v.kind {
-	case KindBytes:
-		return len(v.b)
-	case KindString:
-		return len(v.s)
+	case KindBytes, KindString:
+		return int(v.num)
 	case KindInt64, KindFloat64:
 		return 8
 	case KindBool:
 		return 1
 	case KindFloatMatrix:
-		if v.m == nil {
+		if v.p == nil {
 			return 8
 		}
-		return 8 + 8*len(v.m.Data)
+		return 8 + 8*len(v.matrix().Data)
 	default:
 		return 0
 	}
@@ -150,35 +204,27 @@ func (v Value) Equal(o Value) bool {
 	}
 	switch v.kind {
 	case KindBytes:
-		if len(v.b) != len(o.b) {
-			return false
-		}
-		for i := range v.b {
-			if v.b[i] != o.b[i] {
-				return false
-			}
-		}
-		return true
+		return bytes.Equal(v.bytes(), o.bytes())
 	case KindString:
-		return v.s == o.s
-	case KindInt64:
-		return v.i == o.i
+		return v.str() == o.str()
+	case KindInt64, KindBool:
+		return v.num == o.num
 	case KindFloat64:
-		return v.f == o.f || (math.IsNaN(v.f) && math.IsNaN(o.f))
-	case KindBool:
-		return v.yes == o.yes
+		f, g := math.Float64frombits(v.num), math.Float64frombits(o.num)
+		return f == g || (math.IsNaN(f) && math.IsNaN(g))
 	case KindFloatMatrix:
-		if (v.m == nil) != (o.m == nil) {
+		vm, om := v.matrix(), o.matrix()
+		if (vm == nil) != (om == nil) {
 			return false
 		}
-		if v.m == nil {
+		if vm == nil {
 			return true
 		}
-		if v.m.Rows != o.m.Rows || v.m.Cols != o.m.Cols || len(v.m.Data) != len(o.m.Data) {
+		if vm.Rows != om.Rows || vm.Cols != om.Cols || len(vm.Data) != len(om.Data) {
 			return false
 		}
-		for i := range v.m.Data {
-			a, b := v.m.Data[i], o.m.Data[i]
+		for i := range vm.Data {
+			a, b := vm.Data[i], om.Data[i]
 			if a != b && !(math.IsNaN(a) && math.IsNaN(b)) {
 				return false
 			}
@@ -317,14 +363,14 @@ func (t *Tuple) Clone() *Tuple {
 		cv := f.Value
 		switch cv.kind {
 		case KindBytes:
-			b := make([]byte, len(cv.b))
-			copy(b, cv.b)
-			cv.b = b
+			b := make([]byte, cv.num)
+			copy(b, cv.bytes())
+			cv = Bytes(b)
 		case KindFloatMatrix:
-			if cv.m != nil {
-				m := &Matrix{Rows: cv.m.Rows, Cols: cv.m.Cols, Data: make([]float64, len(cv.m.Data))}
-				copy(m.Data, cv.m.Data)
-				cv.m = m
+			if om := cv.matrix(); om != nil {
+				m := &Matrix{Rows: om.Rows, Cols: om.Cols, Data: make([]float64, len(om.Data))}
+				copy(m.Data, om.Data)
+				cv = FloatMatrix(m)
 			}
 		}
 		c.fields[i] = Field{Name: f.Name, Value: cv}

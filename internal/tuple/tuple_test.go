@@ -64,18 +64,25 @@ func TestMustBytesWrongKind(t *testing.T) {
 	}
 }
 
+// TestValueKinds: each constructor's value reports its kind and wire
+// size, and reads back its input through its own accessor, and only that
+// one: every other accessor reports false and a zero payload.
 func TestValueKinds(t *testing.T) {
+	m := NewMatrix(2, 3)
 	cases := []struct {
 		v    Value
 		kind Kind
 		size int
+		want any
 	}{
-		{Bytes([]byte{1, 2}), KindBytes, 2},
-		{String("abc"), KindString, 3},
-		{Int64(-7), KindInt64, 8},
-		{Float64(3.5), KindFloat64, 8},
-		{Bool(true), KindBool, 1},
-		{FloatMatrix(NewMatrix(2, 3)), KindFloatMatrix, 8 + 48},
+		{Bytes([]byte{1, 2}), KindBytes, 2, "\x01\x02"},
+		{String("abc"), KindString, 3, "abc"},
+		{Int64(math.MinInt64), KindInt64, 8, int64(math.MinInt64)},
+		{Float64(-3.5), KindFloat64, 8, -3.5},
+		{Bool(true), KindBool, 1, true},
+		{Bool(false), KindBool, 1, false},
+		{FloatMatrix(m), KindFloatMatrix, 8 + 48, m},
+		{FloatMatrix(nil), KindFloatMatrix, 8, (*Matrix)(nil)},
 	}
 	for _, c := range cases {
 		if c.v.Kind() != c.kind {
@@ -83,6 +90,26 @@ func TestValueKinds(t *testing.T) {
 		}
 		if c.v.WireSize() != c.size {
 			t.Errorf("%v WireSize() = %d, want %d", c.kind, c.v.WireSize(), c.size)
+		}
+		b, okB := c.v.AsBytes()
+		s, okS := c.v.AsString()
+		i, okI := c.v.AsInt64()
+		f, okF := c.v.AsFloat64()
+		y, okY := c.v.AsBool()
+		mm, okM := c.v.AsFloatMatrix()
+		got := map[Kind]any{KindBytes: string(b), KindString: s, KindInt64: i,
+			KindFloat64: f, KindBool: y, KindFloatMatrix: mm}
+		ok := map[Kind]bool{KindBytes: okB, KindString: okS, KindInt64: okI,
+			KindFloat64: okF, KindBool: okY, KindFloatMatrix: okM}
+		zero := map[Kind]any{KindBytes: "", KindString: "", KindInt64: int64(0),
+			KindFloat64: 0.0, KindBool: false, KindFloatMatrix: (*Matrix)(nil)}
+		for k := KindBytes; k <= KindFloatMatrix; k++ {
+			switch {
+			case k == c.kind && (!ok[k] || got[k] != c.want):
+				t.Errorf("%v accessor = %v, %v; want %v, true", k, got[k], ok[k], c.want)
+			case k != c.kind && (ok[k] || got[k] != zero[k]):
+				t.Errorf("%v value read as %v: %v, %v", c.kind, k, got[k], ok[k])
+			}
 		}
 	}
 }
@@ -179,6 +206,13 @@ func roundTrip(t *testing.T, tp *Tuple) *Tuple {
 	}
 	if !got.Equal(tp) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, tp)
+	}
+	shared, err := UnmarshalShared(data)
+	if err != nil {
+		t.Fatalf("UnmarshalShared: %v", err)
+	}
+	if !shared.Equal(tp) {
+		t.Fatalf("shared round trip mismatch:\n got %+v\nwant %+v", shared, tp)
 	}
 	return got
 }

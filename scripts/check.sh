@@ -72,13 +72,15 @@ go test -race -count=1 \
 # boundary of the journal file, results
 # reaching the sink only after their ack records are in the journal and
 # (with a standby attached) in its mirror, independent bytes fields for
-# the results of one frame, the hostile tuple-batch count guard, and the
-# batched sink pass.
+# the results of one frame, the hostile tuple-batch count and result-seq
+# guards, and the batched sink pass.
 go test -race -count=1 \
-    -run 'TestResultFrame|TestHostileTupleBatchCount|TestJournalCutAtEveryRecordBoundary|TestReorderCapFloor' \
+    -run 'TestResultFrame|TestHostileTupleBatchCount|TestHostileResultSeqNotBuffered|TestJournalCutAtEveryRecordBoundary|TestReorderCapFloor' \
     ./internal/runtime/
-go test -race -count=1 -run 'TestSharedBytesAppendDoesNotClobberSibling|TestDecodeSharedIntoBlock|TestInternNameCapped' \
-    ./internal/tuple/
+# The tuple codec and the playback ring in full under the race detector,
+# which also turns on checkptr: every unsafe pointer conversion behind
+# the packed tuple.Value is checked on each run.
+go test -race -count=1 ./internal/tuple/ ./internal/reorder/
 # Checkpoint-cycle smoke under the race detector, ten times: a 5 ms
 # checkpoint period under four SubmitBatch submitters with a standby
 # attaching mid-run (the cut holds the journal lock only for the
@@ -131,3 +133,5 @@ FUZZ_SECONDS="${FUZZ_SECONDS:-5}"
 go test -run '^$' -fuzz 'FuzzFrameCodec' -fuzztime "${FUZZ_SECONDS}s" ./internal/wire/
 go test -run '^$' -fuzz 'FuzzRepCodec' -fuzztime "${FUZZ_SECONDS}s" ./internal/wire/
 go test -run '^$' -fuzz 'FuzzJournalRecord' -fuzztime "${FUZZ_SECONDS}s" ./internal/runtime/
+# The playback ring against the map loop it replaced, after every arrival.
+go test -run '^$' -fuzz 'FuzzReorder' -fuzztime=10s ./internal/reorder/
