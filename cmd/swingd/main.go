@@ -44,7 +44,6 @@ type masterOpts struct {
 	breakerCooldown          time.Duration
 	breakerAckTimeout        time.Duration
 	inflightHighWater        int
-	shards                   int
 	parallelism              int
 	linger                   time.Duration
 	opDeadline               time.Duration
@@ -111,7 +110,6 @@ func run(args []string) error {
 		shapeSeed = fs.Int64("shape-seed", 1, "master: PRNG seed for shaping jitter and loss draws")
 
 		// Dataplane tuning (master; deployed to every worker).
-		shards   = fs.Int("shards", 0, "master: shard count for the in-flight table and dedup set, rounded up to a power of two and capped at 128 (0 = GOMAXPROCS)")
 		parallel = fs.Int("parallelism", 0, "master: worker processor-pool width deployed to every worker (0 = worker GOMAXPROCS)")
 		linger   = fs.Duration("linger", 0, "master: worker ack/result batching window; a result may wait up to this long to share a frame (0 = opportunistic batching only)")
 		subBatch = fs.Int("submit-batch", 1, "master: source-side submit batch size; frames accumulate into one SubmitBatch of up to this many tuples (1 = one Submit per tuple, sent as a batch of one)")
@@ -191,7 +189,7 @@ func run(args []string) error {
 			retryDeadline: *retryDL, maxAttempts: *maxTries,
 			heartbeat: *heartbeat, suspectAfter: *suspectN, deadAfter: *deadN,
 			breakerThreshold: *brThresh, breakerCooldown: *brCool, breakerAckTimeout: *brAckTO,
-			inflightHighWater: *inflHW, shards: *shards, parallelism: *parallel, linger: *linger,
+			inflightHighWater: *inflHW, parallelism: *parallel, linger: *linger,
 			submitBatch: *subBatch, submitLinger: *subLing,
 			opDeadline: *opDL, poisonAttempts: *poisonAtt, hedgeAfter: *hedgeAft,
 			statusEvery: *statusEv, statusAddr: *statusAdr, pprof: *pprofF,
@@ -293,7 +291,6 @@ func runMaster(app *swing.App, opt masterOpts) error {
 		OpDeadline:        opt.opDeadline,
 		PoisonAttempts:    opt.poisonAttempts,
 		HedgeAfter:        opt.hedgeAfter,
-		Shards:            opt.shards,
 		Parallelism:       opt.parallelism,
 		AckLinger:         opt.linger,
 		JournalPath:       opt.journal,

@@ -175,7 +175,6 @@ func Run(cfg Config) (*Report, error) {
 		masterCfg.JournalPath = filepath.Join(cfg.Dir, "wal-0")
 		masterCfg.CheckpointEvery = 200 * time.Millisecond
 		masterCfg.Fsync = rt.FsyncNever
-		masterCfg.Shards = 4
 		masterCfg.ReplicateAddr = "chaos-rep"
 		masterCfg.ReplicatePingEvery = 20 * time.Millisecond
 	}

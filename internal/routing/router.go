@@ -346,10 +346,29 @@ func (r *Router) recompute(lambda float64) {
 	}
 
 	cands := r.candScratch[:0]
+	fastest := 0.0
 	for _, id := range r.order {
-		cands = append(cands, cand{id: id, rate: r.rateFor(r.downs[id])})
+		d := r.downs[id]
+		rate := r.rateFor(d)
+		if d.est.HasSample() && rate > fastest {
+			fastest = rate
+		}
+		cands = append(cands, cand{id: id, rate: rate})
 	}
 	r.candScratch = cands
+	// A sampled delay of zero or less (a coarse or virtual clock, or a
+	// backward wall-clock step) has no finite rate: rateOf reads it as 0,
+	// which would rank the fastest worker slowest. Read it as the fastest
+	// finite rate measured, or as the clock's 1 ns resolution when no
+	// downstream has a positive delay.
+	if fastest == 0 {
+		fastest = rateOf(time.Nanosecond)
+	}
+	for i := range cands {
+		if cands[i].rate == 0 {
+			cands[i].rate = fastest
+		}
+	}
 	// Stable insertion sort by descending service rate; ties keep
 	// insertion order, which keeps runs deterministic. Downstream sets
 	// are small (the paper's testbed has eight workers), so this beats
@@ -413,6 +432,13 @@ func (r *Router) recompute(lambda float64) {
 		total += rate
 	}
 	r.rateScratch = rates
+	if total == 0 {
+		// No rate to weigh by: share equally rather than divide by zero.
+		for i := range rates {
+			rates[i] = 1
+		}
+		total = float64(len(rates))
+	}
 	acc := 0.0
 	for i, c := range chosen {
 		w := rates[i] / total

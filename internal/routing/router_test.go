@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -210,6 +211,52 @@ func TestWeightedRandomMatchesWeights(t *testing.T) {
 	frac := float64(counts["fast"]) / n
 	if math.Abs(frac-0.75) > 0.015 {
 		t.Fatalf("fast fraction = %v, want ~0.75", frac)
+	}
+}
+
+// TestZeroLatencyEstimatesRouteFinite: a sampled delay of zero (a coarse
+// or virtual clock, or a backward wall-clock step) must not rank a worker
+// slowest or poison the weights. With every estimate at zero the table
+// still publishes finite weights summing to 1 and reports no overload;
+// beside a measured worker a zero-delay one ranks as fast as the fastest.
+func TestZeroLatencyEstimatesRouteFinite(t *testing.T) {
+	for _, p := range []PolicyKind{LRS, LR, PRS} {
+		r := newTestRouter(t, p)
+		for _, id := range []string{"B", "C"} {
+			if err := r.AddDownstream(id); err != nil {
+				t.Fatal(err)
+			}
+			feed(t, r, id, 0, 0)
+		}
+		r.Reconfigure(10)
+		ids, ws := r.Selected()
+		if len(ids) == 0 || r.Overloaded() {
+			t.Fatalf("%v: selected %v, overloaded %v", p, ids, r.Overloaded())
+		}
+		sum := 0.0
+		for _, w := range ws {
+			if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
+				t.Fatalf("%v: weights %v", p, ws)
+			}
+			sum += w
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			t.Fatalf("%v: weights %v sum to %v", p, ws, sum)
+		}
+	}
+
+	r := newTestRouter(t, LRS)
+	for id, l := range map[string]time.Duration{"B": 0, "C": 100 * time.Millisecond, "D": 500 * time.Millisecond} {
+		if err := r.AddDownstream(id); err != nil {
+			t.Fatal(err)
+		}
+		feed(t, r, id, l, l)
+	}
+	// Λ = 15 needs two 10/s workers: B reads as fast as C, not slowest.
+	r.Reconfigure(15)
+	ids, _ := r.Selected()
+	if len(ids) != 2 || !slices.Contains(ids, "B") || !slices.Contains(ids, "C") {
+		t.Fatalf("selected %v, want B and C", ids)
 	}
 }
 

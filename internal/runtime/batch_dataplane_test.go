@@ -95,12 +95,98 @@ func TestBatchedDispatchReducesDownstreamFrames(t *testing.T) {
 	}
 }
 
+// TestLedgerConsistentUnderConcurrentSubmit hammers a master from several
+// submitters while a sampler reads MasterStats concurrently: every sample
+// must satisfy Acked + Shed + InFlight == Submitted exactly. With stable
+// workers (no deaths, so no retransmit transient) any torn read of the
+// ledger counters would surface as an unbalanced sample.
+func TestLedgerConsistentUnderConcurrentSubmit(t *testing.T) {
+	app, err := apps.FaceRecognition()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := transport.NewMem()
+	m, err := StartMaster(MasterConfig{
+		App:        app,
+		Policy:     routing.RR,
+		ListenAddr: "master",
+		Transport:  mem,
+		Logger:     quietLogger(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = m.Close() }()
+	for i := 0; i < 4; i++ {
+		startTestWorker(t, mem, m, fmt.Sprintf("w%d", i), 1)
+	}
+	waitFor(t, 5*time.Second, func() bool { return len(m.Workers()) == 4 }, "workers join")
+
+	const (
+		submitters = 4
+		perSub     = 300
+	)
+	var wg sync.WaitGroup
+	stopSampling := make(chan struct{})
+	var samples, torn atomic.Int64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stopSampling:
+				return
+			default:
+			}
+			st := m.Stats()
+			samples.Add(1)
+			if !ledgerBalanced(st) {
+				torn.Add(1)
+				t.Errorf("torn ledger sample: submitted=%d acked=%d shed=%d inFlight=%d",
+					st.Submitted, st.Acked, st.Shed, st.InFlight)
+				return
+			}
+		}
+	}()
+	errs := make(chan error, submitters)
+	for s := 0; s < submitters; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < perSub; i++ {
+				seq := uint64(s*perSub + i)
+				if err := m.Submit(frameTuple(seq)); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(s)
+	}
+	waitFor(t, 15*time.Second, func() bool {
+		return m.Stats().Acked == int64(submitters*perSub)
+	}, "all tuples acked")
+	close(stopSampling)
+	wg.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+	if samples.Load() == 0 {
+		t.Fatal("sampler never ran")
+	}
+	st := m.Stats()
+	if st.Submitted != int64(submitters*perSub) || !ledgerBalanced(st) {
+		t.Fatalf("final ledger: %+v", st)
+	}
+}
+
 // TestLedgerConsistentUnderConcurrentSubmitBatch is the batched twin of
 // TestLedgerConsistentUnderConcurrentSubmit: several goroutines hammer
-// SubmitBatch against a sharded master while a sampler reads MasterStats
-// concurrently, and every sample must balance exactly. The batched path
-// takes one lock per touched shard per batch instead of one per tuple,
-// so a torn multi-shard insert would surface here.
+// SubmitBatch while a sampler reads MasterStats concurrently, and every
+// sample must balance exactly. The batched path takes the table lock once
+// per batch instead of once per tuple, so a torn batch insert would
+// surface here.
 func TestLedgerConsistentUnderConcurrentSubmitBatch(t *testing.T) {
 	app, err := apps.FaceRecognition()
 	if err != nil {
@@ -112,7 +198,6 @@ func TestLedgerConsistentUnderConcurrentSubmitBatch(t *testing.T) {
 		Policy:     routing.RR,
 		ListenAddr: "master",
 		Transport:  mem,
-		Shards:     8,
 		Logger:     quietLogger(),
 	})
 	if err != nil {

@@ -120,7 +120,7 @@ func (m *Master) redispatchPoison(e *inflightEntry) {
 	defer m.wg.Done()
 	one := [1]*tuple.Tuple{e.t}
 	if err := m.dispatch(one[:], e.attempt+1, e.deadline, e.failedOn); err != nil {
-		m.inflight.shedOrphanPoison(e.t.ID)
+		m.inflight.shedOrphanPoison()
 		m.journalShed(e.t.ID, false)
 		m.events.Record(obs.EventQuarantine, "", "no unburned worker", 1)
 		m.cfg.Logger.Warn("swing master: quarantined poison tuple",
@@ -151,18 +151,11 @@ func (m *Master) hedgeSweep(now time.Time) {
 		bar[id] = th
 	}
 	var cands []*inflightEntry
-	for i := range m.inflight.shards {
-		s := &m.inflight.shards[i]
-		s.mu.Lock()
-		for _, e := range s.m {
-			th, ok := bar[e.worker]
-			if !ok || e.hedged || now.Sub(e.sentAt) < th {
-				continue
-			}
+	m.inflight.each(func(e *inflightEntry) {
+		if th, ok := bar[e.worker]; ok && !e.hedged && now.Sub(e.sentAt) >= th {
 			cands = append(cands, e)
 		}
-		s.mu.Unlock()
-	}
+	})
 	var hedged int64
 	for _, e := range cands {
 		if m.hedge(e, workers) {
@@ -197,13 +190,12 @@ func spareTarget(workers map[string]*workerConn, primary, id string) *workerConn
 }
 
 // hedge duplicates one straggler to a second worker in a one-entry
-// FrameTupleBatch. The frame is marshaled inside the shard critical
-// section that confirms the entry is still live and flags it hedged:
-// once an entry leaves the table its tuple may be mutated by the
-// retransmit path (EmitNanos, Attempt), so in-map under the lock is the
-// only window where reading it is safe. The send-queue slot is reserved
-// non-blocking before the lock — a sweep must never stall the master on
-// a slow hedge target — and returned on any losing race.
+// FrameTupleBatch. The frame is marshaled inside the table's critical
+// section that confirms the entry is still live and flags it hedged
+// (markHedged): once an entry leaves the table its tuple may be mutated
+// by the retransmit path (EmitNanos, Attempt). The send-queue slot is
+// reserved non-blocking before the lock — a sweep must never stall the
+// master on a slow hedge target — and returned on any losing race.
 func (m *Master) hedge(e *inflightEntry, workers map[string]*workerConn) bool {
 	id, err := m.table.Load().Pick(m.pickU(), nil)
 	if err != nil {
@@ -222,23 +214,11 @@ func (m *Master) hedge(e *inflightEntry, workers map[string]*workerConn) bool {
 	default:
 		return false // target filled up since the pick
 	}
-	s := m.inflight.shard(e.t.ID)
-	s.mu.Lock()
-	cur, live := s.m[e.t.ID]
-	if !live || cur != e || e.hedged {
-		s.mu.Unlock()
+	fb := m.inflight.markHedged(e, oneEntryFrame)
+	if fb == nil {
 		<-wc.slots
 		return false // acked, retransmitted, or hedged since collection
 	}
-	fb := oneEntryFrame(e.t)
-	if fb == nil {
-		s.mu.Unlock()
-		<-wc.slots
-		return false
-	}
-	e.hedged = true
-	s.led.hedged++
-	s.mu.Unlock()
 	wc.out <- outFrame{typ: wire.FrameTupleBatch, payload: fb.B, buf: fb}
 	m.noteDispatchedN(wc, 1)
 	return true
@@ -304,5 +284,5 @@ func (m *Master) sendShadow(c shadowCopy, again []*tuple.Tuple) {
 	}
 	c.wc.out <- outFrame{typ: wire.FrameTupleBatch, payload: c.fb.B, buf: c.fb}
 	m.noteDispatchedN(c.wc, 1)
-	m.inflight.noteShadowed(c.t.ID)
+	m.inflight.noteShadowed()
 }

@@ -48,7 +48,6 @@ func primaryConfig(t *testing.T, mem *transport.Mem, jpath string) MasterConfig 
 		CheckpointEvery:    -1,
 		Fsync:              FsyncNever,
 		RetryDeadline:      5 * time.Second,
-		Shards:             4,
 		ReplicateAddr:      "primary-rep",
 		ReplicatePingEvery: 20 * time.Millisecond,
 		Logger:             quietLogger(),
@@ -76,7 +75,6 @@ func startHotStandby(t *testing.T, mem *transport.Mem, jpath string, col *result
 		CheckpointEvery: -1,
 		Fsync:           FsyncNever,
 		RetryDeadline:   5 * time.Second,
-		Shards:          4,
 		Logger:          quietLogger(),
 	}
 	if col != nil {
@@ -558,7 +556,6 @@ func TestFailoverSoak(t *testing.T) {
 			CheckpointEvery: -1,
 			Fsync:           FsyncNever,
 			RetryDeadline:   5 * time.Second,
-			Shards:          4,
 			// The promoted master becomes the next hop's primary.
 			ReplicateAddr:      "primary-rep",
 			ReplicatePingEvery: 20 * time.Millisecond,

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/swingframework/swing/internal/tuple"
+	"github.com/swingframework/swing/internal/wire"
 )
 
 // inflightEntry is one routed-but-unacknowledged tuple: everything the
@@ -25,51 +26,16 @@ type inflightEntry struct {
 	// failedOn lists the distinct workers whose drop notices burned this
 	// tuple (poison-quarantine mode). It travels with the tuple across
 	// re-dispatches; at PoisonAttempts distinct workers the tuple is
-	// quarantined as ShedPoison. Mutated only under the shard lock.
+	// quarantined as ShedPoison. Mutated only under the table lock.
 	failedOn []string
 	// hedged marks an entry already speculatively duplicated to a second
 	// worker, so a straggler is hedged once, not once per sweep.
 	hedged bool
 }
 
-// maxShards caps hot-state fan-out: each shard is a map plus a mutex, so
-// unbounded -shards values would only waste memory past the point of
-// contention relief.
-const maxShards = 128
-
-// ceilPow2 rounds n up to the next power of two (minimum 1), clamped to
-// maxShards — shard selection is a mask, so the count must be a power of
-// two.
-func ceilPow2(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	if n > maxShards {
-		return maxShards
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// mix64 is the splitmix64 finalizer: tuple IDs are often sequential
-// (frame counters), so shard selection hashes them first to spread
-// neighboring IDs across shards instead of filling one at a time.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// ledgerCounters is one shard's slice of the fault-tolerance ledger. The
-// global view is the sum across shards; every mutation happens in the
-// same critical section as the map change it accounts for, so the summed
-// invariant Acked + Shed + InFlight + Orphaned == Submitted holds at
+// ledgerCounters is the fault-tolerance ledger. Every mutation happens
+// in the same critical section as the table change it accounts for, so
+// the invariant Acked + Shed + InFlight + Orphaned == Submitted holds at
 // every consistently sampled instant (ledgerSnapshot), not just at
 // quiescence.
 type ledgerCounters struct {
@@ -106,131 +72,200 @@ type ledgerCounters struct {
 	orphaned int64
 }
 
-func (l *ledgerCounters) add(o ledgerCounters) {
-	l.submitted += o.submitted
-	l.acked += o.acked
-	l.retransmitted += o.retransmitted
-	l.shed += o.shed
-	l.shedOverload += o.shedOverload
-	l.shedPoison += o.shedPoison
-	l.hedged += o.hedged
-	l.shadowed += o.shadowed
-	l.orphaned += o.orphaned
-}
+// minInflightSlots is the slot array's starting size.
+const minInflightSlots = 64
 
-// inflightShard is one lock domain of the table: a slice of the entry map
-// fused with its slice of the ledger. Padding keeps neighboring shards
-// off one cache line under multi-core Submit.
-type inflightShard struct {
-	mu  sync.Mutex
-	m   map[uint64]*inflightEntry
-	led ledgerCounters
-	_   [40]byte
+// inflightSlot is one cell of the table's slot array: the entry tracked
+// under id, or e == nil for an empty cell.
+type inflightSlot struct {
+	id uint64
+	e  *inflightEntry
 }
 
 // inflightTable tracks every tuple between routing and acknowledgment,
-// keyed by tuple ID (unique within a run, per the tuple contract), split
-// across power-of-two shards so concurrent Submit and ACK paths contend
-// only when they hash to the same shard. When a worker connection breaks,
-// takeWorker surrenders its un-acked tuples for retransmission; a result
-// frame acks and releases its entry.
+// keyed by tuple ID (unique within a run, per the tuple contract). When a
+// worker connection breaks, takeWorker surrenders its un-acked tuples for
+// retransmission; a result frame acks and releases its entry.
 //
-// The ledger lives inside the shards: counter mutations share the
-// critical section of the map mutation they describe. A dead worker's
-// off-table backlog is carried by the orphaned column (takeWorker), so
-// the sampled invariant acked + shed + inflight + orphaned == submitted
-// is exact even mid-retransmit; the one remaining seam is the recovered
-// backlog before its checkpointed counters are seeded, which happens
-// before the listener opens.
+// Entries live in a power-of-two slot array indexed by id & mask. Every
+// source in the repo numbers tuples densely (ID == SeqNo), so the IDs in
+// flight form a window that maps onto distinct slots: track and ack are
+// an index, not a hash. An ID whose slot is held by a different live ID
+// — a straggler from a lap ago, or sparse or colliding caller IDs — goes
+// to the overflow map instead, which stays empty in steady state. The
+// array doubles when the live count passes half its slots, so it stays
+// within 4× the peak live count whatever the IDs.
+//
+// One mutex guards the slots, the overflow map and the ledger: counter
+// mutations share the critical section of the table change they
+// describe. A dead worker's off-table backlog is carried by the orphaned
+// column (takeWorker), so the sampled invariant acked + shed + inflight
+// + orphaned == submitted is exact even mid-retransmit; the one
+// remaining seam is the recovered backlog before its checkpointed
+// counters are seeded, which happens before the listener opens.
 type inflightTable struct {
-	shards []inflightShard
-	mask   uint64
-	// approx is the racy live-entry total for admission-control checks;
-	// exact counts come from ledgerSnapshot.
+	mu    sync.Mutex
+	slots []inflightSlot
+	mask  uint64
+	over  map[uint64]*inflightEntry
+	live  int
+	led   ledgerCounters
+	// approx mirrors live for admission control's lock-free read; it is
+	// stored at the end of every critical section that changes live.
 	approx atomic.Int64
 }
 
-func newInflightTable(shards int) *inflightTable {
-	n := ceilPow2(shards)
-	t := &inflightTable{shards: make([]inflightShard, n), mask: uint64(n - 1)}
-	for i := range t.shards {
-		t.shards[i].m = make(map[uint64]*inflightEntry)
+func newInflightTable() *inflightTable {
+	return &inflightTable{slots: make([]inflightSlot, minInflightSlots), mask: minInflightSlots - 1}
+}
+
+// lookup returns the entry tracked under id, or nil. Caller holds mu.
+func (t *inflightTable) lookup(id uint64) *inflightEntry {
+	if s := &t.slots[id&t.mask]; s.e != nil && s.id == id {
+		return s.e
 	}
-	return t
+	return t.over[id]
 }
 
-func (t *inflightTable) shard(id uint64) *inflightShard {
-	return &t.shards[mix64(id)&t.mask]
+// put tracks e under id, replacing any entry already tracked there.
+// Caller holds mu.
+func (t *inflightTable) put(id uint64, e *inflightEntry) {
+	s := &t.slots[id&t.mask]
+	if s.e != nil && s.id == id {
+		s.e = e
+		return
+	}
+	if _, ok := t.over[id]; ok {
+		t.over[id] = e
+		return
+	}
+	t.place(id, e)
+	t.live++
+	if t.live > len(t.slots)/2 {
+		t.grow()
+	}
 }
 
-// trackSubmitBatch records a batch of dispatches with one lock
-// acquisition per touched shard instead of one per tuple, and counts each
-// into the ledger in the same critical section as its insert: Submitted
-// for a first attempt, Retransmitted for a re-route. An entry replaces
-// any stale entry under the same ID. The table keeps pointers into
-// block, which is regrouped by shard in place first: the caller owns it
-// and must not move its entries afterwards.
+// place stores an untracked id in its slot, or in the overflow map when
+// another ID holds the slot. Caller holds mu.
+func (t *inflightTable) place(id uint64, e *inflightEntry) {
+	if s := &t.slots[id&t.mask]; s.e == nil {
+		*s = inflightSlot{id: id, e: e}
+		return
+	}
+	if t.over == nil {
+		t.over = make(map[uint64]*inflightEntry)
+	}
+	t.over[id] = e
+}
+
+// grow doubles the slot array and re-places every live entry, which
+// moves overflow entries whose slots have come free back into the array.
+// Caller holds mu.
+func (t *inflightTable) grow() {
+	old, over := t.slots, t.over
+	t.slots = make([]inflightSlot, 2*len(old))
+	t.mask = uint64(len(t.slots) - 1)
+	t.over = nil
+	for _, s := range old {
+		if s.e != nil {
+			t.place(s.id, s.e)
+		}
+	}
+	for id, e := range over {
+		t.place(id, e)
+	}
+}
+
+// remove untracks id and returns its entry, or nil if none was tracked.
+// Caller holds mu.
+func (t *inflightTable) remove(id uint64) *inflightEntry {
+	if s := &t.slots[id&t.mask]; s.e != nil && s.id == id {
+		e := s.e
+		*s = inflightSlot{}
+		t.live--
+		return e
+	}
+	e, ok := t.over[id]
+	if ok {
+		delete(t.over, id)
+		t.live--
+	}
+	return e
+}
+
+// scan visits every tracked entry and untracks those fn returns true
+// for. Caller holds mu.
+func (t *inflightTable) scan(fn func(*inflightEntry) bool) {
+	for i := range t.slots {
+		if s := &t.slots[i]; s.e != nil && fn(s.e) {
+			*s = inflightSlot{}
+			t.live--
+		}
+	}
+	for id, e := range t.over {
+		if fn(e) {
+			delete(t.over, id)
+			t.live--
+		}
+	}
+}
+
+// unlock publishes live for size and releases mu.
+func (t *inflightTable) unlock() {
+	t.approx.Store(int64(t.live))
+	t.mu.Unlock()
+}
+
+// each calls fn on every tracked entry under the table lock, so fn may
+// read and set the entry's mutable fields; it must not call back into
+// the table.
+func (t *inflightTable) each(fn func(*inflightEntry)) {
+	t.mu.Lock()
+	t.scan(func(e *inflightEntry) bool { fn(e); return false })
+	t.mu.Unlock()
+}
+
+// trackSubmitBatch records a batch of dispatches under one lock
+// acquisition, counting each into the ledger in the same critical
+// section as its insert: Submitted for a first attempt, Retransmitted
+// for a re-route. An entry replaces any stale entry under the same ID.
+// The table keeps pointers into block: the caller owns it and must not
+// move its entries afterwards.
 func (t *inflightTable) trackSubmitBatch(block []inflightEntry) {
-	var added int64
-	for lo := 0; lo < len(block); {
-		idx := mix64(block[lo].t.ID) & t.mask
-		hi := lo
-		for j := lo; j < len(block); j++ {
-			if mix64(block[j].t.ID)&t.mask == idx {
-				block[hi], block[j] = block[j], block[hi]
-				hi++
-			}
+	t.mu.Lock()
+	for i := range block {
+		e := &block[i]
+		t.put(e.t.ID, e)
+		if e.attempt == 0 {
+			t.led.submitted++
+		} else {
+			// A re-route consumes the orphan takeWorker (or a reclaim)
+			// handed to the retransmitter.
+			t.led.retransmitted++
+			t.led.orphaned--
 		}
-		s := &t.shards[idx]
-		s.mu.Lock()
-		for i := lo; i < hi; i++ {
-			e := &block[i]
-			id := e.t.ID
-			if _, had := s.m[id]; !had {
-				added++
-			}
-			s.m[id] = e
-			if e.attempt == 0 {
-				s.led.submitted++
-			} else {
-				// A re-route consumes the orphan takeWorker (or a reclaim)
-				// handed to the retransmitter.
-				s.led.retransmitted++
-				s.led.orphaned--
-			}
-		}
-		s.mu.Unlock()
-		lo = hi
 	}
-	if added != 0 {
-		t.approx.Add(added)
-	}
+	t.unlock()
 }
 
 // track inserts an entry without touching the ledger — the recovered
 // backlog, whose counters were restored wholesale from the checkpoint.
 func (t *inflightTable) track(id uint64, e *inflightEntry) {
-	s := t.shard(id)
-	s.mu.Lock()
-	if _, had := s.m[id]; !had {
-		t.approx.Add(1)
-	}
-	s.m[id] = e
-	s.mu.Unlock()
+	t.mu.Lock()
+	t.put(id, e)
+	t.unlock()
 }
 
 // ack releases the entry for an acknowledged tuple and counts it, in one
 // step, reporting whether one was being tracked.
 func (t *inflightTable) ack(id uint64) bool {
-	s := t.shard(id)
-	s.mu.Lock()
-	_, ok := s.m[id]
+	t.mu.Lock()
+	ok := t.remove(id) != nil
 	if ok {
-		delete(s.m, id)
-		s.led.acked++
-		t.approx.Add(-1)
+		t.led.acked++
 	}
-	s.mu.Unlock()
+	t.unlock()
 	return ok
 }
 
@@ -241,23 +276,21 @@ func (t *inflightTable) ack(id uint64) bool {
 // the dead worker's retransmitter) already owns the tuple, whose original
 // dispatch stays counted.
 func (t *inflightTable) reclaim(id uint64, worker string) (*inflightEntry, bool) {
-	s := t.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.m[id]
-	if !ok || e.worker != worker {
+	t.mu.Lock()
+	defer t.unlock()
+	e := t.lookup(id)
+	if e == nil || e.worker != worker {
 		return nil, false
 	}
-	delete(s.m, id)
+	t.remove(id)
 	if e.attempt == 0 {
-		s.led.submitted--
+		t.led.submitted--
 	} else {
 		// The re-route is undone: the entry is an orphan again, back in
 		// the caller's hands until re-tracked or abandoned.
-		s.led.retransmitted--
-		s.led.orphaned++
+		t.led.retransmitted--
+		t.led.orphaned++
 	}
-	t.approx.Add(-1)
 	return e, true
 }
 
@@ -265,42 +298,39 @@ func (t *inflightTable) reclaim(id uint64, worker string) (*inflightEntry, bool)
 // then abandoned because nowhere could take it: the tuple entered the
 // system (Submitted, first attempts only) and left it (Shed, overload
 // subset) in one balanced step.
-func (t *inflightTable) shedUntracked(id uint64, attempt uint8) {
-	s := t.shard(id)
-	s.mu.Lock()
+func (t *inflightTable) shedUntracked(attempt uint8) {
+	t.mu.Lock()
 	if attempt == 0 {
-		s.led.submitted++
+		t.led.submitted++
 	} else {
 		// A reclaimed retransmission was an orphan in hand; shedding
 		// resolves it.
-		s.led.orphaned--
+		t.led.orphaned--
 	}
-	s.led.shed++
-	s.led.shedOverload++
-	s.mu.Unlock()
+	t.led.shed++
+	t.led.shedOverload++
+	t.mu.Unlock()
 }
 
 // shedOrphan counts the shedding of an entry already surrendered by
 // takeWorker (retry deadline or attempt budget exhausted during
 // retransmission).
-func (t *inflightTable) shedOrphan(id uint64) {
-	s := t.shard(id)
-	s.mu.Lock()
-	s.led.shed++
-	s.led.orphaned--
-	s.mu.Unlock()
+func (t *inflightTable) shedOrphan() {
+	t.mu.Lock()
+	t.led.shed++
+	t.led.orphaned--
+	t.mu.Unlock()
 }
 
 // shedOrphanPoison is shedOrphan with the quarantine subset counted: the
 // tuple was in the poison redispatcher's hands and nowhere unburned could
 // take it.
-func (t *inflightTable) shedOrphanPoison(id uint64) {
-	s := t.shard(id)
-	s.mu.Lock()
-	s.led.shed++
-	s.led.shedPoison++
-	s.led.orphaned--
-	s.mu.Unlock()
+func (t *inflightTable) shedOrphanPoison() {
+	t.mu.Lock()
+	t.led.shed++
+	t.led.shedPoison++
+	t.led.orphaned--
+	t.mu.Unlock()
 }
 
 // failVerdict is failAttempt's decision for one drop notice.
@@ -323,11 +353,10 @@ const (
 // either quarantined (k distinct workers burned — shed as poison) or
 // surrendered to the caller for re-dispatch, in one critical section.
 func (t *inflightTable) failAttempt(id uint64, worker string, k int) (*inflightEntry, failVerdict) {
-	s := t.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.m[id]
-	if !ok {
+	t.mu.Lock()
+	defer t.unlock()
+	e := t.remove(id)
+	if e == nil {
 		return nil, failUntracked
 	}
 	burned := false
@@ -340,14 +369,12 @@ func (t *inflightTable) failAttempt(id uint64, worker string, k int) (*inflightE
 	if !burned {
 		e.failedOn = append(e.failedOn, worker)
 	}
-	delete(s.m, id)
-	t.approx.Add(-1)
 	if len(e.failedOn) >= k {
-		s.led.shed++
-		s.led.shedPoison++
+		t.led.shed++
+		t.led.shedPoison++
 		return e, failQuarantined
 	}
-	s.led.orphaned++
+	t.led.orphaned++
 	return e, failRetry
 }
 
@@ -359,19 +386,16 @@ func (t *inflightTable) failAttempt(id uint64, worker string, k int) (*inflightE
 // (trackSubmitBatch) or abandoned (shedOrphan).
 func (t *inflightTable) takeWorker(worker string) []*inflightEntry {
 	var out []*inflightEntry
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		for id, e := range s.m {
-			if e.worker == worker {
-				out = append(out, e)
-				delete(s.m, id)
-				s.led.orphaned++
-				t.approx.Add(-1)
-			}
+	t.mu.Lock()
+	t.scan(func(e *inflightEntry) bool {
+		if e.worker != worker {
+			return false
 		}
-		s.mu.Unlock()
-	}
+		out = append(out, e)
+		t.led.orphaned++
+		return true
+	})
+	t.unlock()
 	return out
 }
 
@@ -379,42 +403,32 @@ func (t *inflightTable) takeWorker(worker string) []*inflightEntry {
 // counting each victim in the same critical section that removes it.
 // This is the overload-shedding order: a saturated swarm keeps the
 // freshest frames (the ones a live viewer still cares about) and
-// abandons the stalest. Candidates are collected per shard, globally
-// sorted, then re-checked under their shard lock — an entry acked
-// between collection and shedding is simply no longer a victim.
+// abandons the stalest. Candidates are sorted outside the lock, then
+// re-checked under it — an entry acked or re-tracked between collection
+// and shedding is simply no longer a victim.
 func (t *inflightTable) shedOldest(n int) []*inflightEntry {
 	if n <= 0 {
 		return nil
 	}
-	var all []*inflightEntry
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		for _, e := range s.m {
-			all = append(all, e)
-		}
-		s.mu.Unlock()
-	}
+	all := t.snapshotEntries()
 	if len(all) == 0 {
 		return nil
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].sentAt.Before(all[j].sentAt) })
 	out := make([]*inflightEntry, 0, n)
+	t.mu.Lock()
 	for _, e := range all {
 		if len(out) == n {
 			break
 		}
-		s := t.shard(e.t.ID)
-		s.mu.Lock()
-		if cur, ok := s.m[e.t.ID]; ok && cur == e {
-			delete(s.m, e.t.ID)
-			s.led.shed++
-			s.led.shedOverload++
-			t.approx.Add(-1)
+		if t.lookup(e.t.ID) == e {
+			t.remove(e.t.ID)
+			t.led.shed++
+			t.led.shedOverload++
 			out = append(out, e)
 		}
-		s.mu.Unlock()
 	}
+	t.unlock()
 	return out
 }
 
@@ -424,21 +438,16 @@ func (t *inflightTable) shedOldest(n int) []*inflightEntry {
 // worker's death still resolves them through the normal paths.
 func (t *inflightTable) sweepTimeouts(now time.Time, timeout time.Duration) map[string]int {
 	var counts map[string]int
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		for _, e := range s.m {
-			if e.timedOut || now.Sub(e.sentAt) < timeout {
-				continue
-			}
-			e.timedOut = true
-			if counts == nil {
-				counts = make(map[string]int)
-			}
-			counts[e.worker]++
+	t.each(func(e *inflightEntry) {
+		if e.timedOut || now.Sub(e.sentAt) < timeout {
+			return
 		}
-		s.mu.Unlock()
-	}
+		e.timedOut = true
+		if counts == nil {
+			counts = make(map[string]int)
+		}
+		counts[e.worker]++
+	})
 	return counts
 }
 
@@ -447,23 +456,33 @@ func (t *inflightTable) sweepTimeouts(now time.Time, timeout time.Duration) map[
 // (tuple bytes, attempt).
 func (t *inflightTable) snapshotEntries() []*inflightEntry {
 	var out []*inflightEntry
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		for _, e := range s.m {
-			out = append(out, e)
-		}
-		s.mu.Unlock()
-	}
+	t.each(func(e *inflightEntry) { out = append(out, e) })
 	return out
 }
 
-// seedLedger installs checkpointed counters (crash recovery). They land
-// wholly in shard 0 — only the cross-shard sum is meaningful.
+// markHedged flags e hedged and counts it, in one critical section with
+// the check that e is still tracked and unhedged and with build, which
+// reads e.t: once an entry leaves the table the retransmit path may
+// rewrite its tuple, so only here is reading it safe. It returns build's
+// frame, or nil if e is gone, already hedged, or build returned nil.
+func (t *inflightTable) markHedged(e *inflightEntry, build func(*tuple.Tuple) *wire.Buf) *wire.Buf {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if e.hedged || t.lookup(e.t.ID) != e {
+		return nil
+	}
+	fb := build(e.t)
+	if fb != nil {
+		e.hedged = true
+		t.led.hedged++
+	}
+	return fb
+}
+
+// seedLedger installs checkpointed counters (crash recovery).
 func (t *inflightTable) seedLedger(c *checkpointState) {
-	s := &t.shards[0]
-	s.mu.Lock()
-	s.led = ledgerCounters{
+	t.mu.Lock()
+	t.led = ledgerCounters{
 		submitted:     c.Submitted,
 		acked:         c.Acked,
 		retransmitted: c.Retransmitted,
@@ -473,95 +492,28 @@ func (t *inflightTable) seedLedger(c *checkpointState) {
 		hedged:        c.Hedged,
 		shadowed:      c.Shadowed,
 	}
-	s.mu.Unlock()
+	t.mu.Unlock()
 }
 
-// ledgerSnapshot sums the per-shard counters and live-entry counts under
-// all shard locks (taken in index order, so concurrent snapshots cannot
-// deadlock): the consistent read behind MasterStats. No tuple lifecycle
+// ledgerSnapshot reads the counters and the live-entry count under the
+// table lock: the consistent read behind MasterStats. No tuple lifecycle
 // transition can interleave, so the returned view always balances.
 func (t *inflightTable) ledgerSnapshot() (ledgerCounters, int) {
-	for i := range t.shards {
-		t.shards[i].mu.Lock()
-	}
-	var led ledgerCounters
-	n := 0
-	for i := range t.shards {
-		led.add(t.shards[i].led)
-		n += len(t.shards[i].m)
-	}
-	for i := len(t.shards) - 1; i >= 0; i-- {
-		t.shards[i].mu.Unlock()
-	}
-	return led, n
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.led, t.live
 }
 
-// noteShadowed counts one shadow copy of tuple id, sent beside its
-// tracked dispatch; the copy itself takes no entry.
-func (t *inflightTable) noteShadowed(id uint64) {
-	s := t.shard(id)
-	s.mu.Lock()
-	s.led.shadowed++
-	s.mu.Unlock()
+// noteShadowed counts one shadow copy, sent beside its tracked dispatch;
+// the copy itself takes no entry.
+func (t *inflightTable) noteShadowed() {
+	t.mu.Lock()
+	t.led.shadowed++
+	t.mu.Unlock()
 }
 
 // size reports the approximate number of tracked tuples — admission
 // control's cheap read. Exact counts come from ledgerSnapshot.
 func (t *inflightTable) size() int {
 	return int(t.approx.Load())
-}
-
-// dedupSet is the sharded cross-epoch sink dedup set: tuple IDs the
-// previous incarnation acknowledged, whose straggler results must be
-// dropped rather than replayed. It shares the table's shard-by-hashed-ID
-// layout so lookups on the ACK path never funnel through one lock.
-type dedupSet struct {
-	shards []dedupShard
-	mask   uint64
-}
-
-type dedupShard struct {
-	mu sync.Mutex
-	m  map[uint64]struct{}
-	_  [48]byte
-}
-
-func newDedupSet(shards int, ids map[uint64]struct{}) *dedupSet {
-	n := ceilPow2(shards)
-	d := &dedupSet{shards: make([]dedupShard, n), mask: uint64(n - 1)}
-	for i := range d.shards {
-		d.shards[i].m = make(map[uint64]struct{})
-	}
-	for id := range ids {
-		s := &d.shards[mix64(id)&d.mask]
-		s.m[id] = struct{}{}
-	}
-	return d
-}
-
-// has reports whether the ID was acknowledged by a previous incarnation.
-func (d *dedupSet) has(id uint64) bool {
-	if d == nil {
-		return false
-	}
-	s := &d.shards[mix64(id)&d.mask]
-	s.mu.Lock()
-	_, ok := s.m[id]
-	s.mu.Unlock()
-	return ok
-}
-
-// len reports the total number of remembered IDs (tests, logging).
-func (d *dedupSet) len() int {
-	if d == nil {
-		return 0
-	}
-	n := 0
-	for i := range d.shards {
-		s := &d.shards[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
-	}
-	return n
 }

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	goruntime "runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -172,12 +171,6 @@ type MasterConfig struct {
 	// handshake; excess connects are refused immediately (default 32;
 	// < 0 removes the cap).
 	MaxPendingHandshakes int
-	// Shards is the hot-state fan-out: the in-flight ledger and the
-	// cross-epoch dedup set are each split into this many independently
-	// locked shards, keyed by hashed tuple ID. Rounded up to a power of
-	// two and capped at 128; zero or negative defaults to GOMAXPROCS at
-	// startup. The write-ahead journal is one file whatever the count.
-	Shards int
 	// StatusAddr enables the observability plane: an HTTP listener at
 	// this address (host:port; ":0" picks a free port, see StatusAddr())
 	// serving /statusz (HTML dashboard; ?format=json for the same data as
@@ -223,10 +216,6 @@ func (c MasterConfig) withDefaults() MasterConfig {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Shards <= 0 {
-		c.Shards = goruntime.GOMAXPROCS(0)
-	}
-	c.Shards = ceilPow2(c.Shards)
 	if c.Heartbeat > 0 {
 		if c.SuspectAfter == 0 {
 			c.SuspectAfter = 3 * c.Heartbeat
@@ -362,8 +351,8 @@ type Master struct {
 	arrived int64
 
 	// inflight carries both the routed-but-unacked entries and the
-	// fault-tolerance ledger, sharded by hashed tuple ID; counters move
-	// in the same shard critical section as the entries they describe.
+	// fault-tolerance ledger under one lock; counters move in the same
+	// critical section as the entries they describe.
 	inflight *inflightTable
 
 	workerDropped atomic.Int64
@@ -407,8 +396,10 @@ type Master struct {
 	ckptTook atomic.Int64
 	// recoveredAcked is the cross-epoch sink dedup set: tuple IDs the
 	// previous incarnation acknowledged whose straggler results must be
-	// dropped, never replayed to the sink. Read-only after recovery.
-	recoveredAcked *dedupSet
+	// dropped, never replayed to the sink. Written once before the
+	// listener opens and only read after, so it takes no lock; nil is
+	// the empty set.
+	recoveredAcked map[uint64]struct{}
 	recovered      int64
 
 	// rep is the hot-standby replication plane, nil unless ReplicateAddr
@@ -477,7 +468,7 @@ func StartMaster(cfg MasterConfig) (*Master, error) {
 		ln:       ln,
 		router:   router,
 		sink:     reorder.New[Result](rcap),
-		inflight: newInflightTable(cfg.Shards),
+		inflight: newInflightTable(),
 		epoch:    1,
 		events:   obs.NewEventLog(256),
 		start:    time.Now(),
@@ -600,6 +591,16 @@ func (m *Master) pickU() float64 {
 	return float64(mix64(m.pickSeq.Add(1))>>11) * (1.0 / (1 << 53))
 }
 
+// mix64 is the splitmix64 finalizer.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
 // initRecovery rebuilds the previous incarnation's state from checkpoint
 // plus journal, persists a fresh checkpoint under the new epoch, and
 // opens a new journal generation. It runs before the listener admits
@@ -612,7 +613,7 @@ func (m *Master) initRecovery() error {
 	}
 	m.epoch = rs.prevEpoch + 1
 	m.generation.Store(rs.generation + 1)
-	m.recoveredAcked = newDedupSet(m.cfg.Shards, rs.acked)
+	m.recoveredAcked = rs.acked
 	c := rs.counters
 	m.inflight.seedLedger(&c)
 	m.workerDropped.Store(c.WorkerDropped)
@@ -837,8 +838,8 @@ type WorkerStatus struct {
 }
 
 // Stats returns the ledger, sink counters and the per-worker liveness
-// view. The ledger fields come from one consistent cross-shard sample
-// (every shard locked at once), so the invariant
+// view. The ledger fields come from one consistent sample under the
+// in-flight table's lock, so the invariant
 // Acked + Shed + InFlight == Submitted holds in every returned snapshot
 // even while Submit and ACK traffic races on other cores — the one
 // documented exception being a dead worker's backlog mid-retransmit.
@@ -1380,7 +1381,7 @@ func (m *Master) retransmitAll(from string, orphans []*inflightEntry) {
 		}
 		if reason != "" {
 			shed++
-			m.inflight.shedOrphan(e.t.ID)
+			m.inflight.shedOrphan()
 			m.journalShed(e.t.ID, false)
 			m.cfg.Logger.Info("swing master: shed tuple",
 				"tuple", e.t.ID, "seq", e.t.SeqNo, "worker", from, "reason", reason)
@@ -1441,7 +1442,7 @@ const submitBatchMaxBytes = 256 << 10
 
 // SubmitBatch routes a slice of fresh tuples into the swarm as one
 // dataplane operation: the routing snapshot is loaded once, ledger
-// inserts take one lock per touched in-flight shard, journal records
+// inserts take the in-flight table's lock once per frame, journal records
 // land under one group-commit entry, and tuples bound for the same
 // worker coalesce into FrameTupleBatch frames — one queue slot, one
 // header and one Write per frame instead of per tuple.
@@ -1677,7 +1678,7 @@ func (m *Master) abandon(t *tuple.Tuple, attempt uint8, bounced map[uint64]bool)
 	if !bounced[t.ID] {
 		return ErrNoWorkers
 	}
-	m.inflight.shedUntracked(t.ID, attempt)
+	m.inflight.shedUntracked(attempt)
 	m.journalShed(t.ID, true)
 	m.events.Record(obs.EventShed, "", "all queues full", 1)
 	m.cfg.Logger.Info("swing master: shed tuple",
@@ -1687,8 +1688,8 @@ func (m *Master) abandon(t *tuple.Tuple, attempt uint8, bounced map[uint64]bool)
 
 // ship sends one worker's share of a round as FrameTupleBatch frames of
 // at most submitBatchMaxBytes. Each frame is marshaled in routing order,
-// then its tuples are tracked — counted in the same shard critical
-// section as their insert — and only then enqueued, taking one queue
+// then its tuples are tracked — counted in the same critical section
+// as their insert — and only then enqueued, taking one queue
 // slot, so an ack arriving right after the send always finds its entry.
 // A frame that cannot be enqueued (a full queue in admission mode, or
 // the worker died while the send was blocked) has its tuples reclaimed,

@@ -516,10 +516,7 @@ func startRecoverableMaster(t *testing.T, mem *transport.Mem, jpath string, col 
 		CheckpointEvery: -1,
 		Fsync:           FsyncNever,
 		RetryDeadline:   5 * time.Second,
-		// Several shards so every crash/recovery scenario in this file
-		// exercises the sharded in-flight table and dedup set.
-		Shards: 4,
-		Logger: quietLogger(),
+		Logger:          quietLogger(),
 	}
 	if col != nil {
 		cfg.OnResult = col.add
@@ -889,7 +886,6 @@ func TestMasterKillSoak(t *testing.T) {
 			Fsync:           FsyncInterval,
 			FsyncEvery:      20 * time.Millisecond,
 			RetryDeadline:   2 * time.Second,
-			Shards:          4,
 			OnResult:        record,
 			Logger:          quietLogger(),
 		})

@@ -84,7 +84,7 @@ func (m *Master) ackResult(wc *workerConn, sc *resultScratch, entry []byte, now 
 	if err != nil {
 		return
 	}
-	if m.recoveredAcked.has(meta.TupleID) {
+	if _, dup := m.recoveredAcked[meta.TupleID]; dup {
 		// Straggler from a previous incarnation: the old master already
 		// acked (and possibly played) this tuple before it crashed.
 		// Dropping the duplicate keeps the sink at-most-once across epochs.

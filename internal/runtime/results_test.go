@@ -17,8 +17,8 @@ import (
 	"github.com/swingframework/swing/internal/wire"
 )
 
-// startJournalMaster starts a worker-less journaling master with a
-// four-way sharded in-flight table, for driving the result path directly.
+// startJournalMaster starts a worker-less journaling master, for driving
+// the result path directly.
 func startJournalMaster(t *testing.T, onResult func(Result)) *Master {
 	t.Helper()
 	app, err := apps.FaceRecognition()
@@ -32,7 +32,6 @@ func startJournalMaster(t *testing.T, onResult func(Result)) *Master {
 		JournalPath:     filepath.Join(t.TempDir(), "wal"),
 		CheckpointEvery: -1,
 		Fsync:           FsyncNever,
-		Shards:          4,
 		OnResult:        onResult,
 		Logger:          quietLogger(),
 	})

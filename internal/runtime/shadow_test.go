@@ -245,7 +245,7 @@ func TestCheckpointCarriesShadowed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := newInflightTable(2)
+	tbl := newInflightTable()
 	tbl.seedLedger(st)
 	if led, _ := tbl.ledgerSnapshot(); led.hedged != 2 || led.shadowed != 3 {
 		t.Fatalf("recovered hedged %d, shadowed %d; want 2 and 3", led.hedged, led.shadowed)

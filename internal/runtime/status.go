@@ -12,7 +12,7 @@ import (
 // /status.json) serves exactly this value, and the swingd status log line
 // renders it, so the two can never disagree.
 //
-// The ledger fields come from one consistent cross-shard sample, so the
+// The ledger fields come from one consistent locked sample, so the
 // exact invariant Acked + Shed + InFlight + Retransmitting == Submitted
 // holds in every snapshot even under concurrent Submit/ACK traffic and
 // mid-retransmit worker failures. Each subsystem (ledger, sink, router,

@@ -528,6 +528,9 @@ type procJob struct {
 	dropped bool
 	reason  wire.DropReason
 	done    chan struct{}
+	// one backs outs for a fresh job, so the common one-result tuple
+	// costs no append allocation even when the pool was emptied by GC.
+	one [1]*tuple.Tuple
 }
 
 // batchBuf is one FrameTupleBatch's pooled frame buffer, shared by every
@@ -553,7 +556,11 @@ func (b *batchBuf) release() {
 	}
 }
 
-var jobPool = sync.Pool{New: func() any { return &procJob{done: make(chan struct{}, 1)} }}
+var jobPool = sync.Pool{New: func() any {
+	j := &procJob{done: make(chan struct{}, 1)}
+	j.outs = j.one[:0]
+	return j
+}}
 
 func getJob(t *tuple.Tuple) *procJob {
 	j := jobPool.Get().(*procJob)

@@ -26,13 +26,14 @@ go test -run=NONE -bench=. -benchtime=1x ./internal/wire ./internal/tuple ./inte
 # runs them; pin them here at GOMAXPROCS=1.
 GOMAXPROCS=1 go test -count=1 -run 'TestBatchRoundTripAllocs|TestSubmitRoundTripAllocs' ./internal/runtime/
 # Many-worker throughput smoke under the race detector, scaled down (64
-# workers, 4 submitters, 200 tuples) so the sharded hot state — in-flight
-# shards, RCU routing snapshot — and the journal's group commit are
-# exercised under real concurrency on every check run without benchmark-scale cost.
+# workers, 4 submitters, 200 tuples) so the shared hot state — the
+# in-flight table, the RCU routing snapshot — and the journal's group
+# commit are exercised under real concurrency on every check run without
+# benchmark-scale cost.
 SWING_BENCH_WORKERS=64 SWING_BENCH_SUBMITTERS=4 \
     go test -race -run=NONE -bench=ManyWorkerThroughput -benchtime=200x ./internal/runtime
-# Same smoke with batched submitters: SubmitBatch packing, per-shard
-# group tracking, group journal commits, and the worker's chained batch
+# Same smoke with batched submitters: SubmitBatch packing, one-lock
+# batch tracking, group journal commits, and the worker's chained batch
 # decode, all under the race detector.
 SWING_BENCH_WORKERS=64 SWING_BENCH_SUBMITTERS=4 SWING_BENCH_SUBMIT_BATCH=16 \
     go test -race -run=NONE -bench=ManyWorkerThroughput -benchtime=200x ./internal/runtime
@@ -135,3 +136,5 @@ go test -run '^$' -fuzz 'FuzzRepCodec' -fuzztime "${FUZZ_SECONDS}s" ./internal/w
 go test -run '^$' -fuzz 'FuzzJournalRecord' -fuzztime "${FUZZ_SECONDS}s" ./internal/runtime/
 # The playback ring against the map loop it replaced, after every arrival.
 go test -run '^$' -fuzz 'FuzzReorder' -fuzztime=10s ./internal/reorder/
+# The in-flight slot table against a map oracle, after every ledger op.
+go test -run '^$' -fuzz 'FuzzInflightTable' -fuzztime=10s ./internal/runtime/
