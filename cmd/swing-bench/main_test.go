@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -83,5 +84,40 @@ func TestRunReportToFile(t *testing.T) {
 	}
 	if info, err := os.Stat(profile); err != nil || info.Size() == 0 {
 		t.Fatalf("cpu profile not written: info=%v err=%v", info, err)
+	}
+}
+
+// TestSeed42ReportGolden pins the seed-42 report below its timing line
+// to testdata/report_seed42.golden, regenerated with
+//
+//	go run ./cmd/swing-bench | tail -n +2 > cmd/swing-bench/testdata/report_seed42.golden
+//
+// when a change means to move a figure. Other architectures may fuse
+// multiply-adds, which moves the floats, so the pin holds on amd64 only.
+func TestSeed42ReportGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden report is generated on amd64, not %s", runtime.GOARCH)
+	}
+	out := filepath.Join(t.TempDir(), "report.txt")
+	if err := run([]string{"-out", out}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "report_seed42.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, got, _ := strings.Cut(string(data), "\n")
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gl), len(wl)) {
+			if gl[i] != wl[i] {
+				t.Fatalf("report differs from the golden file at line %d:\n got: %s\nwant: %s", i+2, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("report has %d lines below the timing line, golden file %d", len(gl), len(wl))
 	}
 }

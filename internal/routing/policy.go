@@ -12,7 +12,8 @@
 //
 // The package is pure control logic with no goroutines or I/O: both the
 // discrete-event swarm simulator (internal/core) and the live runtime
-// (internal/runtime) drive the same Router, so the algorithm evaluated in
+// (internal/runtime) drive the same Router and pick from the same Table —
+// the router's current routing table — so the algorithm evaluated in
 // simulation is exactly the code deployed on devices.
 package routing
 

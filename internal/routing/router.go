@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"time"
 )
 
@@ -63,19 +64,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// downState is the router's bookkeeping for one downstream function unit.
-type downState struct {
-	id  string
-	est Estimate
-	// swrrCredit accumulates weight for deterministic smooth weighted
-	// round-robin.
-	swrrCredit float64
-}
-
 // Router executes one upstream function unit's share of the distributed
 // algorithm: it maintains delay estimates for its downstream units,
-// periodically recomputes the routing table (selection + weights), and
-// answers per-tuple routing queries.
+// rebuilds its routing table (selection + weights) on every reconfigure
+// and membership change, and answers per-tuple routing queries from that
+// table — the same Table the live runtime publishes for its Submit path.
 //
 // Router is not safe for concurrent use; the runtime serializes access per
 // upstream (matching the paper's one-router-per-upstream-thread design).
@@ -83,8 +76,11 @@ type Router struct {
 	cfg Config
 	rng *rand.Rand
 
-	downs map[string]*downState
-	order []string // insertion order, for deterministic iteration
+	downs map[string]*Estimate
+	// order is every downstream in insertion order, for deterministic
+	// iteration. It is copy-on-write: each Table shares the slice it was
+	// built from, so membership changes replace it instead of editing it.
+	order []string
 
 	// warm holds checkpointed estimates from a previous incarnation of the
 	// coordinator, applied when the matching downstream re-joins so the
@@ -92,34 +88,18 @@ type Router struct {
 	// scratch (master crash recovery). Entries are consumed on use.
 	warm map[string]Estimate
 
-	// Routing table (recomputed on Reconfigure).
-	selected []string
-	weights  []float64 // parallel to selected; sums to 1
-	cum      []float64 // cumulative weights, for binary-search draws
+	// table is the current routing table, replaced by every rebuild.
+	table *Table
+	// credits keeps each downstream's SWRR credit (Deterministic only)
+	// across rebuilds, also while it is deselected for a while.
+	credits map[string]float64
 
-	// selWeight mirrors selected→weight for O(1) Snapshot lookups; it is
-	// rebuilt in recompute so per-tick snapshots allocate nothing.
-	selWeight map[string]float64
-
-	// Scratch buffers reused across recomputes so the per-second
-	// reconfigure path stops allocating in steady state.
+	// Scratch buffers reused across recomputes.
 	candScratch []cand
 	rateScratch []float64
 
-	rrIdx      int
 	rounds     int
-	probeLeft  int
-	probeIdx   int
 	lastLambda float64
-	infeasible bool
-
-	// lastTable is the most recently built immutable snapshot (see
-	// snapshot.go); Table consults it to migrate un-consumed probe budget
-	// into the next snapshot. probeArmed marks that Reconfigure opened a
-	// fresh probe window since the last snapshot, which must not be
-	// clipped by the (drained) budget of the previous one.
-	lastTable  *Table
-	probeArmed bool
 }
 
 // Errors returned by Router operations.
@@ -139,10 +119,11 @@ func NewRouter(cfg Config, rng *rand.Rand) (*Router, error) {
 		return nil, errors.New("routing: nil rng")
 	}
 	return &Router{
-		cfg:       cfg,
-		rng:       rng,
-		downs:     make(map[string]*downState),
-		selWeight: make(map[string]float64),
+		cfg:     cfg,
+		rng:     rng,
+		downs:   make(map[string]*Estimate),
+		table:   &Table{policy: cfg.Policy, deterministic: cfg.Deterministic},
+		credits: make(map[string]float64),
 	}, nil
 }
 
@@ -160,20 +141,17 @@ func (r *Router) AddDownstream(id string) error {
 	if _, dup := r.downs[id]; dup {
 		return fmt.Errorf("%w: %q", ErrDupDownstream, id)
 	}
-	d := &downState{id: id}
-	if est, ok := r.warm[id]; ok {
-		// A re-adopted worker resumes with its checkpointed estimate; new
-		// ACKs fold into it through the usual EWMA.
-		d.est = est
-		delete(r.warm, id)
-	}
-	r.downs[id] = d
-	r.order = append(r.order, id)
+	est := r.warm[id]
+	// A re-adopted worker resumes with its checkpointed estimate; new ACKs
+	// fold into it through the usual EWMA.
+	delete(r.warm, id)
+	r.downs[id] = &est
+	r.order = append(r.order[:len(r.order):len(r.order)], id)
 	// Fold the newcomer into the live table right away so it receives
 	// traffic within one reconfigure period ("within a second of G's
 	// arrival, throughput rises", §VI-C). It starts with no estimate and
 	// is treated optimistically by recompute.
-	r.recompute(r.lastLambda)
+	r.rebuild(r.lastLambda, false)
 	return nil
 }
 
@@ -181,27 +159,24 @@ func (r *Router) AddDownstream(id string) error {
 // immediately recomputes the routing table so no further tuples route to
 // it (§IV-C "Handling Joining and Leaving").
 func (r *Router) RemoveDownstream(id string) error {
-	d, ok := r.downs[id]
+	est, ok := r.downs[id]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownDownstream, id)
 	}
-	if d.est.Samples > 0 {
+	if est.Samples > 0 {
 		// Park the estimate: a worker that drops and rejoins (or rejoins a
 		// restarted master that checkpointed this table) resumes warm
 		// instead of re-probing from scratch.
 		if r.warm == nil {
 			r.warm = make(map[string]Estimate, 1)
 		}
-		r.warm[id] = d.est
+		r.warm[id] = *est
 	}
 	delete(r.downs, id)
-	for i, d := range r.order {
-		if d == id {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-	r.recompute(r.lastLambda)
+	delete(r.credits, id)
+	i := slices.Index(r.order, id)
+	r.order = slices.Delete(slices.Clone(r.order), i, i+1)
+	r.rebuild(r.lastLambda, false)
 	return nil
 }
 
@@ -232,12 +207,12 @@ func (r *Router) SeedEstimates(ests map[string]Estimate) {
 	}
 	for id, est := range ests {
 		if d, ok := r.downs[id]; ok {
-			d.est = est
+			*d = est
 			continue
 		}
 		r.warm[id] = est
 	}
-	r.recompute(r.lastLambda)
+	r.rebuild(r.lastLambda, false)
 }
 
 // SeededEstimate reports the warm estimate waiting for a downstream that
@@ -256,8 +231,8 @@ func (r *Router) Estimates() map[string]Estimate {
 	for id, est := range r.warm {
 		out[id] = est
 	}
-	for id, d := range r.downs {
-		out[id] = d.est
+	for id, est := range r.downs {
+		out[id] = *est
 	}
 	return out
 }
@@ -266,23 +241,23 @@ func (r *Router) Estimates() map[string]Estimate {
 // the upstream-measured end-to-end delay (now − tuple emit timestamp);
 // processing is the downstream-reported processing delay.
 func (r *Router) ObserveAck(id string, latency, processing time.Duration, now time.Duration) error {
-	d, ok := r.downs[id]
+	est, ok := r.downs[id]
 	if !ok {
 		// The downstream may have just been removed; late ACKs are
 		// expected and ignored.
 		return fmt.Errorf("%w: %q", ErrUnknownDownstream, id)
 	}
-	d.est.Observe(latency, processing, r.cfg.Alpha, now)
+	est.Observe(latency, processing, r.cfg.Alpha, now)
 	return nil
 }
 
 // Estimate returns the current estimate for a downstream.
 func (r *Router) Estimate(id string) (Estimate, error) {
-	d, ok := r.downs[id]
+	est, ok := r.downs[id]
 	if !ok {
 		return Estimate{}, fmt.Errorf("%w: %q", ErrUnknownDownstream, id)
 	}
-	return d.est, nil
+	return *est, nil
 }
 
 // Reconfigure recomputes the routing table from current estimates, given
@@ -290,25 +265,66 @@ func (r *Router) Estimate(id string) (Estimate, error) {
 // ReconfigurePeriod.
 func (r *Router) Reconfigure(lambda float64) {
 	r.rounds++
-	if r.cfg.ProbeEvery > 0 && r.rounds%r.cfg.ProbeEvery == 0 {
-		r.probeLeft = r.cfg.ProbeTuples
-		r.probeArmed = true
+	r.rebuild(lambda, r.cfg.ProbeEvery > 0 && r.rounds%r.cfg.ProbeEvery == 0)
+}
+
+// rebuild replaces the current table with one recomputed for lambda. The
+// new table carries over its predecessor's round-robin and probe cursors
+// and SWRR credits, and — unless arm opens a fresh probe window of
+// ProbeTuples — its un-consumed probe budget. The budget migrates by
+// linking the successor first, then claiming the remainder with Swap:
+// an abandonment racing on the old table either zeroes the budget before
+// the Swap (0 migrates) or walks the chain into the successor after it
+// (abandonProbes re-loads next after its stores, so a walk that misses
+// the link happened entirely before the Swap and already drained the
+// budget). Either way the budget is spent at most once, and the
+// successor's abandoned latch makes the kill stick even if the Store
+// below lands after a chained zeroing. A fresh window is not linked, so
+// stale abandonments cannot reach it.
+func (r *Router) rebuild(lambda float64, arm bool) {
+	prev := r.table
+	t := &Table{policy: r.cfg.Policy, deterministic: r.cfg.Deterministic, order: r.order}
+	r.recompute(t, lambda)
+	t.weight = make(map[string]float64, len(t.selected))
+	for i, id := range t.selected {
+		t.weight[id] = t.weights[i]
 	}
-	r.recompute(lambda)
+	if t.deterministic {
+		prev.swrrMu.Lock()
+		for i, id := range prev.selected {
+			if _, ok := r.downs[id]; ok {
+				r.credits[id] = prev.swrrCredits[i]
+			}
+		}
+		prev.swrrMu.Unlock()
+		t.swrrCredits = make([]float64, len(t.selected))
+		for i, id := range t.selected {
+			t.swrrCredits[i] = r.credits[id]
+		}
+	}
+	if arm {
+		t.probeLeft.Store(int64(r.cfg.ProbeTuples))
+	} else {
+		prev.next.Store(t)
+		t.probeLeft.Store(max(prev.probeLeft.Swap(0), 0))
+	}
+	t.rrIdx.Store(prev.rrIdx.Load())
+	t.probeIdx.Store(prev.probeIdx.Load())
+	r.table = t
 }
 
 // rateFor returns the service-rate estimate the policy uses for a
 // downstream. Downstreams with no samples are treated optimistically with
 // an infinite rate so they are tried first (and measured) before being
 // relied upon.
-func (r *Router) rateFor(d *downState) float64 {
-	if !d.est.HasSample() {
+func (r *Router) rateFor(est *Estimate) float64 {
+	if !est.HasSample() {
 		return float64(1<<62) / float64(time.Second)
 	}
 	if r.cfg.Policy.UsesLatency() {
-		return d.est.LatencyRate()
+		return est.LatencyRate()
 	}
-	return d.est.ProcessingRate()
+	return est.ProcessingRate()
 }
 
 // cand is one downstream candidate during table recomputation.
@@ -317,30 +333,20 @@ type cand struct {
 	rate float64
 }
 
-// recompute rebuilds selection, weights and the cumulative-weight table.
-// It runs every reconfigure period per upstream, so it draws entirely on
-// the router's reusable scratch buffers and allocates nothing in steady
-// state.
-func (r *Router) recompute(lambda float64) {
+// recompute fills t's selection, weights, cumulative weights and
+// overload flag from the current estimates. Its candidate and
+// rate buffers are the router's reusable scratch.
+func (r *Router) recompute(t *Table, lambda float64) {
 	r.lastLambda = lambda
-	r.selected = r.selected[:0]
-	r.weights = r.weights[:0]
-	r.cum = r.cum[:0]
-	clear(r.selWeight)
-	defer func() {
-		for i, id := range r.selected {
-			r.selWeight[id] = r.weights[i]
-		}
-	}()
 	if len(r.order) == 0 {
 		return
 	}
 	if r.cfg.Policy == RR {
 		// Round-robin routes over all downstreams with equal weight.
-		r.selected = append(r.selected, r.order...)
-		w := 1 / float64(len(r.selected))
-		for range r.selected {
-			r.weights = append(r.weights, w)
+		t.selected = r.order
+		t.weights = make([]float64, len(r.order))
+		for i := range t.weights {
+			t.weights[i] = 1 / float64(len(r.order))
 		}
 		return
 	}
@@ -348,9 +354,9 @@ func (r *Router) recompute(lambda float64) {
 	cands := r.candScratch[:0]
 	fastest := 0.0
 	for _, id := range r.order {
-		d := r.downs[id]
-		rate := r.rateFor(d)
-		if d.est.HasSample() && rate > fastest {
+		est := r.downs[id]
+		rate := r.rateFor(est)
+		if est.HasSample() && rate > fastest {
 			fastest = rate
 		}
 		cands = append(cands, cand{id: id, rate: rate})
@@ -384,7 +390,6 @@ func (r *Router) recompute(lambda float64) {
 	}
 
 	chosen := cands
-	r.infeasible = false
 	if r.cfg.Policy.UsesSelection() && lambda > 0 {
 		// Worker Selection: the minimum prefix with Σμ ≥ (1+h)·Λ. If the
 		// constraint is infeasible, all downstreams are selected (§V-A)
@@ -403,7 +408,7 @@ func (r *Router) recompute(lambda float64) {
 				break
 			}
 		}
-		r.infeasible = sum < target
+		t.overloaded = sum < target
 		chosen = cands[:cut]
 	}
 
@@ -413,7 +418,7 @@ func (r *Router) recompute(lambda float64) {
 	// or share equally when nothing is sampled yet.
 	best := 0.0
 	for _, c := range chosen {
-		if r.downs[c.id].est.HasSample() && c.rate > best {
+		if r.downs[c.id].HasSample() && c.rate > best {
 			best = c.rate
 		}
 	}
@@ -421,7 +426,7 @@ func (r *Router) recompute(lambda float64) {
 	rates := r.rateScratch[:0]
 	for _, c := range chosen {
 		rate := c.rate
-		if !r.downs[c.id].est.HasSample() {
+		if !r.downs[c.id].HasSample() {
 			if best > 0 {
 				rate = best
 			} else {
@@ -439,38 +444,37 @@ func (r *Router) recompute(lambda float64) {
 		}
 		total = float64(len(rates))
 	}
+	t.selected = make([]string, len(chosen))
+	t.weights = make([]float64, len(chosen))
+	t.cum = make([]float64, len(chosen))
 	acc := 0.0
 	for i, c := range chosen {
 		w := rates[i] / total
 		acc += w
-		r.selected = append(r.selected, c.id)
-		r.weights = append(r.weights, w)
-		r.cum = append(r.cum, acc)
+		t.selected[i], t.weights[i], t.cum[i] = c.id, w, acc
 	}
 }
 
+// Table returns the current routing table. The caller must serialize
+// Table with the router's other methods (the usual single-writer
+// discipline); the returned table itself is free of that requirement and
+// stays valid — though no longer current — after the next rebuild.
+func (r *Router) Table() *Table { return r.table }
+
 // Selected returns the IDs in the current routing table and their weights.
 func (r *Router) Selected() ([]string, []float64) {
-	ids, ws := r.AppendSelected(nil, nil)
-	return ids, ws
-}
-
-// AppendSelected appends the current routing table to the given slices
-// and returns them, letting per-tick callers reuse their buffers instead
-// of allocating fresh copies every sample.
-func (r *Router) AppendSelected(ids []string, ws []float64) ([]string, []float64) {
-	return append(ids, r.selected...), append(ws, r.weights...)
+	return slices.Clone(r.table.selected), slices.Clone(r.table.weights)
 }
 
 // Probing reports whether the router is currently in probe mode.
-func (r *Router) Probing() bool { return r.probeLeft > 0 }
+func (r *Router) Probing() bool { return r.table.ProbeLeft() > 0 }
 
 // Overloaded reports whether the last recompute found Worker Selection
 // infeasible: even with every downstream selected, the measured input
 // rate Λ exceeds the swarm's estimated service capacity Σμ. This is the
 // saturation signal behind the runtime's Submit-side admission control.
 // Always false for policies without selection.
-func (r *Router) Overloaded() bool { return r.infeasible }
+func (r *Router) Overloaded() bool { return r.table.overloaded }
 
 // Route picks the downstream for the next tuple. During probe mode it
 // cycles all downstreams round-robin; otherwise it follows the policy
@@ -484,74 +488,22 @@ func (r *Router) Route() (string, error) {
 // already full) are skipped rather than probed — a backed-up connection is
 // itself a fresh signal, and blocking the upstream on a probe would stall
 // the pipeline. Outside probe mode the hint is ignored: policy-routed
-// traffic experiences normal backpressure.
+// traffic experiences normal backpressure. A probe tuple is routed to the
+// slot the table's probe cursor names; any other tuple is the table's
+// policy pick, with the uniform draw taken from the router's rng.
 func (r *Router) RouteAvoiding(avoid func(id string) bool) (string, error) {
-	if len(r.order) == 0 {
+	t := r.table
+	if t.Empty() {
 		return "", ErrNoDownstream
 	}
-	if len(r.selected) == 0 {
-		r.recompute(r.lastLambda)
-	}
-	if r.probeLeft > 0 {
-		for tries := 0; tries < len(r.order); tries++ {
-			id := r.order[r.probeIdx%len(r.order)]
-			r.probeIdx++
-			if avoid != nil && avoid(id) {
-				continue
-			}
-			r.probeLeft--
-			return id, nil
-		}
-		// Every downstream is congested; give up on this probe window
-		// and route normally.
-		r.probeLeft = 0
-	}
-	switch {
-	case r.cfg.Policy == RR:
-		id := r.selected[r.rrIdx%len(r.selected)]
-		r.rrIdx++
+	if id, ok := t.pickProbe(avoid); ok {
 		return id, nil
-	case r.cfg.Deterministic:
-		return r.routeSWRR(), nil
-	default:
-		return r.routeWeightedRandom(), nil
 	}
-}
-
-// routeWeightedRandom draws a downstream with probability equal to its
-// routing weight (the paper's per-tuple weighted random number, §V-A),
-// resolved against the precomputed cumulative-weight table by binary
-// search: the first bucket whose cumulative weight exceeds the draw.
-func (r *Router) routeWeightedRandom() string {
-	u := r.rng.Float64()
-	lo, hi := 0, len(r.cum)-1
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if u < r.cum[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	u := 0.0
+	if t.policy != RR && !t.deterministic {
+		u = r.rng.Float64()
 	}
-	return r.selected[lo]
-}
-
-// routeSWRR implements smooth weighted round-robin: each downstream
-// accrues credit equal to its weight per tuple; the highest-credit
-// downstream is picked and debited. Deterministic ablation of the paper's
-// probabilistic routing.
-func (r *Router) routeSWRR() string {
-	bestIdx := 0
-	var best *downState
-	for i, id := range r.selected {
-		d := r.downs[id]
-		d.swrrCredit += r.weights[i]
-		if best == nil || d.swrrCredit > best.swrrCredit {
-			best, bestIdx = d, i
-		}
-	}
-	best.swrrCredit--
-	return r.selected[bestIdx]
+	return t.Pick(u, nil)
 }
 
 // Info is a read-only snapshot of one downstream's routing state for
@@ -571,12 +523,11 @@ func (r *Router) Snapshot() []Info {
 // AppendSnapshot appends per-downstream routing state in insertion order
 // to dst and returns it. Callers sampling every tick can reuse one Info
 // slice across snapshots (dst = buf[:0]) so steady-state sampling does
-// not allocate; selection weights resolve through the table maintained
-// by recompute rather than a per-call map.
+// not allocate.
 func (r *Router) AppendSnapshot(dst []Info) []Info {
 	for _, id := range r.order {
-		w, ok := r.selWeight[id]
-		dst = append(dst, Info{ID: id, Estimate: r.downs[id].est, Selected: ok, Weight: w})
+		w, ok := r.table.weight[id]
+		dst = append(dst, Info{ID: id, Estimate: *r.downs[id], Selected: ok, Weight: w})
 	}
 	return dst
 }

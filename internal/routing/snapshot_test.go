@@ -119,8 +119,14 @@ func TestTableProbeBudgetMigrates(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tbl.Shadow(nil) // each claims one slot; B and C are both selected
 	}
-	// Mid-window rebuild (e.g. a membership change): 3 slots remain.
+	// Mid-window rebuild (a membership change): 3 slots remain.
+	if err := r.AddDownstream("D"); err != nil {
+		t.Fatal(err)
+	}
 	tbl2 := r.Table()
+	if tbl2 == tbl {
+		t.Fatal("AddDownstream did not rebuild the table")
+	}
 	if got := tbl2.probeLeft.Load(); got != 3 {
 		t.Fatalf("migrated budget = %d, want 3", got)
 	}
@@ -307,7 +313,12 @@ func TestTableAbandonSurvivesRebuild(t *testing.T) {
 	var t2 *Table
 	avoidAll := func(id string) bool {
 		if t2 == nil {
-			t2 = r.Table() // mid-scan rebuild migrates the window
+			// A mid-scan membership change rebuilds the table and migrates
+			// the window.
+			if err := r.AddDownstream("D"); err != nil {
+				t.Fatal(err)
+			}
+			t2 = r.Table()
 		}
 		return true
 	}
@@ -318,6 +329,9 @@ func TestTableAbandonSurvivesRebuild(t *testing.T) {
 	}
 	if t2 == nil {
 		t.Fatal("avoid callback never ran: probe path not taken")
+	}
+	if t2 == t1 {
+		t.Fatal("AddDownstream did not rebuild the table")
 	}
 	if got := t2.ProbeLeft(); got != 0 {
 		t.Fatalf("abandoned window resurrected in successor: budget %d, want 0", got)
@@ -463,5 +477,45 @@ func TestObserveBatchFreshSeedEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(n, single, batched)
+	}
+}
+
+// TestTableCursorsCarryOver: a rebuilt table continues its predecessor's
+// round-robin cycle and SWRR credits instead of starting over, so the
+// live pick spreads tuples across reconfigures exactly as the
+// simulator's does.
+func TestTableCursorsCarryOver(t *testing.T) {
+	for _, det := range []bool{false, true} {
+		cfg := DefaultConfig(RR)
+		if det {
+			cfg = DefaultConfig(LR) // two unsampled workers weigh 0.5 each
+			cfg.Deterministic = true
+		}
+		cfg.ProbeEvery = 0
+		r, err := NewRouter(cfg, testRNG())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []string{"B", "C"} {
+			if err := r.AddDownstream(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got []string
+		for i := 0; i < 4; i++ {
+			tbl := r.Table()
+			id, err := tbl.Pick(0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, id)
+			r.Reconfigure(0)
+			if r.Table() == tbl {
+				t.Fatal("Reconfigure did not rebuild the table")
+			}
+		}
+		if want := []string{"B", "C", "B", "C"}; !slices.Equal(got, want) {
+			t.Fatalf("deterministic=%v: one pick per table gave %v, want %v", det, got, want)
+		}
 	}
 }

@@ -336,6 +336,9 @@ type Master struct {
 	routerMu sync.Mutex
 	router   *routing.Router
 	table    atomic.Pointer[routing.Table]
+	// published is closed and replaced each time withRouter publishes a
+	// table, waking Submits blocked on a full send queue (awaitSlot).
+	published atomic.Pointer[chan struct{}]
 
 	// workers is a copy-on-write map: readers (Submit, the ACK path, the
 	// monitor) Load it lock-free; workersMu serializes the writers
@@ -477,6 +480,8 @@ func StartMaster(cfg MasterConfig) (*Master, error) {
 	empty := make(map[string]*workerConn)
 	m.workers.Store(&empty)
 	m.table.Store(router.Table())
+	published := make(chan struct{})
+	m.published.Store(&published)
 	m.pickSeq.Store(uint64(cfg.Seed))
 	if cfg.MaxPendingHandshakes > 0 {
 		m.handshakes = make(chan struct{}, cfg.MaxPendingHandshakes)
@@ -539,16 +544,19 @@ func (m *Master) workerMap() map[string]*workerConn {
 	return *m.workers.Load()
 }
 
-// withRouter runs f with the router locked, then publishes a fresh
-// immutable snapshot for the lock-free Submit path. Every mutation that
-// can change routing (membership, reconfigure, seeding) goes through
-// here so the published table never lags the router.
+// withRouter runs f with the router locked, then publishes the router's
+// table for the lock-free Submit path and wakes the Submits waiting on a
+// send queue. Every mutation that can change routing (membership,
+// reconfigure, seeding) goes through here so the published table never
+// lags the router; publishing under the lock keeps two racing callers
+// from storing their tables out of order.
 func (m *Master) withRouter(f func(r *routing.Router)) {
 	m.routerMu.Lock()
+	defer m.routerMu.Unlock()
 	f(m.router)
-	t := m.router.Table()
-	m.routerMu.Unlock()
-	m.table.Store(t)
+	m.table.Store(m.router.Table())
+	published := make(chan struct{})
+	close(*m.published.Swap(&published))
 }
 
 // estimateFlushEvery is the cadence at which banked per-worker ACK
@@ -1558,7 +1566,7 @@ func (m *Master) dispatch(ts []*tuple.Tuple, attempt uint8, deadline time.Time, 
 			run, block = splitWorker(block)
 			id, n := run[0].worker, len(again)
 			var err error
-			again, err = m.ship(workers[id], run, again)
+			again, err = m.ship(table, workers[id], run, again)
 			if errors.Is(err, ErrStopped) {
 				for _, c := range copies {
 					c.fb.Release()
@@ -1691,12 +1699,13 @@ func (m *Master) abandon(t *tuple.Tuple, attempt uint8, bounced map[uint64]bool)
 // then its tuples are tracked — counted in the same critical section
 // as their insert — and only then enqueued, taking one queue
 // slot, so an ack arriving right after the send always finds its entry.
-// A frame that cannot be enqueued (a full queue in admission mode, or
-// the worker died while the send was blocked) has its tuples reclaimed,
+// A frame that cannot be enqueued (a full queue in admission mode, the
+// worker died while the send was blocked, or a table published meanwhile
+// deselected the worker table picked) has its tuples reclaimed,
 // un-counting them, and appended to again. A tuple a dead worker's drop
 // path claimed first belongs to the retransmitter and is skipped. On
 // master stop the frame's tuples are reclaimed and ErrStopped returned.
-func (m *Master) ship(wc *workerConn, run []inflightEntry, again []*tuple.Tuple) ([]*tuple.Tuple, error) {
+func (m *Master) ship(table *routing.Table, wc *workerConn, run []inflightEntry, again []*tuple.Tuple) ([]*tuple.Tuple, error) {
 	var (
 		firstErr error
 		batch    wire.TupleBatch
@@ -1727,23 +1736,19 @@ func (m *Master) ship(wc *workerConn, run []inflightEntry, again []*tuple.Tuple)
 		fb.B = payload // recover the (possibly reallocated) backing
 		m.inflight.trackSubmitBatch(chunk)
 		queued := false
-		if m.cfg.InflightHighWater > 0 {
-			select {
-			case wc.slots <- struct{}{}:
-				queued = true
-			default:
-			}
-		} else {
-			select {
-			case wc.slots <- struct{}{}:
-				queued = true
-			case <-wc.gone:
-			case <-m.stop:
-				fb.Release()
-				for i := range chunk {
-					m.inflight.reclaim(chunk[i].t.ID, wc.id)
+		select {
+		case wc.slots <- struct{}{}:
+			queued = true
+		default:
+			if m.cfg.InflightHighWater == 0 {
+				var err error
+				if queued, err = m.awaitSlot(table, wc); err != nil {
+					fb.Release()
+					for i := range chunk {
+						m.inflight.reclaim(chunk[i].t.ID, wc.id)
+					}
+					return again, err
 				}
-				return again, ErrStopped
 			}
 		}
 		if !queued {
@@ -1761,6 +1766,30 @@ func (m *Master) ship(wc *workerConn, run []inflightEntry, again []*tuple.Tuple)
 		m.batchTuples.Add(int64(len(chunk)))
 	}
 	return again, firstErr
+}
+
+// awaitSlot blocks for a slot on wc's full send queue — the
+// backpressure of admission mode off — and reports whether it took one.
+// It gives up without one when wc leaves, and when a table published
+// while it waits no longer selects the worker table had selected: a
+// worker deselected for being slow must not hold the Submit that drew it
+// just before, while its queue drains at the slow worker's pace.
+func (m *Master) awaitSlot(table *routing.Table, wc *workerConn) (bool, error) {
+	for {
+		published := *m.published.Load()
+		if table.Selects(wc.id) && !m.table.Load().Selects(wc.id) {
+			return false, nil
+		}
+		select {
+		case wc.slots <- struct{}{}:
+			return true, nil
+		case <-wc.gone:
+			return false, nil
+		case <-m.stop:
+			return false, ErrStopped
+		case <-published:
+		}
+	}
 }
 
 // appendTupleEntry marshals t straight into the batch as its next entry.
