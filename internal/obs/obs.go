@@ -44,7 +44,50 @@ type Snapshot struct {
 	EventsTotal uint64 `json:"events_total"`
 }
 
-// Ledger is the fault-tolerance ledger. The invariant
+// Counters is the master's cumulative ledger record: every counter that
+// only ever grows, declared once. The in-flight table counts into one
+// under its lock, the checkpoint persists it whole, and Ledger, the
+// runtime's MasterStats and /status.json carry it embedded, so a new
+// counter is one field here plus its increment.
+type Counters struct {
+	// Submitted counts distinct tuples dispatched toward a worker;
+	// re-dispatches of the same tuple count in Retransmitted instead.
+	Submitted int64 `json:"submitted"`
+	// Acked counts in-flight entries released by a worker ack (results
+	// and drop notices both ack).
+	Acked         int64 `json:"acked"`
+	Retransmitted int64 `json:"retransmitted"`
+	// Shed counts tuples abandoned at their retry deadline or attempt
+	// budget, by admission control (the ShedOverload subset), or as
+	// poison (the ShedPoison subset: failed on PoisonAttempts distinct
+	// workers).
+	Shed         int64 `json:"shed"`
+	ShedOverload int64 `json:"shed_overload"`
+	ShedPoison   int64 `json:"shed_poison,omitempty"`
+	// Hedged counts speculative duplicate transmissions of stragglers; a
+	// hedge does not create a ledger entry, so it sits outside the balance.
+	Hedged int64 `json:"hedged,omitempty"`
+	// Shadowed counts shadow copies sent to unselected workers in probe
+	// windows; like a hedge it sits outside the balance, and the copy's
+	// or the dispatch's later result counts in the sink's Arrived only.
+	Shadowed int64 `json:"shadowed,omitempty"`
+	// DropErrors, DropPanics and DropDeadlines count worker drop notices
+	// by their typed reason; a notice that names no reason counts as an
+	// error, the meaning a drop had before reasons were typed.
+	DropErrors    int64 `json:"drop_errors,omitempty"`
+	DropPanics    int64 `json:"drop_panics,omitempty"`
+	DropDeadlines int64 `json:"drop_deadlines,omitempty"`
+	// Filtered counts tuples a stage legitimately discarded (acked).
+	Filtered int64 `json:"filtered,omitempty"`
+	// Evicted counts hung workers the failure detector removed: their
+	// connection was alive but silent past DeadAfter.
+	Evicted int64 `json:"evicted"`
+	// Readopted counts workers of an earlier incarnation re-admitted.
+	Readopted int64 `json:"readopted"`
+}
+
+// Ledger is the fault-tolerance ledger: the cumulative Counters plus the
+// columns derived when it is sampled. The invariant
 //
 //	Submitted == Acked + Shed + InFlight + Retransmitting
 //
@@ -53,33 +96,13 @@ type Snapshot struct {
 // exactly the window where the classic three-term balance transiently
 // under-counts.
 type Ledger struct {
-	Submitted     int64 `json:"submitted"`
-	Acked         int64 `json:"acked"`
-	Retransmitted int64 `json:"retransmitted"`
-	Shed          int64 `json:"shed"`
-	ShedOverload  int64 `json:"shed_overload"`
-	// ShedPoison is the subset of Shed quarantined after failing on
-	// PoisonAttempts distinct workers.
-	ShedPoison     int64 `json:"shed_poison,omitempty"`
+	Counters
 	InFlight       int   `json:"in_flight"`
 	Retransmitting int64 `json:"retransmitting"`
-	WorkerDropped  int64 `json:"worker_dropped"`
-	// Hedged counts speculative duplicate transmissions of stragglers; a
-	// hedge does not create a ledger entry, so it sits outside the balance.
-	Hedged int64 `json:"hedged,omitempty"`
-	// Shadowed counts shadow copies sent to unselected workers in probe
-	// windows; like a hedge it sits outside the balance, and the copy's
-	// or the dispatch's later result counts in the sink's Arrived only.
-	Shadowed int64 `json:"shadowed,omitempty"`
-	Evicted  int64 `json:"evicted"`
-	// Per-reason breakdown of WorkerDropped, plus Filtered: tuples a
-	// pipeline stage legitimately discarded (acked, not dropped).
-	DropErrors    int64 `json:"drop_errors,omitempty"`
-	DropPanics    int64 `json:"drop_panics,omitempty"`
-	DropDeadlines int64 `json:"drop_deadlines,omitempty"`
-	Filtered      int64 `json:"filtered,omitempty"`
-	Readopted     int64 `json:"readopted"`
-	Recovered     int64 `json:"recovered"`
+	// WorkerDropped is DropErrors + DropPanics + DropDeadlines.
+	WorkerDropped int64 `json:"worker_dropped"`
+	// Recovered counts backlog tuples this incarnation rebuilt at start.
+	Recovered int64 `json:"recovered"`
 	// Balanced reports whether the invariant held when the sample was
 	// taken; it is computed by the producer under the ledger locks.
 	Balanced bool `json:"balanced"`
@@ -121,16 +144,26 @@ type Routing struct {
 	Probing     bool  `json:"probing"`
 }
 
-// Worker is one worker's health, breaker, queue, and routing view.
+// Worker is one worker's health, breaker, queue, and routing view. The
+// routing columns (Selected through Samples) are filled on /status.json
+// only.
 type Worker struct {
-	ID            string `json:"id"`
-	Health        string `json:"health"`
-	SilenceMillis int64  `json:"silence_millis"`
-	Breaker       string `json:"breaker"`
-	BreakerOpens  int64  `json:"breaker_opens"`
-	QueueLen      int    `json:"queue_len"`
-	Processed     int64  `json:"processed"`
-	Dropped       int64  `json:"dropped"`
+	ID string `json:"id"`
+	// Health is the failure detector state: healthy, suspect or dead
+	// ("gone" for a router entry whose connection already closed).
+	Health string `json:"health"`
+	// SilenceMillis is how long the worker has been quiet (any frame).
+	SilenceMillis int64 `json:"silence_millis"`
+	// Breaker is the circuit state: closed, open, half-open, or "off"
+	// when breakers are disabled.
+	Breaker      string `json:"breaker"`
+	BreakerOpens int64  `json:"breaker_opens"`
+	// QueueLen, Processed, Dropped and Reconnects mirror the worker's
+	// latest Stats self-report (Processed and Dropped are cumulative
+	// across the device's reconnects).
+	QueueLen  int   `json:"queue_len"`
+	Processed int64 `json:"processed"`
+	Dropped   int64 `json:"dropped"`
 	// Panics / Deadlined are the worker's own sandbox counters: operator
 	// panics recovered per-tuple and tuples cut off by the op deadline.
 	Panics     int64   `json:"panics,omitempty"`

@@ -59,7 +59,8 @@ func testSnapshot() Snapshot {
 		UptimeMillis: 1234,
 		Epoch:        2,
 		Ledger: Ledger{
-			Submitted: 100, Acked: 90, Shed: 5, InFlight: 4, Retransmitting: 1,
+			Counters: Counters{Submitted: 100, Acked: 90, Shed: 5},
+			InFlight: 4, Retransmitting: 1,
 		},
 		Routing: Routing{Policy: "LRS", ProbeBudget: 3, Probing: true},
 		Workers: []Worker{{
@@ -73,7 +74,7 @@ func testSnapshot() Snapshot {
 }
 
 func TestLedgerCheckBalance(t *testing.T) {
-	l := Ledger{Submitted: 10, Acked: 6, Shed: 2, InFlight: 1, Retransmitting: 1}
+	l := Ledger{Counters: Counters{Submitted: 10, Acked: 6, Shed: 2}, InFlight: 1, Retransmitting: 1}
 	if !l.CheckBalance() {
 		t.Fatal("balanced ledger reported unbalanced")
 	}

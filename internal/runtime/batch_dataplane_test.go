@@ -2,6 +2,8 @@ package runtime
 
 import (
 	"fmt"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -433,5 +435,58 @@ func TestSubmitBatchProcessorDrops(t *testing.T) {
 	if st.SubmitBatches != 1 || st.BatchedTuples != total {
 		t.Fatalf("batch counters = %d batches / %d tuples, want 1 / %d",
 			st.SubmitBatches, st.BatchedTuples, total)
+	}
+}
+
+// TestSubmitBatchSkipsUnmarshalableTuple: a tuple that cannot be
+// marshaled is left out of its frame, its journal round and the
+// in-flight table before anything is tracked. SubmitBatch reports it,
+// the rest of the batch is dispatched, acked and journaled, and the
+// tuple leaves no count.
+func TestSubmitBatchSkipsUnmarshalableTuple(t *testing.T) {
+	mem := transport.NewMem()
+	jpath := filepath.Join(t.TempDir(), "wal")
+	app := benchApp(t)
+	m, err := StartMaster(MasterConfig{
+		App: app, Policy: routing.RR, ListenAddr: "master", Transport: mem,
+		JournalPath: jpath, CheckpointEvery: -1, Fsync: FsyncNever, Logger: quietLogger(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Crash)
+	for i := 0; i < 2; i++ {
+		w, err := StartWorker(WorkerConfig{
+			DeviceID: fmt.Sprintf("echo%d", i), MasterAddr: m.Addr(), App: app,
+			Transport: mem, Logger: quietLogger(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = w.Close() })
+	}
+	waitFor(t, 2*time.Second, func() bool { return len(m.Workers()) == 2 }, "workers join")
+
+	const n, bad = 8, 3
+	batch := make([]*tuple.Tuple, n)
+	for i := range batch {
+		batch[i] = frameTuple(uint64(i + 1))
+	}
+	batch[bad].Set(strings.Repeat("x", 300), tuple.Int64(1)) // name past the codec's limit
+	if err := m.SubmitBatch(batch); err == nil || !strings.Contains(err.Error(), "runtime: submit") {
+		t.Fatalf("SubmitBatch = %v, want the marshal error", err)
+	}
+	waitFor(t, 5*time.Second, func() bool { return m.Stats().Acked == n-1 }, "the rest acked")
+	if st := m.Stats(); st.Submitted != n-1 || st.InFlight != 0 || !st.Balanced {
+		t.Fatalf("ledger %+v, want %d submitted and acked", st.Ledger, n-1)
+	}
+	m.Crash()
+	rs, err := recoverState(jpath, jpath+".ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.counters.Submitted != n-1 || rs.counters.Acked != n-1 || len(rs.pending) != 0 {
+		t.Fatalf("recovered submitted/acked/pending = %d/%d/%d, want %d/%d/0",
+			rs.counters.Submitted, rs.counters.Acked, len(rs.pending), n-1, n-1)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"github.com/swingframework/swing/internal/obs"
 	"github.com/swingframework/swing/internal/routing"
 	"github.com/swingframework/swing/internal/tuple"
 )
@@ -45,8 +46,11 @@ import (
 // checkpoint was atomically replaced, so a torn one can only mean outside
 // interference or disk corruption).
 
-// checkpointVersion guards the snapshot schema.
-const checkpointVersion = 1
+// checkpointVersion guards the snapshot schema. Version 2 carries the
+// ledger as the embedded obs.Counters record (snake_case keys); a
+// version-1 body, whose camelCase counters would decode as zero, is
+// refused rather than read.
+const checkpointVersion = 2
 
 // ckptEstimate is one worker's persisted routing estimate.
 type ckptEstimate struct {
@@ -69,28 +73,11 @@ type checkpointState struct {
 	Epoch      uint64 `json:"epoch"`
 	Generation uint64 `json:"generation"`
 
-	Submitted     int64 `json:"submitted"`
-	Acked         int64 `json:"acked"`
-	Retransmitted int64 `json:"retransmitted"`
-	Shed          int64 `json:"shed"`
-	ShedOverload  int64 `json:"shedOverload"`
-	// ShedPoison / Hedged / Shadowed and the per-reason drop counters are
-	// omitted when zero, so checkpoints from masters predating failure
-	// containment or shadow probes decode with all of them zero.
-	ShedPoison    int64 `json:"shedPoison,omitempty"`
-	Hedged        int64 `json:"hedged,omitempty"`
-	Shadowed      int64 `json:"shadowed,omitempty"`
-	WorkerDropped int64 `json:"workerDropped"`
-	DropErrors    int64 `json:"dropErrors,omitempty"`
-	DropPanics    int64 `json:"dropPanics,omitempty"`
-	DropDeadlines int64 `json:"dropDeadlines,omitempty"`
-	Filtered      int64 `json:"filtered,omitempty"`
-	Evicted       int64 `json:"evicted"`
-	Readopted     int64 `json:"readopted"`
+	// The ledger record is persisted whole; the derived columns
+	// (WorkerDropped, InFlight, Retransmitting) are not.
+	obs.Counters
+	obs.Sink
 
-	Arrived  int64  `json:"arrived"`
-	Played   int64  `json:"played"`
-	Skipped  int64  `json:"skipped"`
 	NextPlay uint64 `json:"nextPlay"`
 	NextSeq  uint64 `json:"nextSeq"`
 

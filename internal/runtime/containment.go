@@ -55,16 +55,17 @@ func (r *latRing) quantile(q float64) time.Duration {
 }
 
 // countDrop attributes one worker drop notice to its per-reason counter.
-// Legacy workers encode no reason (DropNone), which lands in DropErrors —
-// the pre-typed meaning of a drop.
-func (m *Master) countDrop(r wire.DropReason) {
+// A notice that names no reason (DropNone) counts in DropErrors, the
+// meaning of a drop before reasons were typed. Callers hold the
+// in-flight table's lock.
+func countDrop(c *obs.Counters, r wire.DropReason) {
 	switch r {
 	case wire.DropPanic:
-		m.dropPanics.Add(1)
+		c.DropPanics++
 	case wire.DropDeadline:
-		m.dropDeadlines.Add(1)
+		c.DropDeadlines++
 	default:
-		m.dropErrors.Add(1)
+		c.DropErrors++
 	}
 }
 
@@ -91,7 +92,7 @@ func (m *Master) chargeDropBreaker(wc *workerConn) {
 // worker at most once and opens no breaker, while a genuinely sick worker
 // is the first failure of every fresh tuple it drops and trips as before.
 func (m *Master) handlePoisonDrop(wc *workerConn, meta wire.ResultMeta) {
-	e, verdict := m.inflight.failAttempt(meta.TupleID, wc.id, m.cfg.PoisonAttempts)
+	e, verdict := m.inflight.failAttempt(meta.TupleID, wc.id, m.cfg.PoisonAttempts, meta.Reason)
 	switch verdict {
 	case failUntracked:
 		// Straggler notice for a tuple already acked, shed, or in another
@@ -284,5 +285,5 @@ func (m *Master) sendShadow(c shadowCopy, again []*tuple.Tuple) {
 	}
 	c.wc.out <- outFrame{typ: wire.FrameTupleBatch, payload: c.fb.B, buf: c.fb}
 	m.noteDispatchedN(c.wc, 1)
-	m.inflight.noteShadowed()
+	m.inflight.count(func(l *obs.Counters) { l.Shadowed++ })
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/swingframework/swing/internal/obs"
 	"github.com/swingframework/swing/internal/tuple"
 	"github.com/swingframework/swing/internal/wire"
 )
@@ -33,45 +34,6 @@ type inflightEntry struct {
 	hedged bool
 }
 
-// ledgerCounters is the fault-tolerance ledger. Every mutation happens
-// in the same critical section as the table change it accounts for, so
-// the invariant Acked + Shed + InFlight + Orphaned == Submitted holds at
-// every consistently sampled instant (ledgerSnapshot), not just at
-// quiescence.
-type ledgerCounters struct {
-	submitted     int64
-	acked         int64
-	retransmitted int64
-	shed          int64
-	shedOverload  int64
-	// shedPoison is the quarantine subset of shed: tuples abandoned after
-	// failing on PoisonAttempts distinct workers (or with no unburned
-	// worker left to try).
-	shedPoison int64
-	// hedged counts entries speculatively duplicated to a second worker.
-	// It annotates the in-flight column rather than extending the balance:
-	// a hedge duplicates a dispatch, not a tuple, so
-	// acked + shed + inflight + orphaned == submitted is untouched.
-	hedged int64
-	// shadowed counts shadow copies: tuples also sent to an unselected
-	// worker during a probe window so its estimate stays fresh. Like
-	// hedged it annotates the ledger outside the balance — a copy is
-	// never tracked, and its result, when it loses, is counted in
-	// Arrived and dropped at the sink like a hedge's duplicate.
-	shadowed int64
-	// orphaned counts entries taken off the table by takeWorker and not
-	// yet re-dispatched (trackSubmitBatch) or abandoned (shedOrphan/
-	// shedUntracked): a dead worker's backlog in the retransmitter's
-	// hands. Unlike the cumulative columns it is instantaneous, and it
-	// closes the sampled invariant exactly:
-	//
-	//	acked + shed + inflight + orphaned == submitted
-	//
-	// on every ledgerSnapshot, including mid-retransmit — what used to be
-	// the one documented transient.
-	orphaned int64
-}
-
 // minInflightSlots is the slot array's starting size.
 const minInflightSlots = 64
 
@@ -96,20 +58,30 @@ type inflightSlot struct {
 // array doubles when the live count passes half its slots, so it stays
 // within 4× the peak live count whatever the IDs.
 //
-// One mutex guards the slots, the overflow map and the ledger: counter
-// mutations share the critical section of the table change they
-// describe. A dead worker's off-table backlog is carried by the orphaned
-// column (takeWorker), so the sampled invariant acked + shed + inflight
-// + orphaned == submitted is exact even mid-retransmit; the one
-// remaining seam is the recovered backlog before its checkpointed
-// counters are seeded, which happens before the listener opens.
+// One mutex guards the slots, the overflow map and the master's whole
+// cumulative ledger record: every counter moves in the critical section
+// of the table change it describes, so each sample (ledgerSnapshot,
+// checkpoint) is consistent. A dead worker's off-table backlog is
+// carried by the orphaned column (takeWorker), so the sampled invariant
+//
+//	Acked + Shed + live + orphaned == Submitted
+//
+// is exact on every sample, including mid-retransmit; the one remaining
+// seam is the recovered backlog before its checkpointed counters are
+// seeded, which happens before the listener opens.
 type inflightTable struct {
 	mu    sync.Mutex
 	slots []inflightSlot
 	mask  uint64
 	over  map[uint64]*inflightEntry
 	live  int
-	led   ledgerCounters
+	led   obs.Counters
+	// orphaned counts entries taken off the table by takeWorker (or
+	// failAttempt) and not yet re-dispatched (trackSubmitBatch) or
+	// abandoned (shedOrphan/shedUntracked): a dead worker's backlog in
+	// the retransmitter's hands. Unlike the cumulative counters it is
+	// instantaneous; samples report it as Retransmitting.
+	orphaned int64
 	// approx mirrors live for admission control's lock-free read; it is
 	// stored at the end of every critical section that changes live.
 	approx atomic.Int64
@@ -238,12 +210,12 @@ func (t *inflightTable) trackSubmitBatch(block []inflightEntry) {
 		e := &block[i]
 		t.put(e.t.ID, e)
 		if e.attempt == 0 {
-			t.led.submitted++
+			t.led.Submitted++
 		} else {
 			// A re-route consumes the orphan takeWorker (or a reclaim)
 			// handed to the retransmitter.
-			t.led.retransmitted++
-			t.led.orphaned--
+			t.led.Retransmitted++
+			t.orphaned--
 		}
 	}
 	t.unlock()
@@ -258,12 +230,19 @@ func (t *inflightTable) track(id uint64, e *inflightEntry) {
 }
 
 // ack releases the entry for an acknowledged tuple and counts it, in one
-// step, reporting whether one was being tracked.
-func (t *inflightTable) ack(id uint64) bool {
+// step, reporting whether one was being tracked. A drop notice's reason
+// (dropped) or a filtered result's is counted in the same critical
+// section, whether or not the tuple was still tracked.
+func (t *inflightTable) ack(id uint64, dropped bool, reason wire.DropReason) bool {
 	t.mu.Lock()
 	ok := t.remove(id) != nil
 	if ok {
-		t.led.acked++
+		t.led.Acked++
+	}
+	if dropped {
+		countDrop(&t.led, reason)
+	} else if reason == wire.DropFiltered {
+		t.led.Filtered++
 	}
 	t.unlock()
 	return ok
@@ -284,12 +263,12 @@ func (t *inflightTable) reclaim(id uint64, worker string) (*inflightEntry, bool)
 	}
 	t.remove(id)
 	if e.attempt == 0 {
-		t.led.submitted--
+		t.led.Submitted--
 	} else {
 		// The re-route is undone: the entry is an orphan again, back in
 		// the caller's hands until re-tracked or abandoned.
-		t.led.retransmitted--
-		t.led.orphaned++
+		t.led.Retransmitted--
+		t.orphaned++
 	}
 	return e, true
 }
@@ -301,14 +280,14 @@ func (t *inflightTable) reclaim(id uint64, worker string) (*inflightEntry, bool)
 func (t *inflightTable) shedUntracked(attempt uint8) {
 	t.mu.Lock()
 	if attempt == 0 {
-		t.led.submitted++
+		t.led.Submitted++
 	} else {
 		// A reclaimed retransmission was an orphan in hand; shedding
 		// resolves it.
-		t.led.orphaned--
+		t.orphaned--
 	}
-	t.led.shed++
-	t.led.shedOverload++
+	t.led.Shed++
+	t.led.ShedOverload++
 	t.mu.Unlock()
 }
 
@@ -317,8 +296,8 @@ func (t *inflightTable) shedUntracked(attempt uint8) {
 // retransmission).
 func (t *inflightTable) shedOrphan() {
 	t.mu.Lock()
-	t.led.shed++
-	t.led.orphaned--
+	t.led.Shed++
+	t.orphaned--
 	t.mu.Unlock()
 }
 
@@ -327,9 +306,9 @@ func (t *inflightTable) shedOrphan() {
 // take it.
 func (t *inflightTable) shedOrphanPoison() {
 	t.mu.Lock()
-	t.led.shed++
-	t.led.shedPoison++
-	t.led.orphaned--
+	t.led.Shed++
+	t.led.ShedPoison++
+	t.orphaned--
 	t.mu.Unlock()
 }
 
@@ -349,12 +328,14 @@ const (
 )
 
 // failAttempt processes a worker's drop notice in quarantine mode: the
-// worker joins the tuple's distinct-failure history, and the tuple is
-// either quarantined (k distinct workers burned — shed as poison) or
-// surrendered to the caller for re-dispatch, in one critical section.
-func (t *inflightTable) failAttempt(id uint64, worker string, k int) (*inflightEntry, failVerdict) {
+// notice is counted by reason, the worker joins the tuple's
+// distinct-failure history, and the tuple is either quarantined (k
+// distinct workers burned — shed as poison) or surrendered to the caller
+// for re-dispatch, in one critical section.
+func (t *inflightTable) failAttempt(id uint64, worker string, k int, reason wire.DropReason) (*inflightEntry, failVerdict) {
 	t.mu.Lock()
 	defer t.unlock()
+	countDrop(&t.led, reason)
 	e := t.remove(id)
 	if e == nil {
 		return nil, failUntracked
@@ -370,11 +351,11 @@ func (t *inflightTable) failAttempt(id uint64, worker string, k int) (*inflightE
 		e.failedOn = append(e.failedOn, worker)
 	}
 	if len(e.failedOn) >= k {
-		t.led.shed++
-		t.led.shedPoison++
+		t.led.Shed++
+		t.led.ShedPoison++
 		return e, failQuarantined
 	}
-	t.led.orphaned++
+	t.orphaned++
 	return e, failRetry
 }
 
@@ -392,7 +373,7 @@ func (t *inflightTable) takeWorker(worker string) []*inflightEntry {
 			return false
 		}
 		out = append(out, e)
-		t.led.orphaned++
+		t.orphaned++
 		return true
 	})
 	t.unlock()
@@ -410,7 +391,8 @@ func (t *inflightTable) shedOldest(n int) []*inflightEntry {
 	if n <= 0 {
 		return nil
 	}
-	all := t.snapshotEntries()
+	var all []*inflightEntry
+	t.each(func(e *inflightEntry) { all = append(all, e) })
 	if len(all) == 0 {
 		return nil
 	}
@@ -423,8 +405,8 @@ func (t *inflightTable) shedOldest(n int) []*inflightEntry {
 		}
 		if t.lookup(e.t.ID) == e {
 			t.remove(e.t.ID)
-			t.led.shed++
-			t.led.shedOverload++
+			t.led.Shed++
+			t.led.ShedOverload++
 			out = append(out, e)
 		}
 	}
@@ -451,13 +433,29 @@ func (t *inflightTable) sweepTimeouts(now time.Time, timeout time.Duration) map[
 	return counts
 }
 
-// snapshotEntries returns a copy of the entry list (checkpointing). The
-// entries themselves are shared; callers only read immutable fields
-// (tuple bytes, attempt).
-func (t *inflightTable) snapshotEntries() []*inflightEntry {
-	var out []*inflightEntry
-	t.each(func(e *inflightEntry) { out = append(out, e) })
-	return out
+// checkpoint samples the cumulative counters and marshals every tracked
+// tuple in one critical section, so the checkpoint's Submitted and its
+// pending set describe the same instant: a tuple tracked after the
+// sample is in neither, and its write-ahead record follows the cut. The
+// marshal runs under the lock because the retransmit path rewrites a
+// tuple's attempt and emit time once its entry leaves the table.
+func (t *inflightTable) checkpoint() (obs.Counters, []ckptPending) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	// Size the buffer up front: growing it by doubling costs several
+	// times the marshal itself.
+	size := 0
+	t.scan(func(e *inflightEntry) bool { size += e.t.WireSize(); return false })
+	buf := make([]byte, 0, size)
+	pending := make([]ckptPending, 0, t.live)
+	t.scan(func(e *inflightEntry) bool {
+		if b, err := tuple.AppendMarshal(buf, e.t); err == nil {
+			pending = append(pending, ckptPending{Tuple: b[len(buf):], Attempt: e.attempt})
+			buf = b
+		}
+		return false
+	})
+	return t.led, pending
 }
 
 // markHedged flags e hedged and counts it, in one critical section with
@@ -474,41 +472,37 @@ func (t *inflightTable) markHedged(e *inflightEntry, build func(*tuple.Tuple) *w
 	fb := build(e.t)
 	if fb != nil {
 		e.hedged = true
-		t.led.hedged++
+		t.led.Hedged++
 	}
 	return fb
 }
 
 // seedLedger installs checkpointed counters (crash recovery).
-func (t *inflightTable) seedLedger(c *checkpointState) {
+func (t *inflightTable) seedLedger(c obs.Counters) {
 	t.mu.Lock()
-	t.led = ledgerCounters{
-		submitted:     c.Submitted,
-		acked:         c.Acked,
-		retransmitted: c.Retransmitted,
-		shed:          c.Shed,
-		shedOverload:  c.ShedOverload,
-		shedPoison:    c.ShedPoison,
-		hedged:        c.Hedged,
-		shadowed:      c.Shadowed,
-	}
+	t.led = c
 	t.mu.Unlock()
 }
 
-// ledgerSnapshot reads the counters and the live-entry count under the
-// table lock: the consistent read behind MasterStats. No tuple lifecycle
-// transition can interleave, so the returned view always balances.
-func (t *inflightTable) ledgerSnapshot() (ledgerCounters, int) {
+// ledgerSnapshot samples the ledger under the table lock: the
+// consistent read behind Stats and StatusSnapshot. No tuple lifecycle
+// transition can interleave, so the returned ledger always balances.
+// Recovered is the caller's to fill.
+func (t *inflightTable) ledgerSnapshot() obs.Ledger {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.led, t.live
+	l := obs.Ledger{Counters: t.led, InFlight: t.live, Retransmitting: t.orphaned}
+	t.mu.Unlock()
+	l.WorkerDropped = l.DropErrors + l.DropPanics + l.DropDeadlines
+	l.Balanced = l.CheckBalance()
+	return l
 }
 
-// noteShadowed counts one shadow copy, sent beside its tracked dispatch;
-// the copy itself takes no entry.
-func (t *inflightTable) noteShadowed() {
+// count applies f to the counters under the table lock: the increments
+// with no table change of their own (shadow copies, evictions,
+// re-adopted workers).
+func (t *inflightTable) count(f func(l *obs.Counters)) {
 	t.mu.Lock()
-	t.led.shadowed++
+	f(&t.led)
 	t.mu.Unlock()
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/swingframework/swing/internal/obs"
 	"github.com/swingframework/swing/internal/tuple"
 	"github.com/swingframework/swing/internal/wire"
 )
@@ -22,15 +23,17 @@ func (t *inflightTable) get(id uint64) *inflightEntry {
 // inflightModel drives an inflightTable and a map oracle through the same
 // operations and checks them against each other after every step.
 type inflightModel struct {
-	t     *testing.T
-	tbl   *inflightTable
-	live  map[uint64]*inflightEntry
-	led   ledgerCounters
-	held  []heldEntry
-	dense uint64 // next dense ID
-	spars uint64 // next sparse ID
-	clock time.Time
-	peak  int
+	t    *testing.T
+	tbl  *inflightTable
+	live map[uint64]*inflightEntry
+	led  obs.Counters
+	// orphaned is the oracle's Retransmitting column.
+	orphaned int64
+	held     []heldEntry
+	dense    uint64 // next dense ID
+	spars    uint64 // next sparse ID
+	clock    time.Time
+	peak     int
 }
 
 // heldEntry is an entry the caller has in hand off the table: a reclaimed
@@ -117,6 +120,18 @@ func (m *inflightModel) pickLive(b byte) (uint64, bool) {
 	}
 }
 
+// countDrop is the oracle's count of one drop notice by reason.
+func (m *inflightModel) countDrop(r wire.DropReason) {
+	switch r {
+	case wire.DropPanic:
+		m.led.DropPanics++
+	case wire.DropDeadline:
+		m.led.DropDeadlines++
+	default:
+		m.led.DropErrors++
+	}
+}
+
 func (m *inflightModel) hold(e *inflightEntry, orphan bool) {
 	m.held = append(m.held, heldEntry{e: e, orphan: orphan})
 }
@@ -161,7 +176,7 @@ func (m *inflightModel) step(next func() byte) string {
 		tbl.trackSubmitBatch(block)
 		for i := range block {
 			m.live[block[i].t.ID] = &block[i]
-			m.led.submitted++
+			m.led.Submitted++
 		}
 		return fmt.Sprintf("trackSubmitBatch(%d)", k)
 	case 3: // ack: a live ID, or a straggler ack for one nothing tracks
@@ -170,14 +185,22 @@ func (m *inflightModel) step(next func() byte) string {
 			id = m.dense + uint64(len(tbl.slots))
 			_, ok = m.live[id]
 		}
-		if got := tbl.ack(id); got != ok {
+		b := next()
+		reason := wire.DropReason(b % 5)
+		dropped := b&8 != 0 && reason != wire.DropFiltered
+		if got := tbl.ack(id, dropped, reason); got != ok {
 			m.t.Fatalf("ack(%d) = %v, want %v", id, got, ok)
 		}
 		if ok {
 			delete(m.live, id)
-			m.led.acked++
+			m.led.Acked++
 		}
-		return fmt.Sprintf("ack(%d)", id)
+		if dropped {
+			m.countDrop(reason)
+		} else if reason == wire.DropFiltered {
+			m.led.Filtered++
+		}
+		return fmt.Sprintf("ack(%d, %v, %v)", id, dropped, reason)
 	case 4: // reclaim by its worker or by another
 		id, ok := m.pickLive(next())
 		if !ok {
@@ -193,10 +216,10 @@ func (m *inflightModel) step(next func() byte) string {
 		if ours {
 			delete(m.live, id)
 			if e.attempt == 0 {
-				m.led.submitted--
+				m.led.Submitted--
 			} else {
-				m.led.retransmitted--
-				m.led.orphaned++
+				m.led.Retransmitted--
+				m.orphaned++
 			}
 			m.hold(e, e.attempt > 0)
 		}
@@ -218,30 +241,30 @@ func (m *inflightModel) step(next func() byte) string {
 			tbl.trackSubmitBatch(block)
 			m.live[e.t.ID] = &block[0]
 			if attempt == 0 {
-				m.led.submitted++
+				m.led.Submitted++
 			} else {
-				m.led.retransmitted++
-				m.led.orphaned--
+				m.led.Retransmitted++
+				m.orphaned--
 			}
 		case !h.orphan:
 			tbl.shedUntracked(0)
-			m.led.submitted++
-			m.led.shed++
-			m.led.shedOverload++
+			m.led.Submitted++
+			m.led.Shed++
+			m.led.ShedOverload++
 		case b == 2 && e.attempt > 0:
 			tbl.shedUntracked(e.attempt)
-			m.led.orphaned--
-			m.led.shed++
-			m.led.shedOverload++
+			m.orphaned--
+			m.led.Shed++
+			m.led.ShedOverload++
 		case b == 2:
 			tbl.shedOrphan()
-			m.led.shed++
-			m.led.orphaned--
+			m.led.Shed++
+			m.orphaned--
 		default:
 			tbl.shedOrphanPoison()
-			m.led.shed++
-			m.led.shedPoison++
-			m.led.orphaned--
+			m.led.Shed++
+			m.led.ShedPoison++
+			m.orphaned--
 		}
 		return fmt.Sprintf("resolve(%d)", e.t.ID)
 	case 6: // failAttempt
@@ -253,7 +276,9 @@ func (m *inflightModel) step(next func() byte) string {
 		w := modelWorkers[next()%4]
 		const k = 2
 		want := m.live[id]
-		e, v := tbl.failAttempt(id, w, k)
+		reason := wire.DropReason(next() % 4)
+		e, v := tbl.failAttempt(id, w, k, reason)
+		m.countDrop(reason)
 		switch {
 		case !ok:
 			if v != failUntracked {
@@ -266,14 +291,14 @@ func (m *inflightModel) step(next func() byte) string {
 				m.t.Fatalf("failAttempt(%d) = %v after %v, want quarantined", id, v, e.failedOn)
 			}
 			delete(m.live, id)
-			m.led.shed++
-			m.led.shedPoison++
+			m.led.Shed++
+			m.led.ShedPoison++
 		default:
 			if v != failRetry {
 				m.t.Fatalf("failAttempt(%d) = %v, want retry", id, v)
 			}
 			delete(m.live, id)
-			m.led.orphaned++
+			m.orphaned++
 			m.hold(e, true)
 		}
 		return fmt.Sprintf("failAttempt(%d, %s)", id, w)
@@ -284,7 +309,7 @@ func (m *inflightModel) step(next func() byte) string {
 			if e.worker == w {
 				want = append(want, e)
 				delete(m.live, id)
-				m.led.orphaned++
+				m.orphaned++
 				m.hold(e, true)
 			}
 		}
@@ -302,8 +327,8 @@ func (m *inflightModel) step(next func() byte) string {
 		want := all[:min(n, len(all))]
 		for _, e := range want {
 			delete(m.live, e.t.ID)
-			m.led.shed++
-			m.led.shedOverload++
+			m.led.Shed++
+			m.led.ShedOverload++
 		}
 		if got := tbl.shedOldest(n); !slices.Equal(got, want) {
 			m.t.Fatalf("shedOldest(%d) = %d entries, want %d in age order", n, len(got), len(want))
@@ -363,25 +388,29 @@ func (m *inflightModel) step(next func() byte) string {
 			if !e.hedged {
 				m.t.Fatalf("markHedged(%d) left the entry unflagged", e.t.ID)
 			}
-			m.led.hedged++
+			m.led.Hedged++
 		}
 		return fmt.Sprintf("markHedged(%d)", e.t.ID)
 	default: // a shadow copy: annotation only
-		tbl.noteShadowed()
-		m.led.shadowed++
-		return "noteShadowed"
+		tbl.count(func(l *obs.Counters) { l.Shadowed++ })
+		m.led.Shadowed++
+		return "count(Shadowed)"
 	}
 }
 
 // check compares the table with the oracle.
 func (m *inflightModel) check(op string) {
 	tbl := m.tbl
-	led, n := tbl.ledgerSnapshot()
-	if led.acked+led.shed+int64(n)+led.orphaned != led.submitted {
-		m.t.Fatalf("after %s: unbalanced %+v with %d in flight", op, led, n)
+	led := tbl.ledgerSnapshot()
+	n := led.InFlight
+	if !led.Balanced || led.Acked+led.Shed+int64(n)+led.Retransmitting != led.Submitted {
+		m.t.Fatalf("after %s: unbalanced %+v", op, led)
 	}
-	if led != m.led {
-		m.t.Fatalf("after %s: ledger %+v, oracle %+v", op, led, m.led)
+	if led.Counters != m.led || led.Retransmitting != m.orphaned {
+		m.t.Fatalf("after %s: ledger %+v, oracle %+v with %d orphaned", op, led, m.led, m.orphaned)
+	}
+	if led.WorkerDropped != m.led.DropErrors+m.led.DropPanics+m.led.DropDeadlines {
+		m.t.Fatalf("after %s: WorkerDropped %d, oracle %+v", op, led.WorkerDropped, m.led)
 	}
 	if n != len(m.live) || tbl.size() != len(m.live) {
 		m.t.Fatalf("after %s: %d live (size %d), oracle %d", op, n, tbl.size(), len(m.live))
@@ -428,8 +457,8 @@ func runInflightModel(t *testing.T, data []byte) {
 	// A recovered backlog: counters restored wholesale, entries tracked
 	// without counting, as initRecovery does.
 	k := int(next() % 8)
-	m.tbl.seedLedger(&checkpointState{Submitted: int64(k), Hedged: 1})
-	m.led = ledgerCounters{submitted: int64(k), hedged: 1}
+	m.led = obs.Counters{Submitted: int64(k), Hedged: 1}
+	m.tbl.seedLedger(m.led)
 	for i := 0; i < k; i++ {
 		id := m.freshID(next())
 		e := m.entry(id, "crashed-epoch-1", 0)
@@ -479,7 +508,7 @@ func TestInflightTableStragglerLaps(t *testing.T) {
 	tbl.trackSubmitBatch([]inflightEntry{straggler})
 	for id := uint64(1); id < 10*minInflightSlots; id++ {
 		tbl.trackSubmitBatch([]inflightEntry{{t: tuple.New(id, id), worker: "w1"}})
-		if !tbl.ack(id) {
+		if !tbl.ack(id, false, wire.DropNone) {
 			t.Fatalf("ack(%d) found no entry", id)
 		}
 	}
@@ -489,8 +518,8 @@ func TestInflightTableStragglerLaps(t *testing.T) {
 	if len(tbl.slots) != minInflightSlots || len(tbl.over) != 0 {
 		t.Fatalf("%d slots, %d overflow for one live straggler", len(tbl.slots), len(tbl.over))
 	}
-	if led, n := tbl.ledgerSnapshot(); n != 1 || led.acked != 10*minInflightSlots-1 {
-		t.Fatalf("ledger %+v with %d live", led, n)
+	if led := tbl.ledgerSnapshot(); led.InFlight != 1 || led.Acked != 10*minInflightSlots-1 {
+		t.Fatalf("ledger %+v", led)
 	}
 }
 

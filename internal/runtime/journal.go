@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -380,43 +381,54 @@ func (j *journal) append(typ journalRecType, payload []byte) error {
 	return j.commitAndUnlock()
 }
 
-// appendSubmit logs a first-attempt dispatch: a batch of one.
+// appendSubmit logs a first-attempt dispatch: a round of one.
 func (j *journal) appendSubmit(t *tuple.Tuple) error {
-	return j.appendSubmitBatch([]*tuple.Tuple{t})
+	return j.appendRound([]*tuple.Tuple{t}, 0, nil)
 }
 
-// appendSubmitBatch logs a batch of first-attempt dispatches — the full
-// tuples, so recovery can rebuild and retransmit them — under one lock
-// acquisition and one group-commit entry: every tuple is serialized
-// straight into the pending buffer as its own record, then a single
-// commitAndUnlock rides them all out on one flush. A tuple that fails to
+// appendRound logs one dispatch round under one lock acquisition and one
+// group-commit entry. Each tuple of a first attempt (attempt 0) gets a
+// submit record — the full tuple, serialized straight into the pending
+// buffer, so recovery can rebuild and retransmit it — and each tuple of
+// a re-dispatch a resend record carrying attempt. A tuple that fails to
 // marshal is truncated back out of the buffer; the first such error is
-// reported after the rest of the batch commits.
-func (j *journal) appendSubmitBatch(ts []*tuple.Tuple) error {
+// reported after the rest commits.
+//
+// track, if not nil, runs under the journal lock after the records are
+// buffered and before they commit, whether or not they could be written.
+// A checkpoint cut holds the same lock, so it falls before both the
+// records and whatever track tracks, or after both: a tuple the cut's
+// snapshot misses has its record in the next generation, and one whose
+// record the cut folds away is in the snapshot.
+func (j *journal) appendRound(ts []*tuple.Tuple, attempt uint8, track func()) error {
 	j.mu.Lock()
+	broken, sealed := j.broken, 0
 	var firstErr error
-	sealed := 0
-	for _, t := range ts {
-		start, err := j.reserveLocked(recSubmit)
-		if err != nil {
-			j.mu.Unlock()
-			return err // broken journal: nothing more can append
+	for i := 0; broken == nil && i < len(ts); i++ {
+		if attempt > 0 {
+			start, _ := j.reserveLocked(recResend) // cannot fail: not broken
+			j.pending = append(binary.LittleEndian.AppendUint64(j.pending, ts[i].ID), attempt)
+			j.sealLocked(start)
+			sealed++
+			continue
 		}
-		p, err := tuple.AppendMarshal(j.pending, t)
+		start, _ := j.reserveLocked(recSubmit)
+		p, err := tuple.AppendMarshal(j.pending, ts[i])
 		if err != nil {
 			j.pending = j.pending[:start]
-			if firstErr == nil {
-				firstErr = err
-			}
+			firstErr = cmp.Or(firstErr, err)
 			continue
 		}
 		j.pending = p
 		j.sealLocked(start)
 		sealed++
 	}
+	if track != nil {
+		track()
+	}
 	if sealed == 0 {
 		j.mu.Unlock()
-		return firstErr
+		return cmp.Or(broken, firstErr)
 	}
 	if err := j.commitAndUnlock(); err != nil {
 		return err
@@ -436,7 +448,7 @@ func (j *journal) appendAck(id uint64) error {
 
 // appendAckBatch logs a batch of worker acknowledgments under one lock
 // acquisition and one group-commit entry — the result-path mirror of
-// appendSubmitBatch. Each ack is still its own record, so replay cannot
+// appendRound. Each ack is still its own record, so replay cannot
 // tell the batch from per-ack appends.
 func (j *journal) appendAckBatch(ids []uint64) error {
 	if len(ids) == 0 {

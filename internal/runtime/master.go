@@ -296,14 +296,10 @@ type workerConn struct {
 	// is armed).
 	lat latRing
 
-	mu         sync.Mutex
-	writeMu    sync.Mutex
-	processed  int64
-	dropped    int64 // last Stats-reported processor-drop count
-	queueLen   int   // last Stats-reported input queue length
-	reconnects int64 // last Stats-reported rejoin count
-	panics     int64 // last Stats-reported sandbox-recovered panic count
-	deadlined  int64 // last Stats-reported watchdog-abandoned count
+	mu      sync.Mutex
+	writeMu sync.Mutex
+	// report is the worker's last Stats self-report (guarded by mu).
+	report wire.Stats
 
 	// Liveness (guarded by mu): lastHeard is the arrival time of the most
 	// recent frame of any kind; health is the failure detector's verdict.
@@ -354,21 +350,11 @@ type Master struct {
 	arrived int64
 
 	// inflight carries both the routed-but-unacked entries and the
-	// fault-tolerance ledger under one lock; counters move in the same
+	// cumulative ledger record under one lock; counters move in the same
 	// critical section as the entries they describe.
 	inflight *inflightTable
 
-	workerDropped atomic.Int64
-	evicted       atomic.Int64
-	readopted     atomic.Int64
-	nextSeq       atomic.Uint64
-
-	// Per-reason drop accounting (worker notices, classified by the wire
-	// reason code) plus the filtered count — legitimate empty pipelines.
-	dropErrors    atomic.Int64
-	dropPanics    atomic.Int64
-	dropDeadlines atomic.Int64
-	filtered      atomic.Int64
+	nextSeq atomic.Uint64
 
 	// pickSeq drives Submit's weighted-random draws: a shared splitmix64
 	// counter, so concurrent submitters draw without locks or per-caller
@@ -623,14 +609,7 @@ func (m *Master) initRecovery() error {
 	m.generation.Store(rs.generation + 1)
 	m.recoveredAcked = rs.acked
 	c := rs.counters
-	m.inflight.seedLedger(&c)
-	m.workerDropped.Store(c.WorkerDropped)
-	m.dropErrors.Store(c.DropErrors)
-	m.dropPanics.Store(c.DropPanics)
-	m.dropDeadlines.Store(c.DropDeadlines)
-	m.filtered.Store(c.Filtered)
-	m.evicted.Store(c.Evicted)
-	m.readopted.Store(c.Readopted)
+	m.inflight.seedLedger(c.Counters)
 	m.arrived, m.played = c.Arrived, c.Played
 	m.sink.Reset(c.NextPlay, c.Skipped)
 	m.nextSeq.Store(c.NextSeq)
@@ -732,181 +711,6 @@ func (m *Master) Snapshot() []routing.Info {
 	m.routerMu.Lock()
 	defer m.routerMu.Unlock()
 	return m.router.Snapshot()
-}
-
-// MasterStats summarizes the master's side of a run. The fault-tolerance
-// ledger balances exactly: every distinct submitted tuple is eventually
-// Acked (a result or drop notice arrived), Shed (abandoned at its retry
-// deadline or attempt limit), or still InFlight — never silently lost.
-type MasterStats struct {
-	// Submitted counts distinct tuples successfully enqueued toward a
-	// worker (retransmissions of the same tuple are not re-counted).
-	Submitted int64
-	// Arrived counts result frames carrying a result tuple, including
-	// the later result of a tuple a hedge or shadow copy sent twice,
-	// which the sink drops.
-	Arrived int64
-	Played  int64
-	Skipped int64
-	// Acked counts in-flight entries released by a worker ack (results
-	// and drop notices both ack).
-	Acked int64
-	// Retransmitted counts re-routed transmissions after worker failures.
-	Retransmitted int64
-	// Shed counts tuples abandoned after a worker failure because their
-	// retry deadline or attempt budget was exhausted, plus tuples shed by
-	// admission control (the ShedOverload subset), keeping the ledger
-	// invariant Acked + Shed + InFlight == Submitted.
-	Shed int64
-	// ShedOverload is the subset of Shed caused by Submit-side admission
-	// control: the in-flight high-water mark or a saturated swarm
-	// (Λ > Σμ) shed the tuple oldest-first instead of blocking Submit.
-	ShedOverload int64
-	// Retransmitting counts tuples a dead worker orphaned that the
-	// retransmit path has claimed but not yet re-routed or shed. They are
-	// outside InFlight, and the exact ledger identity is
-	// Acked + Shed + InFlight + Retransmitting == Submitted.
-	Retransmitting int64
-	// WorkerDropped counts tuples workers discarded on processor errors.
-	WorkerDropped int64
-	// DropErrors / DropPanics / DropDeadlines break WorkerDropped down by
-	// the typed reason on each drop notice (legacy notices with no reason
-	// count as errors). Filtered counts tuples a pipeline stage
-	// legitimately discarded — acked, not dropped.
-	DropErrors    int64
-	DropPanics    int64
-	DropDeadlines int64
-	Filtered      int64
-	// ShedPoison is the quarantine subset of Shed: tuples abandoned after
-	// failing on PoisonAttempts distinct workers.
-	ShedPoison int64
-	// Hedged counts stragglers speculatively duplicated to a second
-	// worker. A hedge duplicates a dispatch, not a tuple, so it annotates
-	// the ledger without extending the balance.
-	Hedged int64
-	// Shadowed counts shadow copies: tuples also sent to an unselected
-	// worker in a probe window to refresh its estimate (§V-B). Like a
-	// hedge, a copy annotates the ledger without extending the balance;
-	// whichever of the copy's and the dispatch's results arrives second
-	// is counted in Arrived and dropped at the sink.
-	Shadowed int64
-	// Evicted counts hung workers the failure detector removed: their
-	// connection was alive but silent past DeadAfter.
-	Evicted int64
-	// Epoch is the master incarnation number: 1 for a fresh start, one
-	// more than the recovered epoch after each crash-recovery restart.
-	Epoch uint64
-	// Readopted counts workers from a previous incarnation re-admitted
-	// after a master restart (their Hello carried an older epoch).
-	Readopted int64
-	// Recovered counts un-acked backlog tuples rebuilt from the journal
-	// and checkpoint at startup.
-	Recovered int64
-	// InFlight is the current routed-but-unacknowledged tuple count.
-	InFlight int
-	// SubmitBatches counts SubmitBatch calls, each Submit counting as a
-	// batch of one. BatchedTuples counts tuple dispatches — first
-	// attempts and re-dispatches, not hedged or shadow copies — and
-	// BatchFrames the FrameTupleBatch frames that carried them, so
-	// BatchedTuples / BatchFrames is the realized coalescing factor.
-	SubmitBatches int64
-	BatchedTuples int64
-	BatchFrames   int64
-	// Workers is the per-worker liveness view, sorted by ID.
-	Workers []WorkerStatus
-}
-
-// WorkerStatus is one worker's health as the master sees it: failure
-// detector state, circuit breaker position, and the worker's own last
-// self-report — enough to explain why a suspect/dead or breaker
-// transition happened.
-type WorkerStatus struct {
-	ID string
-	// Health is the failure detector state: healthy, suspect or dead.
-	Health string
-	// Silence is how long the worker has been quiet (any frame counts).
-	Silence time.Duration
-	// Breaker is the circuit state: closed, open, half-open — or "off"
-	// when breakers are disabled.
-	Breaker string
-	// BreakerOpens counts this connection's cumulative open transitions.
-	BreakerOpens int64
-	// QueueLen, Processed, Dropped and Reconnects mirror the worker's
-	// latest Stats self-report (Processed/Dropped are cumulative across
-	// the device's reconnects).
-	QueueLen   int
-	Processed  int64
-	Dropped    int64
-	Reconnects int64
-	// Panics / Deadlined are the worker's sandbox counters: operator
-	// panics recovered per-tuple, and tuples cut off by the processing
-	// deadline watchdog.
-	Panics    int64
-	Deadlined int64
-}
-
-// Stats returns the ledger, sink counters and the per-worker liveness
-// view. The ledger fields come from one consistent sample under the
-// in-flight table's lock, so the invariant
-// Acked + Shed + InFlight == Submitted holds in every returned snapshot
-// even while Submit and ACK traffic races on other cores — the one
-// documented exception being a dead worker's backlog mid-retransmit.
-// Banked ACK samples are flushed first, so a caller that observes
-// Acked == n also observes all n samples in the router's estimates.
-func (m *Master) Stats() MasterStats {
-	m.flushEstimates(time.Now())
-	led, inflight := m.inflight.ledgerSnapshot()
-	st := MasterStats{
-		Submitted:      led.submitted,
-		Acked:          led.acked,
-		Retransmitted:  led.retransmitted,
-		Shed:           led.shed,
-		ShedOverload:   led.shedOverload,
-		ShedPoison:     led.shedPoison,
-		Hedged:         led.hedged,
-		Shadowed:       led.shadowed,
-		Retransmitting: led.orphaned,
-		WorkerDropped:  m.workerDropped.Load(),
-		DropErrors:     m.dropErrors.Load(),
-		DropPanics:     m.dropPanics.Load(),
-		DropDeadlines:  m.dropDeadlines.Load(),
-		Filtered:       m.filtered.Load(),
-		Evicted:        m.evicted.Load(),
-		Epoch:          m.epoch,
-		Readopted:      m.readopted.Load(),
-		Recovered:      m.recovered,
-		InFlight:       inflight,
-		SubmitBatches:  m.batchSubmits.Load(),
-		BatchedTuples:  m.batchTuples.Load(),
-		BatchFrames:    m.batchFrames.Load(),
-	}
-	m.sinkMu.Lock()
-	st.Arrived, st.Played, st.Skipped = m.arrived, m.played, m.sink.Skipped()
-	m.sinkMu.Unlock()
-	now := time.Now()
-	for _, wc := range m.workerMap() {
-		wc.mu.Lock()
-		ws := WorkerStatus{
-			ID:           wc.id,
-			Health:       wc.health.String(),
-			Silence:      now.Sub(wc.lastHeard),
-			Breaker:      "off",
-			BreakerOpens: wc.br.opens,
-			QueueLen:     wc.queueLen,
-			Processed:    wc.processed,
-			Dropped:      wc.dropped,
-			Reconnects:   wc.reconnects,
-			Panics:       wc.panics,
-			Deadlined:    wc.deadlined,
-		}
-		if wc.br.enabled() {
-			ws.Breaker = wc.br.state.String()
-		}
-		wc.mu.Unlock()
-		st.Workers = append(st.Workers, ws)
-	}
-	sort.Slice(st.Workers, func(i, j int) bool { return st.Workers[i].ID < st.Workers[j].ID })
-	return st
 }
 
 // acceptLoop admits workers for the life of the master. Transient Accept
@@ -1064,7 +868,7 @@ func (m *Master) admitWorker(conn net.Conn) (*workerConn, bool) {
 	// Count the join first, so a caller that sees the worker listed also
 	// sees it counted.
 	if readopted {
-		m.readopted.Add(1)
+		m.inflight.count(func(l *obs.Counters) { l.Readopted++ })
 		m.events.Record(obs.EventReadopted, wc.id,
 			fmt.Sprintf("from epoch %d", hello.Epoch), 0)
 		m.cfg.Logger.Info("swing master: re-adopted worker from previous incarnation",
@@ -1203,12 +1007,7 @@ func (m *Master) readLoop(wc *workerConn) {
 			var st wire.Stats
 			if err := wire.DecodeJSON(payload, &st); err == nil {
 				wc.mu.Lock()
-				wc.processed = st.Processed
-				wc.dropped = st.Dropped
-				wc.queueLen = st.QueueLen
-				wc.reconnects = st.Reconnects
-				wc.panics = st.Panics
-				wc.deadlined = st.Deadlined
+				wc.report = st
 				wc.mu.Unlock()
 			}
 		case wire.FramePong:
@@ -1291,7 +1090,7 @@ func (m *Master) checkWorkers(now time.Time) {
 			m.events.Record(obs.EventRecovered, wc.id, "", 0)
 			m.cfg.Logger.Info("swing master: worker recovered", "worker", wc.id)
 		case healthDead:
-			m.evicted.Add(1)
+			m.inflight.count(func(l *obs.Counters) { l.Evicted++ })
 			m.events.Record(obs.EventEvicted, wc.id, "silence "+silence.String(), 0)
 			m.cfg.Logger.Warn("swing master: evicting hung worker", "worker", wc.id,
 				"silence", silence)
@@ -1415,9 +1214,9 @@ func (m *Master) reconfigureLoop(period time.Duration) {
 		case <-flush.C:
 			m.flushEstimates(time.Now())
 		case <-ticker.C:
-			led, _ := m.inflight.ledgerSnapshot()
-			lambda := float64(led.submitted-lastSubmitted) / period.Seconds()
-			lastSubmitted = led.submitted
+			led := m.inflight.ledgerSnapshot()
+			lambda := float64(led.Submitted-lastSubmitted) / period.Seconds()
+			lastSubmitted = led.Submitted
 			// Fold the freshest banked samples before recomputing, so the
 			// new table reflects every ACK up to this tick.
 			m.flushEstimates(time.Now())
@@ -1497,8 +1296,8 @@ const dispatchRetries = 9
 // passed only with a batch of one.
 //
 // Each round routes every tuple against one table snapshot and one
-// worker map, writes the write-ahead records, and ships each worker's
-// share (ship). A tuple the round could not place — no pick, a refusing
+// worker map, builds each worker's frames (buildFrames), tracks and
+// journals them (trackRound), and enqueues them (ship). A tuple the round could not place — no pick, a refusing
 // breaker, a worker that left or died mid-send, a full queue in
 // admission mode — goes round again with the refusing worker excluded,
 // for up to dispatchRetries more rounds. A tuple still unplaced then is
@@ -1555,29 +1354,31 @@ func (m *Master) dispatch(ts []*tuple.Tuple, attempt uint8, deadline time.Time, 
 				}
 			}
 		}
-		// Journal before tracking or enqueueing: once a tuple can reach a
-		// worker its write-ahead record must already exist, or a crash
-		// would lose it silently instead of retransmitting it.
-		if m.journal != nil && len(block) > 0 {
-			m.journalRound(block, attempt, bounced)
+		// Every frame is built before any of its tuples is tracked: once
+		// an entry is in the table, a dead worker's retransmitter may take
+		// it and rewrite its tuple. Then track → journal → enqueue: the
+		// write-ahead record precedes the enqueue, and a checkpoint cut
+		// never falls between the tracking and the record.
+		var frames [4]outBatch // up to four destinations' frames off the heap
+		out, err := buildFrames(frames[:0], block, workers)
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
-		for len(block) > 0 {
-			var run []inflightEntry
-			run, block = splitWorker(block)
-			id, n := run[0].worker, len(again)
+		m.trackRound(out, attempt, bounced)
+		for i, f := range out {
+			n := len(again)
 			var err error
-			again, err = m.ship(table, workers[id], run, again)
-			if errors.Is(err, ErrStopped) {
+			if again, err = m.ship(table, f, again); err != nil {
+				for _, f := range out[i:] {
+					m.unship(f, nil)
+				}
 				for _, c := range copies {
 					c.fb.Release()
 				}
 				return err
 			}
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
 			if len(again) > n {
-				excluded = append(excluded, id)
+				excluded = append(excluded, f.wc.id)
 				if bounced == nil {
 					bounced = make(map[uint64]bool)
 				}
@@ -1694,78 +1495,132 @@ func (m *Master) abandon(t *tuple.Tuple, attempt uint8, bounced map[uint64]bool)
 	return nil
 }
 
-// ship sends one worker's share of a round as FrameTupleBatch frames of
-// at most submitBatchMaxBytes. Each frame is marshaled in routing order,
-// then its tuples are tracked — counted in the same critical section
-// as their insert — and only then enqueued, taking one queue
-// slot, so an ack arriving right after the send always finds its entry.
-// A frame that cannot be enqueued (a full queue in admission mode, the
-// worker died while the send was blocked, or a table published meanwhile
-// deselected the worker table picked) has its tuples reclaimed,
-// un-counting them, and appended to again. A tuple a dead worker's drop
-// path claimed first belongs to the retransmitter and is skipped. On
-// master stop the frame's tuples are reclaimed and ErrStopped returned.
-func (m *Master) ship(table *routing.Table, wc *workerConn, run []inflightEntry, again []*tuple.Tuple) ([]*tuple.Tuple, error) {
+// outBatch is one FrameTupleBatch frame of a dispatch round: the worker
+// it goes to, the entries it carries (a range of that worker's block,
+// which the in-flight table points into once tracked) and the frame.
+type outBatch struct {
+	wc  *workerConn
+	run []inflightEntry
+	fb  *wire.Buf
+}
+
+// buildFrames appends to frames each worker's share of block as frames
+// of at most submitBatchMaxBytes, marshaled in routing order. A tuple
+// that does not marshal is left out of its run before anything is
+// tracked, and the first such error is returned.
+func buildFrames(frames []outBatch, block []inflightEntry, workers map[string]*workerConn) ([]outBatch, error) {
 	var (
 		firstErr error
 		batch    wire.TupleBatch
 	)
-	for lo := 0; lo < len(run); {
-		fb := wire.GetBuf(0)
-		batch.SetBuf(fb.B)
-		hi := lo
-		for hi < len(run) && batch.Size() < submitBatchMaxBytes {
-			if err := appendTupleEntry(&batch, run[hi].t); err != nil {
-				// Unmarshalable tuple (its journal record failed the same
-				// way): swap it out of the frame's range untracked.
-				run[lo], run[hi] = run[hi], run[lo]
-				lo++
-				if firstErr == nil {
-					firstErr = fmt.Errorf("runtime: submit: %w", err)
-				}
-			}
-			hi++
-		}
-		chunk := run[lo:hi]
-		lo = hi
-		payload := batch.Payload()
-		if payload == nil {
-			fb.Release()
-			continue
-		}
-		fb.B = payload // recover the (possibly reallocated) backing
-		m.inflight.trackSubmitBatch(chunk)
-		queued := false
-		select {
-		case wc.slots <- struct{}{}:
-			queued = true
-		default:
-			if m.cfg.InflightHighWater == 0 {
-				var err error
-				if queued, err = m.awaitSlot(table, wc); err != nil {
-					fb.Release()
-					for i := range chunk {
-						m.inflight.reclaim(chunk[i].t.ID, wc.id)
+	for len(block) > 0 {
+		var run []inflightEntry
+		run, block = splitWorker(block)
+		wc := workers[run[0].worker]
+		n := 0 // run[:n] holds the tuples that marshaled
+		for lo := 0; lo < len(run); {
+			fb := wire.GetBuf(0)
+			batch.SetBuf(fb.B)
+			first := n
+			for ; lo < len(run) && batch.Size() < submitBatchMaxBytes; lo++ {
+				if err := appendTupleEntry(&batch, run[lo].t); err != nil {
+					if firstErr == nil {
+						firstErr = fmt.Errorf("runtime: submit: %w", err)
 					}
-					return again, err
+					continue
 				}
+				run[n] = run[lo]
+				n++
 			}
-		}
-		if !queued {
-			fb.Release()
-			for i := range chunk {
-				if e, ours := m.inflight.reclaim(chunk[i].t.ID, wc.id); ours {
-					again = append(again, e.t)
-				}
+			payload := batch.Payload()
+			if payload == nil {
+				fb.Release()
+				continue
 			}
-			continue
+			fb.B = payload // recover the (possibly reallocated) backing
+			frames = append(frames, outBatch{wc: wc, run: run[first:n], fb: fb})
 		}
-		wc.out <- outFrame{typ: wire.FrameTupleBatch, payload: fb.B, buf: fb}
-		m.noteDispatchedN(wc, len(chunk))
-		m.batchFrames.Add(1)
-		m.batchTuples.Add(int64(len(chunk)))
 	}
-	return again, firstErr
+	return frames, firstErr
+}
+
+// trackRound tracks a round's frames — each tuple counted in the same
+// critical section as its insert — and writes their write-ahead records
+// in one journal append, with the tracking inside its critical section
+// (appendRound). Tuples that bounced off a send queue in an earlier
+// round already have their records. Append failures are logged, not
+// fatal — the master keeps serving with recovery degraded rather than
+// stalling the stream on a sick disk.
+func (m *Master) trackRound(frames []outBatch, attempt uint8, bounced map[uint64]bool) {
+	track := func() {
+		for _, f := range frames {
+			m.inflight.trackSubmitBatch(f.run)
+		}
+	}
+	if m.journal == nil {
+		track()
+		return
+	}
+	n := 0
+	for _, f := range frames {
+		n += len(f.run)
+	}
+	ts := make([]*tuple.Tuple, 0, n)
+	for _, f := range frames {
+		for i := range f.run {
+			if t := f.run[i].t; !bounced[t.ID] {
+				ts = append(ts, t)
+			}
+		}
+	}
+	if err := m.journal.appendRound(ts, attempt, track); err != nil {
+		m.cfg.Logger.Warn("swing master: journal append", "err", err)
+	}
+}
+
+// ship enqueues one tracked frame, taking one queue slot; its tuples
+// were tracked first, so an ack arriving right after the send always
+// finds its entry. A frame that cannot be enqueued (a full queue in
+// admission mode, the worker died while the send was blocked, or a table
+// published meanwhile deselected the worker table picked) has its tuples
+// reclaimed, un-counting them, and appended to again. A tuple a dead
+// worker's drop path claimed first belongs to the retransmitter and is
+// skipped. On master stop it returns ErrStopped, leaving the frame to
+// the caller to unship.
+func (m *Master) ship(table *routing.Table, f outBatch, again []*tuple.Tuple) ([]*tuple.Tuple, error) {
+	wc := f.wc
+	queued := true
+	select {
+	case wc.slots <- struct{}{}:
+	default:
+		queued = false
+		if m.cfg.InflightHighWater == 0 {
+			var err error
+			if queued, err = m.awaitSlot(table, wc); err != nil {
+				return again, err
+			}
+		}
+	}
+	if !queued {
+		return m.unship(f, again), nil
+	}
+	wc.out <- outFrame{typ: wire.FrameTupleBatch, payload: f.fb.B, buf: f.fb}
+	m.noteDispatchedN(wc, len(f.run))
+	m.batchFrames.Add(1)
+	m.batchTuples.Add(int64(len(f.run)))
+	return again, nil
+}
+
+// unship releases a tracked frame that will not be sent and reclaims
+// its tuples, appending to again those still in its hands.
+func (m *Master) unship(f outBatch, again []*tuple.Tuple) []*tuple.Tuple {
+	f.fb.Release()
+	for i := range f.run {
+		if e, ours := m.inflight.reclaim(f.run[i].t.ID, f.wc.id); ours {
+			again = append(again, e.t)
+		}
+	}
+	return again
 }
 
 // awaitSlot blocks for a slot on wc's full send queue — the
@@ -1843,42 +1698,6 @@ func (m *Master) routerOverloaded() bool {
 	return m.table.Load().Overloaded()
 }
 
-// journalRound writes a round's write-ahead records: submit records
-// for first attempts, in one group commit, and resend records for
-// re-dispatches. Tuples that bounced off a send queue in an earlier
-// round already have theirs. Append failures are logged, not fatal —
-// the master keeps serving with recovery degraded rather than stalling
-// the stream on a sick disk.
-func (m *Master) journalRound(block []inflightEntry, attempt uint8, bounced map[uint64]bool) {
-	var (
-		subs []*tuple.Tuple
-		err  error
-	)
-	if attempt == 0 {
-		subs = make([]*tuple.Tuple, 0, len(block))
-	}
-	for i := range block {
-		t := block[i].t
-		switch {
-		case bounced[t.ID]:
-		case attempt == 0:
-			subs = append(subs, t)
-		default:
-			if aerr := m.journal.appendResend(t.ID, attempt); aerr != nil && err == nil {
-				err = aerr
-			}
-		}
-	}
-	if len(subs) > 0 {
-		if aerr := m.journal.appendSubmitBatch(subs); aerr != nil && err == nil {
-			err = aerr
-		}
-	}
-	if err != nil {
-		m.cfg.Logger.Warn("swing master: journal append", "err", err)
-	}
-}
-
 // journalShed logs an abandoned tuple (no-op without a journal).
 func (m *Master) journalShed(id uint64, overload bool) {
 	if m.journal == nil {
@@ -1889,27 +1708,19 @@ func (m *Master) journalShed(id uint64, overload bool) {
 	}
 }
 
-// snapshotState captures a checkpoint body from the live counters. The
+// snapshotState captures a checkpoint body from the live state. The
 // caller must either hold the journal lock (checkpointAnd) or otherwise
 // exclude journal appends (initRecovery) so the snapshot and the journal
-// generation stay consistent. The un-acked tuples are marshaled here, in
-// one buffer, because re-dispatch rewrites a tuple's attempt and emit
-// time once its entry leaves the table; their base64 encoding waits for
-// encodeCheckpoint.
+// generation stay consistent. The ledger record and the un-acked tuples
+// come from one in-flight table critical section (checkpoint); the
+// tuples' base64 encoding waits for encodeCheckpoint.
 func (m *Master) snapshotState() *checkpointState {
 	st := &checkpointState{
 		Version:    checkpointVersion,
 		Epoch:      m.epoch,
 		Generation: m.generation.Load(),
 	}
-	led, _ := m.inflight.ledgerSnapshot()
-	st.Submitted, st.Acked, st.Retransmitted = led.submitted, led.acked, led.retransmitted
-	st.Shed, st.ShedOverload = led.shed, led.shedOverload
-	st.ShedPoison, st.Hedged, st.Shadowed = led.shedPoison, led.hedged, led.shadowed
-	st.WorkerDropped = m.workerDropped.Load()
-	st.DropErrors, st.DropPanics = m.dropErrors.Load(), m.dropPanics.Load()
-	st.DropDeadlines, st.Filtered = m.dropDeadlines.Load(), m.filtered.Load()
-	st.Evicted, st.Readopted = m.evicted.Load(), m.readopted.Load()
+	st.Counters, st.Pending = m.inflight.checkpoint()
 	st.NextSeq = m.nextSeq.Load()
 	m.sinkMu.Lock()
 	st.Arrived, st.Played = m.arrived, m.played
@@ -1929,23 +1740,6 @@ func (m *Master) snapshotState() *checkpointState {
 	}
 	m.routerMu.Unlock()
 	sort.Slice(st.Estimates, func(i, j int) bool { return st.Estimates[i].ID < st.Estimates[j].ID })
-	ents := m.inflight.snapshotEntries()
-	// Size the buffer up front: growing it by doubling costs several
-	// times the marshal itself, and all of it inside the journal lock.
-	size := 0
-	for _, e := range ents {
-		size += e.t.WireSize()
-	}
-	buf := make([]byte, 0, size)
-	st.Pending = make([]ckptPending, 0, len(ents))
-	for _, e := range ents {
-		b, err := tuple.AppendMarshal(buf, e.t)
-		if err != nil {
-			continue
-		}
-		st.Pending = append(st.Pending, ckptPending{Tuple: b[len(buf):], Attempt: e.attempt})
-		buf = b
-	}
 	return st
 }
 

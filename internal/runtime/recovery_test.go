@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"github.com/swingframework/swing/internal/apps"
+	"github.com/swingframework/swing/internal/obs"
 	"github.com/swingframework/swing/internal/routing"
 	"github.com/swingframework/swing/internal/testutil"
 	"github.com/swingframework/swing/internal/transport"
@@ -232,7 +234,7 @@ func TestCheckpointRoundTripAndCorruption(t *testing.T) {
 	}
 	st := &checkpointState{
 		Version: checkpointVersion, Epoch: 2, Generation: 9,
-		Submitted: 100, Acked: 90, Shed: 4, NextPlay: 88, NextSeq: 100,
+		Counters: obs.Counters{Submitted: 100, Acked: 90, Shed: 4}, NextPlay: 88, NextSeq: 100,
 		Estimates: []ckptEstimate{{ID: "w1", LatencyNanos: 5e6, ProcessingNanos: 2e6, Samples: 42}},
 		Pending:   []ckptPending{{Tuple: pend, Attempt: 2}},
 	}
@@ -276,6 +278,84 @@ func TestCheckpointRoundTripAndCorruption(t *testing.T) {
 	if err != nil || got != nil {
 		t.Fatalf("missing checkpoint: %v, %v", got, err)
 	}
+
+	// A version-1 body spelled its counters in camelCase; read as
+	// version 2 they would all decode as zero, so it is refused.
+	v1 := []byte(`{"version":1,"epoch":2,"generation":9,"submitted":100,"acked":90,"shedOverload":3,"workerDropped":1}`)
+	if err := saveCheckpointBytes(path, v1); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := loadCheckpoint(path); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("version-1 checkpoint loaded: %+v, %v", got, err)
+	}
+}
+
+// TestLedgerRecordRoundTrip gives every field of obs.Counters a distinct
+// value and checks that the whole record survives the checkpoint path —
+// snapshotState, encodeCheckpoint, loadCheckpoint, recoverState and the
+// restarted master's seedLedger — and that Stats and StatusSnapshot both
+// report it. The fields are set by reflection, so a counter added to the
+// record is covered without editing this test.
+func TestLedgerRecordRoundTrip(t *testing.T) {
+	var want obs.Counters
+	v := reflect.ValueOf(&want).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(101 * (i + 1)))
+	}
+	check := func(stage string, got obs.Counters) {
+		t.Helper()
+		if got != want {
+			t.Fatalf("%s: counters %+v, want %+v", stage, got, want)
+		}
+	}
+	checkMaster := func(stage string, m *Master) {
+		t.Helper()
+		st := m.Stats()
+		check(stage+" Stats", st.Counters)
+		check(stage+" StatusSnapshot", m.StatusSnapshot().Ledger.Counters)
+		if st.WorkerDropped != want.DropErrors+want.DropPanics+want.DropDeadlines {
+			t.Fatalf("%s: WorkerDropped %d is not the sum of the drop reasons in %+v", stage, st.WorkerDropped, want)
+		}
+	}
+
+	mem := transport.NewMem()
+	jpath := filepath.Join(t.TempDir(), "wal")
+	cfg := MasterConfig{
+		App: benchApp(t), ListenAddr: "master", Transport: mem,
+		JournalPath: jpath, CheckpointEvery: -1, Fsync: FsyncNever, Logger: quietLogger(),
+	}
+	m, err := StartMaster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.inflight.seedLedger(want)
+	checkMaster("seeded", m)
+
+	body, err := encodeCheckpoint(m.snapshotState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Crash()
+	if err := saveCheckpointBytes(jpath+".ckpt", body); err != nil {
+		t.Fatal(err)
+	}
+	st, err := loadCheckpoint(jpath + ".ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("loadCheckpoint", st.Counters)
+	rs, err := recoverState(jpath, jpath+".ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("recoverState", rs.counters.Counters)
+
+	m2, err := StartMaster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Crash()
+	checkMaster("restarted", m2)
 }
 
 // TestRecoverStateIgnoresStaleJournal gates journal files by generation:
@@ -294,7 +374,7 @@ func TestRecoverStateIgnoresStaleJournal(t *testing.T) {
 	// replaying either would double-count.
 	if err := saveCheckpoint(cpath, &checkpointState{
 		Version: checkpointVersion, Epoch: 2, Generation: 5,
-		Submitted: 10, Acked: 10, NextSeq: 10,
+		Counters: obs.Counters{Submitted: 10, Acked: 10}, NextSeq: 10,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +442,7 @@ func TestJournalCutAtEveryRecordBoundary(t *testing.T) {
 		for i := range ts {
 			ts[i] = frameTuple(uint64(5*b + i + 1))
 		}
-		if err := j.appendSubmitBatch(ts); err != nil {
+		if err := j.appendRound(ts, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := j.appendResend(uint64(5*b+1), 1); err != nil {

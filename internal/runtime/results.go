@@ -107,24 +107,17 @@ func (m *Master) ackResult(wc *workerConn, sc *resultScratch, entry []byte, now 
 		// Quarantine mode: a drop notice is a failed attempt, not an ack —
 		// the tuple either re-dispatches to a worker it has not burned or
 		// is quarantined after PoisonAttempts distinct workers.
-		m.workerDropped.Add(1)
-		m.countDrop(meta.Reason)
 		m.handlePoisonDrop(wc, meta)
 		return
 	}
-	if m.inflight.ack(meta.TupleID) && m.journal != nil {
+	if m.inflight.ack(meta.TupleID, meta.Dropped, meta.Reason) && m.journal != nil {
 		sc.acks = append(sc.acks, meta.TupleID)
 	}
 	if meta.Dropped {
-		m.workerDropped.Add(1)
-		m.countDrop(meta.Reason)
 		// A processor-error drop is a breaker failure: the worker is
 		// reachable but not producing results.
 		m.chargeDropBreaker(wc)
 	} else {
-		if meta.Reason == wire.DropFiltered {
-			m.filtered.Add(1)
-		}
 		wc.mu.Lock()
 		prev := wc.br.state
 		wc.br.onSuccess()

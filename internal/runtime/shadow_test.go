@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/swingframework/swing/internal/graph"
+	"github.com/swingframework/swing/internal/obs"
 	"github.com/swingframework/swing/internal/routing"
 	"github.com/swingframework/swing/internal/transport"
 	"github.com/swingframework/swing/internal/tuple"
@@ -238,7 +239,7 @@ func TestShadowCopyFirstResultWins(t *testing.T) {
 // does.
 func TestCheckpointCarriesShadowed(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ckpt")
-	if err := saveCheckpoint(path, &checkpointState{Version: checkpointVersion, Hedged: 2, Shadowed: 3}); err != nil {
+	if err := saveCheckpoint(path, &checkpointState{Version: checkpointVersion, Counters: obs.Counters{Hedged: 2, Shadowed: 3}}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := loadCheckpoint(path)
@@ -246,8 +247,8 @@ func TestCheckpointCarriesShadowed(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl := newInflightTable()
-	tbl.seedLedger(st)
-	if led, _ := tbl.ledgerSnapshot(); led.hedged != 2 || led.shadowed != 3 {
-		t.Fatalf("recovered hedged %d, shadowed %d; want 2 and 3", led.hedged, led.shadowed)
+	tbl.seedLedger(st.Counters)
+	if led := tbl.ledgerSnapshot(); led.Hedged != 2 || led.Shadowed != 3 {
+		t.Fatalf("recovered hedged %d, shadowed %d; want 2 and 3", led.Hedged, led.Shadowed)
 	}
 }

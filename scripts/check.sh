@@ -88,6 +88,11 @@ go test -race -count=1 ./internal/tuple/ ./internal/reorder/
 # switch; encode, save and retire run beside live appends), plus the
 # crash-point table and the failed-save recovery.
 go test -race -count=10 -run 'TestCheckpointCycleConcurrencySmoke' ./internal/runtime/
+# Checkpoints cut under four SubmitBatch submitters, then a crash: the
+# recovered ledger must count every tuple whose SubmitBatch returned nil
+# and balance. Ten times under the race detector, because the cut lands
+# at a different point of the dispatch path each run.
+go test -race -count=10 -run 'TestCheckpointUnderTrafficLosesNothing' ./internal/runtime/
 go test -race -count=1 -run 'TestCheckpointCycleCrashPoints|TestFailedCheckpointSavesLoseNothing' \
     ./internal/runtime/
 # Live /statusz curl smoke: boot a real swingd master with a status

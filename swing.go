@@ -272,14 +272,17 @@ type WorkerConfig = runtime.WorkerConfig
 // LiveResult is one in-order playback delivery at the master's sink.
 type LiveResult = runtime.Result
 
-// MasterStats summarizes the master's side of a live run, including the
+// MasterStats summarizes the master's side of a live run: the
 // fault-tolerance ledger (every submitted tuple ends acked or shed, never
-// silently lost) and the per-worker liveness view.
+// silently lost) and the sink counters, embedded as the same records
+// /status.json serves, plus the epoch, the submit dataplane's counters
+// and the connected workers' liveness view.
 type MasterStats = runtime.MasterStats
 
-// WorkerStatus is one worker's health as the master sees it: failure
-// detector state, circuit breaker position, and the worker's latest
-// self-reported queue/drop/reconnect counters.
+// WorkerStatus is one worker's health as the master sees it — failure
+// detector state, circuit breaker position and the worker's latest
+// self-reported queue/drop/reconnect counters — as the /status.json
+// worker row, whose routing columns MasterStats leaves zero.
 type WorkerStatus = runtime.WorkerStatus
 
 // StartMaster launches a live master that accepts workers and routes
