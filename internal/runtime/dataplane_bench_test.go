@@ -255,12 +255,14 @@ func allocSwarm(t *testing.T) (*Master, *atomic.Int64) {
 
 // TestBatchRoundTripAllocs pins the batched dataplane's allocation
 // budget: a full 64-tuple SubmitBatch round trip (submit, dispatch,
-// worker decode + process, ack, in-order delivery) must average
-// strictly under 1 allocation per tuple across every goroutine
-// involved — both directions decode a frame's tuples into one block
-// instead of one tuple each. Regressing this means a per-tuple cost
-// crept back into a per-batch path. It only runs at GOMAXPROCS=1
-// (scripts/check.sh runs it that way).
+// worker decode + process, ack, in-order delivery) must cost at most 9
+// allocations across every goroutine involved — both directions decode
+// a frame's tuples into one block instead of one tuple each, and the
+// worker moves the frame through its pipeline as one pooled batch.
+// Regressing this means a per-tuple or per-frame cost crept back into
+// a per-batch path. Most runs measure 8 and about one in thirty 9; with
+// a pooled job per tuple on the worker it was 9 to 11. It only runs at
+// GOMAXPROCS=1 (scripts/check.sh runs it that way).
 func TestBatchRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; ceiling holds for production builds only")
@@ -299,8 +301,8 @@ func TestBatchRoundTripAllocs(t *testing.T) {
 	})
 	perTuple := allocs / per
 	t.Logf("batched round trip: %.2f allocs/tuple (%.0f per %d-tuple batch)", perTuple, allocs, per)
-	if perTuple >= 1.0 {
-		t.Fatalf("batched round trip costs %.2f allocs/tuple, want strictly < 1", perTuple)
+	if allocs > 9 {
+		t.Fatalf("batched round trip costs %.0f allocs per %d-tuple batch, want at most 9", allocs, per)
 	}
 }
 

@@ -229,23 +229,29 @@ func (t *inflightTable) track(id uint64, e *inflightEntry) {
 	t.unlock()
 }
 
-// ack releases the entry for an acknowledged tuple and counts it, in one
-// step, reporting whether one was being tracked. A drop notice's reason
-// (dropped) or a filtered result's is counted in the same critical
-// section, whether or not the tuple was still tracked.
-func (t *inflightTable) ack(id uint64, dropped bool, reason wire.DropReason) bool {
+// ackBatch applies one result frame's acks in entry order under one lock
+// acquisition. Each releases the entry for its tuple and counts it, in
+// one step, adding the ID to *acked (if acked is not nil) when one was
+// being tracked; a drop notice's reason (Dropped) or a filtered result's
+// is counted in the same critical section, whether or not the tuple was
+// still tracked.
+func (t *inflightTable) ackBatch(entries []resultEntry, acked *[]uint64) {
 	t.mu.Lock()
-	ok := t.remove(id) != nil
-	if ok {
-		t.led.Acked++
-	}
-	if dropped {
-		countDrop(&t.led, reason)
-	} else if reason == wire.DropFiltered {
-		t.led.Filtered++
+	for i := range entries {
+		meta := &entries[i].meta
+		if t.remove(meta.TupleID) != nil {
+			t.led.Acked++
+			if acked != nil {
+				*acked = append(*acked, meta.TupleID)
+			}
+		}
+		if meta.Dropped {
+			countDrop(&t.led, meta.Reason)
+		} else if meta.Reason == wire.DropFiltered {
+			t.led.Filtered++
+		}
 	}
 	t.unlock()
-	return ok
 }
 
 // reclaim removes and returns the entry only if it is still assigned to

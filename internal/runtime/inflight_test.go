@@ -20,6 +20,13 @@ func (t *inflightTable) get(id uint64) *inflightEntry {
 	return t.lookup(id)
 }
 
+// ack is ackBatch of one entry, reporting whether its tuple was tracked.
+func (t *inflightTable) ack(id uint64, dropped bool, reason wire.DropReason) bool {
+	var acked []uint64
+	t.ackBatch([]resultEntry{{meta: wire.ResultMeta{TupleID: id, Dropped: dropped, Reason: reason}}}, &acked)
+	return len(acked) == 1
+}
+
 // inflightModel drives an inflightTable and a map oracle through the same
 // operations and checks them against each other after every step.
 type inflightModel struct {
@@ -120,6 +127,33 @@ func (m *inflightModel) pickLive(b byte) (uint64, bool) {
 	}
 }
 
+// drawAck draws one result entry: for a live ID, or a straggler for one
+// nothing tracks, with a drop or filter verdict.
+func (m *inflightModel) drawAck(next func() byte) wire.ResultMeta {
+	id, _ := m.pickLive(next())
+	if next()%4 == 0 {
+		id = m.dense + uint64(len(m.tbl.slots))
+	}
+	b := next()
+	reason := wire.DropReason(b % 5)
+	return wire.ResultMeta{TupleID: id, Dropped: b&8 != 0 && reason != wire.DropFiltered, Reason: reason}
+}
+
+// applyAck is the oracle's ack, reporting whether the tuple was live.
+func (m *inflightModel) applyAck(a wire.ResultMeta) bool {
+	_, ok := m.live[a.TupleID]
+	if ok {
+		delete(m.live, a.TupleID)
+		m.led.Acked++
+	}
+	if a.Dropped {
+		m.countDrop(a.Reason)
+	} else if a.Reason == wire.DropFiltered {
+		m.led.Filtered++
+	}
+	return ok
+}
+
 // countDrop is the oracle's count of one drop notice by reason.
 func (m *inflightModel) countDrop(r wire.DropReason) {
 	switch r {
@@ -162,7 +196,7 @@ func sameEntries(got, want []*inflightEntry) bool {
 // step applies one operation decoded from next.
 func (m *inflightModel) step(next func() byte) string {
 	tbl := m.tbl
-	switch op := next() % 13; op {
+	switch op := next() % 14; op {
 	case 0, 1, 2: // trackSubmitBatch of fresh tuples
 		k := 1 + int(next()%8)
 		block := make([]inflightEntry, 0, k)
@@ -180,27 +214,29 @@ func (m *inflightModel) step(next func() byte) string {
 		}
 		return fmt.Sprintf("trackSubmitBatch(%d)", k)
 	case 3: // ack: a live ID, or a straggler ack for one nothing tracks
-		id, ok := m.pickLive(next())
-		if next()%4 == 0 {
-			id = m.dense + uint64(len(tbl.slots))
-			_, ok = m.live[id]
+		a := m.drawAck(next)
+		ok := m.applyAck(a)
+		if got := tbl.ack(a.TupleID, a.Dropped, a.Reason); got != ok {
+			m.t.Fatalf("ack(%d) = %v, want %v", a.TupleID, got, ok)
 		}
-		b := next()
-		reason := wire.DropReason(b % 5)
-		dropped := b&8 != 0 && reason != wire.DropFiltered
-		if got := tbl.ack(id, dropped, reason); got != ok {
-			m.t.Fatalf("ack(%d) = %v, want %v", id, got, ok)
+		return fmt.Sprintf("ack(%d, %v, %v)", a.TupleID, a.Dropped, a.Reason)
+	case 12: // ackBatch: one result frame's acks, an ID possibly repeated
+		entries := make([]resultEntry, 1+int(next()%8))
+		for i := range entries {
+			entries[i].meta = m.drawAck(next)
 		}
-		if ok {
-			delete(m.live, id)
-			m.led.Acked++
+		want := []uint64{1 << 63} // acked IDs append after what is there
+		for _, e := range entries {
+			if m.applyAck(e.meta) {
+				want = append(want, e.meta.TupleID)
+			}
 		}
-		if dropped {
-			m.countDrop(reason)
-		} else if reason == wire.DropFiltered {
-			m.led.Filtered++
+		got := []uint64{1 << 63}
+		tbl.ackBatch(entries, &got)
+		if !slices.Equal(got, want) {
+			m.t.Fatalf("ackBatch(%v) acked %v, want %v", entries, got, want)
 		}
-		return fmt.Sprintf("ack(%d, %v, %v)", id, dropped, reason)
+		return fmt.Sprintf("ackBatch(%d)", len(entries))
 	case 4: // reclaim by its worker or by another
 		id, ok := m.pickLive(next())
 		if !ok {

@@ -10,9 +10,12 @@ import (
 
 // The result path (§IV-C, the ACK and reordering services) handles one
 // FrameResultBatch as one operation — the upstream mirror of SubmitBatch.
-// Per frame: one clock read; the per-entry bookkeeping in entry order
-// (dedup, latency banking, hedge ring, poison, in-flight ack, breaker);
-// one group commit of the frame's ack records; one semi-sync wait; one decode of the frame's result tuples
+// Per frame: one clock read; the per-entry dedup and hedge ring in entry
+// order; one bank of the frame's latency sums; the ledger acks under one
+// in-flight table lock (split only around quarantine-mode drop notices,
+// so the table sees every change in entry order); the breaker, one
+// success per run of successes; one group commit of the frame's ack
+// records; one semi-sync wait; one decode of the frame's result tuples
 // into a single block; and one pass under sinkMu. WAL-before-sink holds
 // per tuple because no result of the frame is played before the frame's
 // ack records are in the file (and, with a standby attached, in every
@@ -22,16 +25,21 @@ import (
 // connection's readLoop owns it, so steady-state frames reuse its slices
 // instead of allocating.
 type resultScratch struct {
-	acks    []uint64        // tuple IDs whose ack records this frame journals
-	pending []pendingResult // entries carrying result tuples, in entry order
-	results []Result        // the frame's decoded results, in entry order
-	plays   []Result        // results the sink released, handed to OnResult
+	entries []resultEntry // the frame's fresh entries, in entry order
+	acks    []uint64      // tuple IDs whose ack records this frame journals
+	results []Result      // the frame's decoded results, in entry order
+	plays   []Result      // results the sink released, handed to OnResult
+	// The frame's latency feedback, summed for one bank per frame, and
+	// the number of its entries that carry a result tuple.
+	lat, proc time.Duration
+	carried   int
 }
 
-// pendingResult is one frame entry that carries a result tuple, held
-// until the frame's acks are durable.
-type pendingResult struct {
-	tb      []byte // tuple bytes, aliasing the frame's owned copy
+// resultEntry is one frame entry, held until the frame's ledger step
+// and, if it carries a result tuple, until the frame's acks are durable.
+type resultEntry struct {
+	meta    wire.ResultMeta
+	tb      []byte // result tuple bytes aliasing the frame's owned copy; empty if ack-only
 	latency time.Duration
 }
 
@@ -42,13 +50,24 @@ type pendingResult struct {
 // walked in one owned copy, which the decoded results alias, so the
 // caller may recycle the frame buffer.
 func (m *Master) handleResultBatch(wc *workerConn, sc *resultScratch, payload []byte, now time.Time) error {
-	sc.acks, sc.pending = sc.acks[:0], sc.pending[:0]
+	sc.entries, sc.acks = sc.entries[:0], sc.acks[:0]
+	sc.lat, sc.proc, sc.carried = 0, 0, 0
 	// An append-grown copy skips the zeroing a make would pay for.
 	own := append([]byte(nil), payload...)
 	err := wire.DecodeResultBatch(own, func(entry []byte) error {
-		m.ackResult(wc, sc, entry, now)
+		m.readResult(wc, sc, entry, now)
 		return nil
 	})
+	if len(sc.entries) > 0 {
+		// Bank the frame's latency samples before the ledger acks: anyone
+		// who observes Acked == n through Stats (which flushes banked
+		// samples first) is then guaranteed the router estimates already
+		// include all n samples.
+		wc.ackLat.Add(int64(sc.lat))
+		wc.ackProc.Add(int64(sc.proc))
+		wc.ackN.Add(int64(len(sc.entries)))
+		m.ackResults(wc, sc)
+	}
 	if len(sc.acks) > 0 {
 		// Journal the frame's acks before any of its results can reach the
 		// sink: a crash between the two drops frames (at-most-once) rather
@@ -63,23 +82,22 @@ func (m *Master) handleResultBatch(wc *workerConn, sc *resultScratch, payload []
 			m.rep.waitFlushed()
 		}
 	}
-	if len(sc.pending) > 0 {
-		sc.results = m.decodeResults(wc, sc.pending, sc.results[:0])
+	if sc.carried > 0 {
+		sc.results = m.decodeResults(wc, sc.entries, sc.carried, sc.results[:0])
 		sc.plays = m.deliverBatch(sc.results, sc.plays)
 		clear(sc.results)
-		clear(sc.pending)
 	}
+	clear(sc.entries)
 	return err
 }
 
-// ackResult does one entry's bookkeeping: release the in-flight entry,
-// bank the latency feedback for the router, and queue the ack record and
-// the result tuple for the frame-wide commit and playback. Ack-only
-// entries (no tuple bytes) stop at the ledger: the worker consumed the
-// tuple without producing a result, and counting the ack keeps the
-// ledger balanced and the latency estimate fresh. A malformed entry is
-// skipped.
-func (m *Master) ackResult(wc *workerConn, sc *resultScratch, entry []byte, now time.Time) {
+// readResult takes in one entry: it sums the entry's latency feedback
+// into the frame's, and queues the entry for the ledger and its result
+// tuple for playback. Ack-only entries (no tuple bytes) stop at the
+// ledger: the worker consumed the tuple without producing a result, and
+// counting the ack keeps the ledger balanced and the latency estimate
+// fresh. A malformed entry is skipped.
+func (m *Master) readResult(wc *workerConn, sc *resultScratch, entry []byte, now time.Time) {
 	meta, tb, err := wire.DecodeResult(entry)
 	if err != nil {
 		return
@@ -94,58 +112,91 @@ func (m *Master) ackResult(wc *workerConn, sc *resultScratch, entry []byte, now 
 	if latency < 0 {
 		latency = 0
 	}
-	// Bank the latency sample before the ledger ack: anyone who observes
-	// Acked == n through Stats (which flushes banked samples first) is then
-	// guaranteed the router estimates already include all n samples.
-	wc.ackLat.Add(int64(latency))
-	wc.ackProc.Add(meta.ProcNanos)
-	wc.ackN.Add(1)
+	sc.lat += latency
+	sc.proc += time.Duration(meta.ProcNanos)
 	if m.cfg.HedgeAfter > 0 {
 		wc.lat.add(latency)
 	}
-	if meta.Dropped && m.cfg.PoisonAttempts > 0 {
-		// Quarantine mode: a drop notice is a failed attempt, not an ack —
-		// the tuple either re-dispatches to a worker it has not burned or
-		// is quarantined after PoisonAttempts distinct workers.
-		m.handlePoisonDrop(wc, meta)
-		return
+	if len(tb) > 0 {
+		sc.carried++
 	}
-	if m.inflight.ack(meta.TupleID, meta.Dropped, meta.Reason) && m.journal != nil {
-		sc.acks = append(sc.acks, meta.TupleID)
-	}
-	if meta.Dropped {
-		// A processor-error drop is a breaker failure: the worker is
-		// reachable but not producing results.
-		m.chargeDropBreaker(wc)
-	} else {
-		wc.mu.Lock()
-		prev := wc.br.state
-		wc.br.onSuccess()
-		closed := prev == breakerHalfOpen
-		wc.mu.Unlock()
-		if closed {
-			m.events.Record(obs.EventBreakerClose, wc.id, "probe succeeded", 0)
-			m.cfg.Logger.Info("swing master: breaker closed", "worker", wc.id,
-				"reason", "probe succeeded")
+	sc.entries = append(sc.entries, resultEntry{meta: meta, tb: tb, latency: latency})
+}
+
+// ackResults applies the frame's entries to the ledger and the breaker in
+// entry order: each run of acks under one table lock, with a
+// quarantine-mode drop notice — a failed attempt, not an ack: the tuple
+// either re-dispatches to a worker it has not burned or is quarantined
+// after PoisonAttempts distinct workers — between runs.
+func (m *Master) ackResults(wc *workerConn, sc *resultScratch) {
+	run := 0
+	for i, e := range sc.entries {
+		if e.meta.Dropped && m.cfg.PoisonAttempts > 0 {
+			m.ackRun(wc, sc, sc.entries[run:i])
+			m.handlePoisonDrop(wc, e.meta)
+			run = i + 1
 		}
 	}
-	if len(tb) > 0 {
-		sc.pending = append(sc.pending, pendingResult{tb: tb, latency: latency})
+	m.ackRun(wc, sc, sc.entries[run:])
+}
+
+// ackRun acks a run of entries under one table lock, queueing the ack
+// records of the tuples it released, then charges the breaker in entry
+// order: a processor-error drop is a failure (the worker is reachable
+// but not producing results), and each run of consecutive successes is
+// one onSuccess, which is idempotent.
+func (m *Master) ackRun(wc *workerConn, sc *resultScratch, run []resultEntry) {
+	if len(run) == 0 {
+		return
+	}
+	var acked *[]uint64 // without a journal, nothing reads the IDs
+	if m.journal != nil {
+		acked = &sc.acks
+	}
+	m.inflight.ackBatch(run, acked)
+	for i, e := range run {
+		switch {
+		case e.meta.Dropped:
+			m.chargeDropBreaker(wc)
+		case i+1 == len(run) || run[i+1].meta.Dropped:
+			m.breakerSuccess(wc) // the last of a run of successes
+		}
 	}
 }
 
-// decodeResults decodes a frame's result tuples into one []tuple.Tuple
-// block, appending a Result per tuple that decodes to dst. The tuples'
-// bytes fields alias the frame copy the pending entries point into, so
-// a frame costs two allocations (copy and block) however many results it
-// carries, and every returned Result.Tuple keeps both alive.
-func (m *Master) decodeResults(wc *workerConn, pending []pendingResult, dst []Result) []Result {
-	block := make([]tuple.Tuple, len(pending))
-	for i, p := range pending {
-		if tuple.DecodeSharedInto(&block[i], p.tb) != nil {
+// breakerSuccess records a healthy ack on wc's breaker.
+func (m *Master) breakerSuccess(wc *workerConn) {
+	wc.mu.Lock()
+	prev := wc.br.state
+	wc.br.onSuccess()
+	closed := prev == breakerHalfOpen
+	wc.mu.Unlock()
+	if closed {
+		m.events.Record(obs.EventBreakerClose, wc.id, "probe succeeded", 0)
+		m.cfg.Logger.Info("swing master: breaker closed", "worker", wc.id,
+			"reason", "probe succeeded")
+	}
+}
+
+// decodeResults decodes the result tuples of a frame's entries — carried
+// of them hold one — into one []tuple.Tuple block, appending a Result
+// per tuple that decodes to dst. The tuples' bytes fields alias the
+// frame copy the entries point into, so a frame costs two allocations
+// (copy and block) however many results it carries, and every returned
+// Result.Tuple keeps both alive.
+func (m *Master) decodeResults(wc *workerConn, entries []resultEntry, carried int, dst []Result) []Result {
+	block := make([]tuple.Tuple, carried)
+	i := 0
+	for _, e := range entries {
+		if len(e.tb) == 0 {
 			continue
 		}
-		dst = append(dst, Result{Tuple: &block[i], Latency: p.latency, Worker: wc.id})
+		t := &block[i]
+		i++
+		if tuple.DecodeSharedInto(t, e.tb) != nil {
+			continue
+		}
+		dst = append(dst, Result{Tuple: t, Latency: e.latency, Worker: wc.id})
 	}
 	return dst
 }

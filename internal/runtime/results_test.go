@@ -246,13 +246,16 @@ func TestHostileTupleBatchCount(t *testing.T) {
 	var w Worker
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	head, n, err := w.decodeTupleBatch(payload)
+	b, err := w.decodeTupleBatch(payload)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("frame with a hostile count decoded without error")
 	}
-	if n != 1 || head == nil || head.t.ID != 1 {
-		t.Fatalf("decoded %d jobs, want the one real entry", n)
+	if b == nil || len(b.tuples) != 1 || b.tuples[0].ID != 1 || len(b.res) != 1 {
+		t.Fatal("batch does not hold exactly the one real entry")
+	}
+	if fit := (len(payload) - 4) / minTupleBatchEntry; cap(b.tuples) > fit {
+		t.Fatalf("tuple block holds %d, more than the %d entries the payload fits", cap(b.tuples), fit)
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Fatalf("decoding a hostile count allocated %d bytes", grew)

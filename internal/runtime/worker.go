@@ -127,15 +127,15 @@ type workerSession struct {
 	ackLinger   time.Duration
 	opDeadline  time.Duration
 
-	// queue feeds the processor pool; order carries the same jobs in
+	// queue feeds the processor pool; order carries the same batches in
 	// arrival order to the send loop, which restores input order on the
 	// upstream link whatever order the pool finishes in. The read loop is
 	// the only sender on both and closes both on exit.
-	queue chan *procJob
-	order chan *procJob
+	queue chan *procBatch
+	order chan *procBatch
 	dead  chan struct{} // closed when the read loop exits
 	// sendGone is closed when the send loop exits (e.g. a write error),
-	// so a read loop blocked handing a job off doesn't wait on a drain
+	// so a read loop blocked handing a batch off doesn't wait on a drain
 	// that will never come.
 	sendGone chan struct{}
 	writeMu  sync.Mutex
@@ -270,10 +270,11 @@ func dialSession(cfg WorkerConfig, lastEpoch uint64) (*workerSession, error) {
 		parallelism: par,
 		ackLinger:   time.Duration(deploy.AckLingerMicros) * time.Microsecond,
 		opDeadline:  time.Duration(deploy.OpDeadlineMillis) * time.Millisecond,
-		queue:       make(chan *procJob, cfg.QueueCap),
-		// order must hold every admitted-but-unsent job: the queue's worth
-		// plus one per pool slot plus the one mid-handoff in the read loop.
-		order:    make(chan *procJob, cfg.QueueCap+par+1),
+		queue:       make(chan *procBatch, cfg.QueueCap),
+		// order must hold every admitted-but-unsent batch: the queue's
+		// worth plus one per pool slot plus the one mid-handoff in the read
+		// loop.
+		order:    make(chan *procBatch, cfg.QueueCap+par+1),
 		dead:     make(chan struct{}),
 		sendGone: make(chan struct{}),
 	}, nil
@@ -453,41 +454,35 @@ func (w *Worker) readLoop(s *workerSession) {
 		}
 		switch typ {
 		case wire.FrameTupleBatch:
-			// The only data frame. It decodes into a chain of jobs sharing
-			// one refcounted frame buffer (every tuple's byte fields alias
-			// it) and takes ONE handoff on each channel for the whole
-			// chain. Queue first, order second: every job the send loop
-			// waits on is then guaranteed to reach a pool goroutine that
-			// will signal its completion.
-			head, n, derr := w.decodeTupleBatch(payload)
+			// The only data frame. It decodes into one batch that owns the
+			// frame buffer (every tuple's byte fields alias it) and takes
+			// ONE handoff on each channel. Queue first, order second: every
+			// batch the send loop waits on is then guaranteed to reach a
+			// pool goroutine that will finish it.
+			b, derr := w.decodeTupleBatch(payload)
 			if derr != nil {
 				w.cfg.Logger.Warn("swing worker: bad tuple batch", "err", derr)
 			}
-			if head == nil {
+			if b == nil {
 				buf.Release()
 				continue
 			}
-			shared := batchBufPool.Get().(*batchBuf)
-			shared.buf = buf
-			shared.refs.Store(int32(n))
-			for j := head; j != nil; j = j.next {
-				j.shared = shared
-			}
+			b.buf = buf
 			select {
-			case s.queue <- head:
+			case s.queue <- b:
 			case <-w.stop:
 				return
 			case <-s.sendGone:
 				return
 			}
 			select {
-			case s.order <- head:
+			case s.order <- b:
 			case <-w.stop:
 				return
 			case <-s.sendGone:
 				return
 			}
-			continue // buffer ownership moved to the chain
+			continue // buffer ownership moved to the batch
 		case wire.FramePing:
 			// Echo the payload verbatim: the pong is the master's proof of
 			// life for this link, and a worker whose processing queue is
@@ -507,126 +502,113 @@ func (w *Worker) readLoop(s *workerSession) {
 	}
 }
 
-// procJob carries one input tuple through the processor pool. done is a
-// one-slot channel its pool goroutine signals on completion; the send
-// loop receives jobs from the session's order channel and waits on each
-// in turn, so results leave in tuple-arrival order however the pool
-// interleaves. Jobs are pooled: the send loop recycles each one after
-// encoding its results.
-//
-// Jobs decoded from one FrameTupleBatch are linked through next into an
-// intra-batch chain: the read loop hands only the chain head to the
-// queue and order channels (one handoff per batch, not per tuple), and
-// the consumers walk the chain. Every job holds one reference on its
-// frame's shared buffer.
-type procJob struct {
-	t       *tuple.Tuple
-	shared  *batchBuf // refcounted frame backing t's byte fields
-	next    *procJob  // next job of the same batch chain
+// procBatch carries one decoded FrameTupleBatch through the worker: one
+// pool slot runs its tuples in order and the send loop encodes their
+// results in the same order. The slot publishes progress through done,
+// the count of finished tuples (it only grows, from the front), and
+// wakes the send loop through ready; the send loop walks a cursor behind
+// done, so a result leaves as soon as it and its predecessors are
+// finished, not when the whole batch is. Batches are pooled; the tuple
+// block is not, because operators may keep their inputs.
+type procBatch struct {
+	tuples []tuple.Tuple // the frame's tuples; their byte fields alias buf
+	res    []jobResult   // res[i] is tuples[i]'s verdict
+	buf    *wire.Buf
+	done   atomic.Int32
+	// ready holds one wake-up token, so signals sent while the send loop
+	// is busy merge. A token may be stale (the last signal of a previous
+	// use of this batch can land after its reuse), so a waiter always
+	// rechecks done.
+	ready chan struct{}
+	// refs is 1 for the batch plus one per watchdog reaper still waiting
+	// on an abandoned chain that reads the frame; the last release
+	// returns frame and batch to their pools.
+	refs atomic.Int32
+}
+
+// jobResult is one tuple's verdict: its result tuples, or none for a
+// lone ack or drop notice, and the processing time to report.
+type jobResult struct {
 	outs    []*tuple.Tuple
 	proc    time.Duration
 	dropped bool
 	reason  wire.DropReason
-	done    chan struct{}
-	// one backs outs for a fresh job, so the common one-result tuple
-	// costs no append allocation even when the pool was emptied by GC.
+	// one backs outs for the common one-result tuple, so it costs no
+	// append allocation.
 	one [1]*tuple.Tuple
 }
 
-// batchBuf is one FrameTupleBatch's pooled frame buffer, shared by every
-// job decoded from it: each tuple's byte fields alias the same backing,
-// which can return to the pool only after the last job is done with it —
-// including a job abandoned to a watchdog reaper.
-type batchBuf struct {
-	buf  *wire.Buf
-	refs atomic.Int32
-}
-
-// batchBufPool keeps a one-tuple frame, the common case for Submit,
-// from paying an allocation for its refcount.
-var batchBufPool = sync.Pool{New: func() any { return new(batchBuf) }}
-
-// release drops one reference; the last one returns the frame and the
-// batchBuf itself to their pools.
-func (b *batchBuf) release() {
-	if b.refs.Add(-1) == 0 {
-		b.buf.Release()
-		b.buf = nil
-		batchBufPool.Put(b)
-	}
-}
-
-var jobPool = sync.Pool{New: func() any {
-	j := &procJob{done: make(chan struct{}, 1)}
-	j.outs = j.one[:0]
-	return j
+var batchPool = sync.Pool{New: func() any {
+	return &procBatch{ready: make(chan struct{}, 1)}
 }}
 
-func getJob(t *tuple.Tuple) *procJob {
-	j := jobPool.Get().(*procJob)
-	j.t = t
-	return j
+// finish publishes that the batch's first n tuples are done and wakes
+// the send loop. Once n covers the batch, the send loop may release and
+// reuse the batch as soon as done moves; the wake-up sent after that is
+// the stale token ready's comment allows for.
+func (b *procBatch) finish(n int) {
+	b.done.Store(int32(n))
+	select {
+	case b.ready <- struct{}{}:
+	default:
+	}
 }
 
-// recycle releases the job's reference on its frame and returns the job
-// to the pool. Only the send loop calls it, after the done token has
-// been consumed, so the channel is guaranteed empty for the next user.
-// Callers walking a chain must read next before recycling — recycle
-// severs it.
-func (j *procJob) recycle() {
-	if j.shared != nil { // nil once a deadline reaper took the reference
-		j.shared.release()
+// release drops one reference; the last one returns the frame and the
+// batch to their pools.
+func (b *procBatch) release() {
+	if b.refs.Add(-1) != 0 {
+		return
 	}
-	j.t, j.shared, j.next = nil, nil, nil
-	for i := range j.outs {
-		j.outs[i] = nil
-	}
-	j.outs = j.outs[:0]
-	j.proc, j.dropped, j.reason = 0, false, wire.DropNone
-	jobPool.Put(j)
+	b.buf.Release()
+	clear(b.res)
+	b.tuples, b.res, b.buf = nil, b.res[:0], nil
+	batchPool.Put(b)
 }
 
 // minTupleBatchEntry is the smallest encoded FrameTupleBatch entry: a
 // u32 length prefix plus a field-less tuple header.
 const minTupleBatchEntry = 4 + tuple.MinEncodedSize
 
-// decodeTupleBatch decodes a FrameTupleBatch payload into a chain of
-// jobs, without per-tuple frame reads or copies — every tuple's byte
-// fields alias the one frame buffer the caller still owns, and the
-// tuples themselves live in one block allocated per frame. The frame's
-// count prefix is untrusted: the block is sized by what the payload can
-// actually hold. Returns the chain head and its length; a decode error
-// aborts the remainder (the jobs built so far still run).
-func (w *Worker) decodeTupleBatch(payload []byte) (*procJob, int, error) {
+// decodeTupleBatch decodes a FrameTupleBatch payload into a batch,
+// without per-tuple frame reads or copies — every tuple's byte fields
+// alias the one frame buffer the caller still owns, and the tuples
+// themselves live in one block allocated per frame. The frame's count
+// prefix is untrusted: the block is sized by what the payload can
+// actually hold. A decode error aborts the remainder (the tuples decoded
+// so far still run); nil means none decoded.
+func (w *Worker) decodeTupleBatch(payload []byte) (*procBatch, error) {
 	count, err := wire.TupleBatchCount(payload)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if fit := (len(payload) - 4) / minTupleBatchEntry; count > fit {
 		count = fit
 	}
 	block := make([]tuple.Tuple, count)
-	var head, tail *procJob
 	n := 0
 	err = wire.DecodeTupleBatch(payload, func(entry []byte) error {
 		if n == len(block) {
 			return errShortTupleBlock
 		}
-		t := &block[n]
-		if terr := tuple.DecodeSharedInto(t, entry); terr != nil {
+		if terr := tuple.DecodeSharedInto(&block[n], entry); terr != nil {
 			return terr
 		}
-		j := getJob(t)
-		if head == nil {
-			head = j
-		} else {
-			tail.next = j
-		}
-		tail = j
 		n++
 		return nil
 	})
-	return head, n, err
+	if n == 0 {
+		return nil, err
+	}
+	b := batchPool.Get().(*procBatch)
+	b.tuples = block[:n]
+	if cap(b.res) < n {
+		b.res = make([]jobResult, n)
+	}
+	b.res = b.res[:n]
+	b.done.Store(0)
+	b.refs.Store(1)
+	return b, err
 }
 
 // errShortTupleBlock rejects an entry beyond the block decodeTupleBatch
@@ -649,10 +631,11 @@ func (c *collectEmitter) Emit(t *tuple.Tuple) error {
 
 // processLoop runs the session's processor pool: parallelism goroutines,
 // each with its own operator chain (processors may be stateful, so pool
-// members never share one), pulling jobs off the shared queue. Result
-// order is not this loop's problem — the send loop restores it. With a
-// per-tuple deadline deployed, each slot runs its chain on a watchdogged
-// child goroutine instead of inline.
+// members never share one), pulling batches off the shared queue and
+// running each batch's tuples in order. Result order across batches is
+// not this loop's problem — the send loop restores it. With a per-tuple
+// deadline deployed, each slot runs its chain on a watchdogged child
+// goroutine instead of inline.
 func (w *Worker) processLoop(s *workerSession) {
 	var wg sync.WaitGroup
 	for i := 0; i < s.parallelism; i++ {
@@ -674,23 +657,37 @@ func (w *Worker) processLoop(s *workerSession) {
 				w.poolSlotWatchdog(s, chain)
 				return
 			}
-			// Per-goroutine scratch, reused across jobs, keeps the hot
-			// path allocation-free. A queue item is a batch chain (or a
-			// chain of one); next is read before done is signaled, since
-			// the send loop may recycle a signaled job at any moment.
+			// Per-goroutine scratch, reused across tuples, keeps the hot
+			// path allocation-free. Tuples are timed by one monotonic
+			// clock read at each tuple boundary.
 			var em collectEmitter
 			var cur []*tuple.Tuple
-			for head := range s.queue {
-				for job := head; job != nil; {
-					nxt := job.next
+			epoch := time.Now()
+			for b := range s.queue {
+				at, ok := time.Since(epoch), 0
+				for i := range b.tuples {
+					if i > 0 {
+						b.finish(i)
+					}
+					r := &b.res[i]
 					var panicked bool
-					cur, panicked = w.runJob(chain, &em, cur, job)
-					job.done <- struct{}{}
+					cur, panicked = w.runTuple(chain, &em, cur, &b.tuples[i], r)
+					end := time.Since(epoch)
+					r.proc = end - at
+					if r.reason == wire.DropNone {
+						ok++
+						if w.cfg.SpeedFactor > 1 {
+							r.proc = w.slowDown(r.proc)
+							end = time.Since(epoch)
+						}
+					}
+					at = end
 					if panicked {
 						chain = w.rebuildChain(s, chain)
 					}
-					job = nxt
 				}
+				w.countProcessed(ok)
+				b.finish(len(b.tuples))
 			}
 		}(chain)
 	}
@@ -710,17 +707,16 @@ func (w *Worker) rebuildChain(s *workerSession, old []graph.Processor) []graph.P
 	return fresh
 }
 
-// runJob runs one tuple through an operator chain (the vertical pipeline
-// slice), leaving results and ACK metadata on the job. Every consumed
-// tuple is answered: a processor error or panic marks a typed drop
-// notice, a filtered-out tuple leaves no outputs (a plain ack with
-// DropFiltered) — so the master's in-flight tracker and latency estimate
-// for this worker never go stale on a silent discard. Returns the
-// (possibly regrown) scratch slice and whether a processor panicked (the
-// caller must retire the chain).
-func (w *Worker) runJob(chain []graph.Processor, em *collectEmitter, scratch []*tuple.Tuple, job *procJob) ([]*tuple.Tuple, bool) {
-	begin := time.Now()
-	cur := append(scratch[:0], job.t)
+// runTuple runs one tuple through an operator chain (the vertical
+// pipeline slice), leaving its results and ACK verdict in r; timing it
+// is the caller's job. Every consumed tuple is answered: a processor
+// error or panic marks a typed drop notice, a filtered-out tuple leaves
+// no outputs (a plain ack with DropFiltered) — so the master's in-flight
+// tracker and latency estimate for this worker never go stale on a
+// silent discard. Returns the (possibly regrown) scratch slice and
+// whether a processor panicked (the caller must retire the chain).
+func (w *Worker) runTuple(chain []graph.Processor, em *collectEmitter, scratch []*tuple.Tuple, t *tuple.Tuple, r *jobResult) ([]*tuple.Tuple, bool) {
+	cur := append(scratch[:0], t)
 	for _, p := range chain {
 		em.out = em.out[:0]
 		for _, in := range cur {
@@ -733,35 +729,42 @@ func (w *Worker) runJob(chain []graph.Processor, em *collectEmitter, scratch []*
 					w.panics++
 				}
 				w.statsMu.Unlock()
-				job.dropped = true
-				job.reason = wire.DropError
+				r.dropped = true
+				r.reason = wire.DropError
 				if panicked {
-					job.reason = wire.DropPanic
+					r.reason = wire.DropPanic
 				}
-				job.proc = time.Since(begin)
 				return cur, panicked
 			}
 		}
 		cur = append(cur[:0], em.out...)
 		if len(cur) == 0 {
 			// A stage filtered the tuple out: legitimate, but still ack.
-			job.reason = wire.DropFiltered
-			job.proc = time.Since(begin)
+			r.reason = wire.DropFiltered
 			return cur, false
 		}
 	}
-	proc := time.Since(begin)
-	if w.cfg.SpeedFactor > 1 {
-		// Emulate a slower device: stretch processing time.
-		time.Sleep(time.Duration(float64(proc) * (w.cfg.SpeedFactor - 1)))
-		proc = time.Duration(float64(proc) * w.cfg.SpeedFactor)
-	}
-	w.statsMu.Lock()
-	w.processed++
-	w.statsMu.Unlock()
-	job.outs = append(job.outs[:0], cur...)
-	job.proc = proc
+	r.outs = append(r.one[:0], cur...)
 	return cur, false
+}
+
+// slowDown emulates a slower device: it sleeps so that a tuple that took
+// proc takes SpeedFactor times as long, and returns the stretched time.
+func (w *Worker) slowDown(proc time.Duration) time.Duration {
+	if w.cfg.SpeedFactor <= 1 {
+		return proc
+	}
+	time.Sleep(time.Duration(float64(proc) * (w.cfg.SpeedFactor - 1)))
+	return time.Duration(float64(proc) * w.cfg.SpeedFactor)
+}
+
+// countProcessed adds one batch's successfully processed tuples.
+func (w *Worker) countProcessed(n int) {
+	if n > 0 {
+		w.statsMu.Lock()
+		w.processed += int64(n)
+		w.statsMu.Unlock()
+	}
 }
 
 // safeProcess invokes one processor under the panic sandbox: a panicking
@@ -778,50 +781,38 @@ func (w *Worker) safeProcess(p graph.Processor, em graph.Emitter, in *tuple.Tupl
 	return
 }
 
-// chainJob hands one tuple to a chain-runner child. The tuple's byte
-// fields alias buf; the runner only reads them, and buf's release stays
-// with the parent (normal completion) or a reaper (abandonment).
-type chainJob struct {
-	t *tuple.Tuple
-}
-
-// chainRun is a chain runner's verdict on one tuple. outs alias the
-// runner's scratch, which it will not touch again until the parent sends
-// the next job, so the parent copies them out before doing so.
+// chainRun is a chain runner's verdict on one tuple. Its outs never
+// alias the runner's scratch, so the parent may keep them.
 type chainRun struct {
-	outs     []*tuple.Tuple
-	proc     time.Duration
-	dropped  bool
-	reason   wire.DropReason
+	jobResult
 	panicked bool
 }
 
 // chainRunner is a pool slot's child goroutine in watchdog mode: it owns
-// an operator chain and processes one chainJob at a time. The parent
+// an operator chain and processes one tuple at a time. The tuple's byte
+// fields alias the batch's frame; the runner only reads them. The parent
 // abandons a runner (close(in), fresh runner spawned) when a tuple blows
 // its deadline or panics; the abandoned runner exits as soon as its
 // current chain invocation returns.
 type chainRunner struct {
-	in  chan chainJob
+	in  chan *tuple.Tuple
 	out chan chainRun // buffered(1): an abandoned runner never blocks here
 }
 
 func (w *Worker) spawnChainRunner(chain []graph.Processor) *chainRunner {
-	r := &chainRunner{in: make(chan chainJob), out: make(chan chainRun, 1)}
+	r := &chainRunner{in: make(chan *tuple.Tuple), out: make(chan chainRun, 1)}
 	go func() {
 		var em collectEmitter
 		var scratch []*tuple.Tuple
-		for cj := range r.in {
-			job := procJob{t: cj.t}
-			var panicked bool
-			scratch, panicked = w.runJob(chain, &em, scratch, &job)
-			r.out <- chainRun{
-				outs:     job.outs,
-				proc:     job.proc,
-				dropped:  job.dropped,
-				reason:   job.reason,
-				panicked: panicked,
+		for t := range r.in {
+			var run chainRun
+			begin := time.Now()
+			scratch, run.panicked = w.runTuple(chain, &em, scratch, t, &run.jobResult)
+			run.proc = time.Since(begin)
+			if run.reason == wire.DropNone {
+				run.proc = w.slowDown(run.proc)
 			}
+			r.out <- run
 		}
 	}()
 	return r
@@ -830,10 +821,11 @@ func (w *Worker) spawnChainRunner(chain []graph.Processor) *chainRunner {
 // poolSlotWatchdog is a pool slot with the per-tuple deadline armed. The
 // chain runs on a child goroutine; if it has not returned within
 // opDeadline the slot reports the tuple as a DropDeadline notice, hands
-// the (still running) child to a reaper that releases the frame buffer
-// when — if — it finishes, and replaces child and chain. A processor
-// stuck forever therefore costs one leaked goroutine, not the worker
-// process; a finite hang drains on its own.
+// the (still running) child to a reaper that holds a reference on the
+// batch — and so on its frame buffer — until, if ever, the child
+// finishes, and replaces child and chain. A processor stuck forever
+// therefore costs one leaked goroutine, not the worker process; a finite
+// hang drains on its own.
 func (w *Worker) poolSlotWatchdog(s *workerSession, chain []graph.Processor) {
 	runner := w.spawnChainRunner(chain)
 	defer func() {
@@ -846,48 +838,51 @@ func (w *Worker) poolSlotWatchdog(s *workerSession, chain []graph.Processor) {
 		<-timer.C
 	}
 	defer timer.Stop()
-	for head := range s.queue {
-		for job := head; job != nil; {
-			nxt := job.next // read before done: a signaled job may be recycled
-			runner.in <- chainJob{t: job.t}
+	for b := range s.queue {
+		ok := 0
+		for i := range b.tuples {
+			if i > 0 {
+				b.finish(i)
+			}
+			t, r := &b.tuples[i], &b.res[i]
+			runner.in <- t
 			timer.Reset(s.opDeadline)
 			select {
 			case run := <-runner.out:
 				if !timer.Stop() {
 					<-timer.C
 				}
-				job.outs = append(job.outs[:0], run.outs...)
-				job.proc = run.proc
-				job.dropped = run.dropped
-				job.reason = run.reason
+				*r = run.jobResult
+				r.outs = append(r.one[:0], run.outs...)
+				if r.reason == wire.DropNone {
+					ok++
+				}
 				if run.panicked {
-					// runJob already counted the panic; retire the chain by
-					// retiring the whole runner (it owns the chain).
+					// runTuple already counted the panic; retire the chain
+					// by retiring the whole runner (it owns the chain).
 					close(runner.in)
 					runner = w.respawnRunner(s)
 				}
 			case <-timer.C:
 				w.cfg.Logger.Warn("swing worker: tuple blew processing deadline",
-					"tuple", job.t.ID, "deadline", s.opDeadline)
+					"tuple", t.ID, "deadline", s.opDeadline)
 				w.statsMu.Lock()
 				w.dropped++
 				w.deadlined++
 				w.statsMu.Unlock()
-				job.outs = job.outs[:0]
-				job.proc = s.opDeadline
-				job.dropped = true
-				job.reason = wire.DropDeadline
+				r.proc = s.opDeadline
+				r.dropped = true
+				r.reason = wire.DropDeadline
 				// The child may still be inside the operator, reading tuple
-				// bytes that alias the frame buffer: the job's reference on
-				// the frame moves to a reaper that releases it once the
-				// child surfaces.
-				shared := job.shared
-				job.shared = nil
+				// bytes that alias the frame buffer: a reaper takes a
+				// reference on the batch and releases it once the child
+				// surfaces. Its release may be the batch's last.
+				b.refs.Add(1)
 				abandoned := runner
 				go func() {
 					select {
 					case <-abandoned.out:
-						shared.release()
+						b.release()
 					case <-w.stop:
 					}
 				}()
@@ -896,14 +891,15 @@ func (w *Worker) poolSlotWatchdog(s *workerSession, chain []graph.Processor) {
 			case <-w.stop:
 				return
 			}
-			job.done <- struct{}{}
 			if runner == nil {
 				// Chain rebuild failed (cannot really happen — the deploy-time
 				// build succeeded); degrade by retiring this slot.
+				b.finish(i + 1)
 				return
 			}
-			job = nxt
 		}
+		w.countProcessed(ok)
+		b.finish(len(b.tuples))
 	}
 }
 
@@ -927,31 +923,35 @@ const (
 	ackFlushEntries = 128
 )
 
-// sendLoop is the upstream writer: it consumes finished jobs in tuple
-// arrival order and packs their results/acks into FrameResultBatch
-// frames. With AckLinger zero a result waits only for successors that
-// are already complete (pure opportunistic batching); with a linger
-// window d it may additionally wait up to d for stragglers, so a
-// result's measured latency is inflated by at most d.
+// sendLoop is the upstream writer: it walks a cursor through the
+// arriving batches' tuples in arrival order and packs their results and
+// acks into FrameResultBatch frames, releasing each batch after its last
+// tuple. With AckLinger zero a result waits only for successors that are
+// already finished (pure opportunistic batching); with a linger window d
+// it may additionally wait up to d for stragglers, so a result's
+// measured latency is inflated by at most d.
 func (w *Worker) sendLoop(s *workerSession) {
 	defer close(s.sendGone)
 	var (
 		batch   wire.ResultBatch
 		scratch []byte
-		carry   *procJob // pulled from order but not yet complete
-		pending *procJob // next unconsumed job of the current batch chain
+		cur     *procBatch // the batch under the cursor; nil between batches
+		next    int        // the cursor: cur's first unsent tuple
 		timer   *time.Timer
 	)
-	for {
-		job := carry
-		carry = nil
-		if job == nil {
-			job = pending
+	// add encodes the tuple under the cursor and advances it.
+	add := func() {
+		scratch = w.addResult(&batch, scratch, cur, next)
+		if next++; next == len(cur.tuples) {
+			cur.release()
+			cur, next = nil, 0
 		}
-		if job == nil {
+	}
+	for {
+		if cur == nil {
 			var ok bool
 			select {
-			case job, ok = <-s.order:
+			case cur, ok = <-s.order:
 				if !ok {
 					return
 				}
@@ -959,19 +959,16 @@ func (w *Worker) sendLoop(s *workerSession) {
 				return
 			}
 		}
-		// Advance the chain before waiting: once done is consumed and the
-		// job recycled, its next link is severed. An order item is a batch
-		// chain head (or a chain of one); its tail jobs drain from pending
-		// before the next order receive, preserving arrival order.
-		pending = job.next
 		// Head-of-line wait is unbounded: nothing may be sent before the
 		// oldest tuple finishes anyway, or order would be lost.
-		select {
-		case <-job.done:
-		case <-w.stop:
-			return
+		for cur.done.Load() <= int32(next) {
+			select {
+			case <-cur.ready:
+			case <-w.stop:
+				return
+			}
 		}
-		scratch = w.addResults(&batch, scratch, job)
+		add()
 		var deadline <-chan time.Time
 		if s.ackLinger > 0 {
 			if timer == nil {
@@ -983,19 +980,16 @@ func (w *Worker) sendLoop(s *workerSession) {
 		}
 	gather:
 		for batch.Size() < ackFlushBytes && batch.Count() < ackFlushEntries {
-			var next *procJob
-			if pending != nil {
-				next = pending
-			} else {
+			if cur == nil {
 				var ok bool
 				select {
-				case next, ok = <-s.order:
+				case cur, ok = <-s.order:
 				default:
 					if deadline == nil {
 						break gather
 					}
 					select {
-					case next, ok = <-s.order:
+					case cur, ok = <-s.order:
 					case <-deadline:
 						deadline = nil
 						break gather
@@ -1007,28 +1001,22 @@ func (w *Worker) sendLoop(s *workerSession) {
 					break gather // read loop closed the order channel
 				}
 			}
-			pending = next.next
-			if deadline == nil {
-				select {
-				case <-next.done:
-				default:
-					// Not finished and no linger budget: it becomes the
-					// next batch's head.
-					carry = next
+			for cur.done.Load() <= int32(next) {
+				if deadline == nil {
+					// Not finished and no linger budget: it heads the next
+					// result frame.
 					break gather
 				}
-			} else {
 				select {
-				case <-next.done:
+				case <-cur.ready:
 				case <-deadline:
 					deadline = nil
-					carry = next
 					break gather
 				case <-w.stop:
 					return
 				}
 			}
-			scratch = w.addResults(&batch, scratch, next)
+			add()
 		}
 		if timer != nil && deadline != nil {
 			if !timer.Stop() {
@@ -1044,40 +1032,39 @@ func (w *Worker) sendLoop(s *workerSession) {
 	}
 }
 
-// addResults encodes one finished job — its result tuples, or a lone
-// ack/drop notice — into the batch, then recycles the job and releases
-// the frame buffer its input tuple aliased. Returns the reusable marshal
-// scratch buffer.
-func (w *Worker) addResults(batch *wire.ResultBatch, scratch []byte, job *procJob) []byte {
+// addResult encodes tuple i of b — its result tuples, or a lone ack/drop
+// notice — into the result frame. Returns the reusable marshal scratch
+// buffer.
+func (w *Worker) addResult(batch *wire.ResultBatch, scratch []byte, b *procBatch, i int) []byte {
+	t, r := &b.tuples[i], &b.res[i]
 	meta := wire.ResultMeta{
-		TupleID:   job.t.ID,
-		Attempt:   job.t.Attempt,
-		EmitNanos: job.t.EmitNanos,
-		ProcNanos: int64(job.proc),
-		Dropped:   job.dropped,
-		Reason:    job.reason,
+		TupleID:   t.ID,
+		Attempt:   t.Attempt,
+		EmitNanos: t.EmitNanos,
+		ProcNanos: int64(r.proc),
+		Dropped:   r.dropped,
+		Reason:    r.reason,
 	}
-	if len(job.outs) == 0 {
+	if len(r.outs) == 0 {
 		batch.Add(meta, nil)
-	} else {
-		for _, out := range job.outs {
-			b, err := tuple.AppendMarshal(scratch[:0], out)
-			if err != nil {
-				w.cfg.Logger.Warn("swing worker: marshal result", "err", err)
-				w.statsMu.Lock()
-				w.dropped++
-				w.statsMu.Unlock()
-				dm := meta
-				dm.Dropped = true
-				dm.Reason = wire.DropError
-				batch.Add(dm, nil)
-				continue
-			}
-			batch.Add(meta, b)
-			scratch = b
-		}
+		return scratch
 	}
-	job.recycle()
+	for _, out := range r.outs {
+		enc, err := tuple.AppendMarshal(scratch[:0], out)
+		if err != nil {
+			w.cfg.Logger.Warn("swing worker: marshal result", "err", err)
+			w.statsMu.Lock()
+			w.dropped++
+			w.statsMu.Unlock()
+			dm := meta
+			dm.Dropped = true
+			dm.Reason = wire.DropError
+			batch.Add(dm, nil)
+			continue
+		}
+		batch.Add(meta, enc)
+		scratch = enc
+	}
 	return scratch
 }
 

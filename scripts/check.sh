@@ -20,7 +20,7 @@ go test -race ./...
 # them, and this smoke run proves every dataplane benchmark still compiles
 # and completes one iteration.
 go test -run=NONE -bench=. -benchtime=1x ./internal/wire ./internal/tuple ./internal/runtime
-# The round-trip allocation budgets — < 1 alloc/tuple across both
+# The round-trip allocation budgets — at most 9 allocations across both
 # directions for a 64-tuple batch, and at most 4 for a one-tuple Submit —
 # only hold still at one core, and skip under -race, so nothing above
 # runs them; pin them here at GOMAXPROCS=1.
@@ -33,8 +33,8 @@ GOMAXPROCS=1 go test -count=1 -run 'TestBatchRoundTripAllocs|TestSubmitRoundTrip
 SWING_BENCH_WORKERS=64 SWING_BENCH_SUBMITTERS=4 \
     go test -race -run=NONE -bench=ManyWorkerThroughput -benchtime=200x ./internal/runtime
 # Same smoke with batched submitters: SubmitBatch packing, one-lock
-# batch tracking, group journal commits, and the worker's chained batch
-# decode, all under the race detector.
+# batch tracking, group journal commits, and the worker's one job per
+# decoded batch, all under the race detector.
 SWING_BENCH_WORKERS=64 SWING_BENCH_SUBMITTERS=4 SWING_BENCH_SUBMIT_BATCH=16 \
     go test -race -run=NONE -bench=ManyWorkerThroughput -benchtime=200x ./internal/runtime
 # The live runtime's fault-tolerance and liveness paths (retransmit,
@@ -61,6 +61,9 @@ go test -race -count=1 \
     -run 'TestOperatorPanicContained|TestOpDeadlineAbandonsHungTuple|TestPoisonQuarantineSparesHealthyBreakers|TestSickWorkerStillTripsBreaker|TestHedgedRetransmitStragglers|TestShadowProbeReselectsSpedUpWorker|TestShadowCopyFirstResultWins' \
     ./internal/runtime/
 go test -race -count=1 -run 'TestScheduleDeterministic|TestNemesisSmoke' ./internal/chaos/
+# A tuple that hangs mid-batch: the watchdog abandons it alone, and the
+# reaper's reference on the batch may be its last. Five times.
+go test -race -count=5 -run 'TestOpDeadlineMidBatch' ./internal/runtime/
 # Batched-dataplane smoke under the race detector: downstream frame
 # coalescing with exact tuple accounting, the ledger invariant under
 # concurrent SubmitBatch, whole-batch loss recovery through the
@@ -68,6 +71,11 @@ go test -race -count=1 -run 'TestScheduleDeterministic|TestNemesisSmoke' ./inter
 go test -race -count=1 \
     -run 'TestBatchedDispatchReducesDownstreamFrames|TestLedgerConsistentUnderConcurrentSubmitBatch|TestSubmitBatchShapedLossRecovery|TestSubmitBatchProcessorDrops|TestShapedBatch|TestFaultyTupleCounters' \
     ./internal/runtime/ ./internal/transport/
+# The worker's batch pipeline: results stream out as they finish, not
+# when their batch does, and one batch's mixed verdicts arrive in tuple
+# order with exact counters. Five times.
+go test -race -count=5 \
+    -run 'TestWorkerBatchStreamsFinishedResults|TestWorkerBatchMixedOutcomes' ./internal/runtime/
 # Batched result-path smoke under the race detector: one journal group
 # commit per result frame, recovery from a crash at every record
 # boundary of the journal file, results
