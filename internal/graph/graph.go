@@ -55,6 +55,12 @@ type Emitter interface {
 // counterpart of the paper's FunctionUnitAPI.processData. It receives one
 // tuple and emits zero or more result tuples.
 //
+// The input tuple and its byte fields are valid only during ProcessData:
+// the live worker decodes tuples into a block it reuses for later
+// frames, and their byte fields alias the frame they arrived in. A
+// processor that keeps an input, or any of its byte fields, past its
+// return must Clone it. Emitting the input itself is fine.
+//
 // Implementations must be safe to instantiate once per device replica; a
 // single Processor instance is never invoked concurrently.
 type Processor interface {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -744,5 +745,80 @@ func TestCheckpointUnderTrafficLosesNothing(t *testing.T) {
 	if c.Acked+c.Shed+int64(len(rs.pending)) != c.Submitted {
 		t.Errorf("recovered ledger unbalanced: acked %d + shed %d + pending %d != submitted %d",
 			c.Acked, c.Shed, len(rs.pending), c.Submitted)
+	}
+}
+
+// TestCheckpointKeepsOrphanedTuples: a dead worker's backlog, taken off
+// the in-flight table for retransmission, is still owed — a cut taken
+// while it is in the retransmitter's hands must write it as pending, or
+// a crash before the next cut leaves those tuples counted Submitted but
+// never replayed. The cut writes each orphan as it was when taken, not
+// as the retransmit path rewrites it afterwards.
+func TestCheckpointKeepsOrphanedTuples(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "wal")
+	cfg := MasterConfig{
+		App:             benchApp(t),
+		ListenAddr:      "master",
+		Transport:       transport.NewMem(),
+		JournalPath:     jpath,
+		CheckpointEvery: -1,
+		Fsync:           FsyncNever,
+		RetryDeadline:   time.Minute,
+		Logger:          quietLogger(),
+	}
+	m, err := StartMaster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := []inflightEntry{
+		{t: frameTuple(1), worker: "live"},
+		{t: frameTuple(2), worker: "dead"},
+		{t: frameTuple(3), worker: "dead"},
+	}
+	m.inflight.trackSubmitBatch(block)
+	taken := m.inflight.takeWorker("dead")
+	if len(taken) != 2 {
+		t.Fatalf("takeWorker took %d entries, want 2", len(taken))
+	}
+	for _, e := range taken {
+		e.t.Attempt, e.t.EmitNanos = 1, 42 // the retransmit path's rewrite
+	}
+	if err := m.checkpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	m.Crash()
+
+	rs, err := recoverState(jpath, jpath+".ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sortedIDs(rs.pending); !slices.Equal(got, []uint64{1, 2, 3}) {
+		t.Fatalf("recovered pending %v, want [1 2 3]", got)
+	}
+	for id, e := range rs.pending {
+		if e.attempt != 0 || e.t.Attempt != 0 || e.t.EmitNanos != 0 {
+			t.Fatalf("tuple %d recovered at attempt %d (tuple attempt %d, emit %d), want it as taken",
+				id, e.attempt, e.t.Attempt, e.t.EmitNanos)
+		}
+	}
+	c := rs.counters
+	if c.Submitted != 3 || c.Acked+c.Shed+int64(len(rs.pending)) != c.Submitted {
+		t.Fatalf("recovered ledger: submitted %d, acked %d, shed %d, pending %d",
+			c.Submitted, c.Acked, c.Shed, len(rs.pending))
+	}
+
+	// The next incarnation replays all three and balances.
+	m2, err := StartMaster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m2.Crash)
+	st := m2.Stats()
+	if st.Recovered != 3 || st.Submitted != 3 || st.InFlight != 3 {
+		t.Fatalf("restarted master: recovered %d, submitted %d, in flight %d; want 3, 3, 3",
+			st.Recovered, st.Submitted, st.InFlight)
+	}
+	if !ledgerBalanced(st) {
+		t.Fatalf("restarted master's ledger unbalanced: %+v", st)
 	}
 }

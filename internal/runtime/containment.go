@@ -55,17 +55,16 @@ func (r *latRing) quantile(q float64) time.Duration {
 }
 
 // countDrop attributes one worker drop notice to its per-reason counter.
-// A notice that names no reason (DropNone) counts in DropErrors, the
-// meaning of a drop before reasons were typed. Callers hold the
-// in-flight table's lock.
+// The decoder admits only notices that name a failure (error, panic or
+// deadline). Callers hold the in-flight table's lock.
 func countDrop(c *obs.Counters, r wire.DropReason) {
 	switch r {
+	case wire.DropError:
+		c.DropErrors++
 	case wire.DropPanic:
 		c.DropPanics++
 	case wire.DropDeadline:
 		c.DropDeadlines++
-	default:
-		c.DropErrors++
 	}
 }
 
@@ -121,7 +120,7 @@ func (m *Master) redispatchPoison(e *inflightEntry) {
 	defer m.wg.Done()
 	one := [1]*tuple.Tuple{e.t}
 	if err := m.dispatch(one[:], e.attempt+1, e.deadline, e.failedOn); err != nil {
-		m.inflight.shedOrphanPoison()
+		m.inflight.shedOrphanPoison(e.t.ID)
 		m.journalShed(e.t.ID, false)
 		m.events.Record(obs.EventQuarantine, "", "no unburned worker", 1)
 		m.cfg.Logger.Warn("swing master: quarantined poison tuple",
@@ -220,7 +219,7 @@ func (m *Master) hedge(e *inflightEntry, workers map[string]*workerConn) bool {
 		<-wc.slots
 		return false // acked, retransmitted, or hedged since collection
 	}
-	wc.out <- outFrame{typ: wire.FrameTupleBatch, payload: fb.B, buf: fb}
+	wc.out <- fb
 	m.noteDispatchedN(wc, 1)
 	return true
 }
@@ -253,17 +252,17 @@ func (m *Master) shadow(table *routing.Table, workers map[string]*workerConn, t 
 	return shadowCopy{t: t, wc: workers[id], fb: fb}, true
 }
 
-// oneEntryFrame marshals t as a one-entry FrameTupleBatch payload in a
+// oneEntryFrame marshals t as a one-entry FrameTupleBatch frame in a
 // pooled buffer, or returns nil if t does not marshal.
 func oneEntryFrame(t *tuple.Tuple) *wire.Buf {
-	fb := wire.GetBuf(0)
+	fb := frameBuf(wire.BatchOverhead + 4 + t.WireSize())
 	var batch wire.TupleBatch
 	batch.SetBuf(fb.B)
 	if appendTupleEntry(&batch, t) != nil {
 		fb.Release()
 		return nil
 	}
-	fb.B = batch.Payload()
+	fb.B = batch.Frame()
 	return fb
 }
 
@@ -283,7 +282,7 @@ func (m *Master) sendShadow(c shadowCopy, again []*tuple.Tuple) {
 		c.fb.Release()
 		return
 	}
-	c.wc.out <- outFrame{typ: wire.FrameTupleBatch, payload: c.fb.B, buf: c.fb}
+	c.wc.out <- c.fb
 	m.noteDispatchedN(c.wc, 1)
 	m.inflight.count(func(l *obs.Counters) { l.Shadowed++ })
 }

@@ -1,12 +1,15 @@
 package runtime
 
 import (
+	"fmt"
+	"net"
 	"testing"
 	"time"
 
 	"github.com/swingframework/swing/internal/apps"
 	"github.com/swingframework/swing/internal/routing"
 	"github.com/swingframework/swing/internal/transport"
+	"github.com/swingframework/swing/internal/wire"
 )
 
 // TestCoalescedMasterWrites proves the master's per-connection writer
@@ -353,5 +356,67 @@ func TestPoolPreservesOrder(t *testing.T) {
 			t.Fatalf("playback out of order at %d: %d after %d",
 				i, plays[i].Tuple.SeqNo, plays[i-1].Tuple.SeqNo)
 		}
+	}
+}
+
+// TestFrameWriterFlushes: a flush delivers its frames whole and in
+// order whichever way it writes them — one frame from its own buffer,
+// several as one writev on a TCP connection, several copied into the
+// scratch for one Write elsewhere.
+func TestFrameWriterFlushes(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	client, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	server, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	pipeW, pipeR := net.Pipe()
+	defer pipeW.Close()
+	defer pipeR.Close()
+
+	for _, c := range []struct {
+		name string
+		w, r net.Conn
+	}{{"tcp", client, server}, {"pipe", pipeW, pipeR}} {
+		_, tcp := c.w.(*net.TCPConn)
+		if tcp != (c.name == "tcp") {
+			t.Fatalf("%s: connection is a TCPConn: %v", c.name, tcp)
+		}
+		fw := &frameWriter{conn: c.w, tcp: tcp}
+		for _, n := range []int{1, 3} {
+			var frames []*wire.Buf
+			for i := 0; i < n; i++ {
+				fb := wire.GetBuf(0)
+				fb.B, err = wire.AppendFrame(fb.B, wire.FrameStats, []byte(fmt.Sprintf("%s-%d-%d", c.name, n, i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				frames = append(frames, fb)
+			}
+			done := make(chan error, 1)
+			go func() { done <- fw.flush(frames) }()
+			for i := 0; i < n; i++ {
+				typ, payload, err := wire.ReadFrame(c.r)
+				if err != nil {
+					t.Fatalf("%s: read frame %d of %d: %v", c.name, i, n, err)
+				}
+				if want := fmt.Sprintf("%s-%d-%d", c.name, n, i); typ != wire.FrameStats || string(payload) != want {
+					t.Fatalf("%s: frame %d of %d = %v %q, want stats %q", c.name, i, n, typ, payload, want)
+				}
+			}
+			if err := <-done; err != nil {
+				t.Fatalf("%s: flush of %d: %v", c.name, n, err)
+			}
+		}
+		fw.scratch.Release()
 	}
 }

@@ -58,17 +58,19 @@ type inflightSlot struct {
 // array doubles when the live count passes half its slots, so it stays
 // within 4× the peak live count whatever the IDs.
 //
-// One mutex guards the slots, the overflow map and the master's whole
-// cumulative ledger record: every counter moves in the critical section
-// of the table change it describes, so each sample (ledgerSnapshot,
-// checkpoint) is consistent. A dead worker's off-table backlog is
-// carried by the orphaned column (takeWorker), so the sampled invariant
+// One mutex guards the slots, the overflow map, the orphans and the
+// master's whole cumulative ledger record: every counter moves in the
+// critical section of the table change it describes, so each sample
+// (ledgerSnapshot, checkpoint) is consistent. A dead worker's off-table
+// backlog is carried by the orphans (takeWorker), so the sampled
+// invariant
 //
-//	Acked + Shed + live + orphaned == Submitted
+//	Acked + Shed + live + orphans == Submitted
 //
-// is exact on every sample, including mid-retransmit; the one remaining
-// seam is the recovered backlog before its checkpointed counters are
-// seeded, which happens before the listener opens.
+// is exact on every sample, including mid-retransmit, and a checkpoint
+// cut persists the orphans as pending beside the live entries; the one
+// remaining seam is the recovered backlog before its checkpointed
+// counters are seeded, which happens before the listener opens.
 type inflightTable struct {
 	mu    sync.Mutex
 	slots []inflightSlot
@@ -76,12 +78,16 @@ type inflightTable struct {
 	over  map[uint64]*inflightEntry
 	live  int
 	led   obs.Counters
-	// orphaned counts entries taken off the table by takeWorker (or
-	// failAttempt) and not yet re-dispatched (trackSubmitBatch) or
-	// abandoned (shedOrphan/shedUntracked): a dead worker's backlog in
-	// the retransmitter's hands. Unlike the cumulative counters it is
-	// instantaneous; samples report it as Retransmitting.
-	orphaned int64
+	// orphans holds, by tuple ID, the entries taken off the table by
+	// takeWorker (or failAttempt, or a reclaim of a re-dispatch) and not
+	// yet re-dispatched (trackSubmitBatch) or abandoned (shedOrphan,
+	// shedUntracked): a dead worker's backlog in the retransmitter's
+	// hands. Each keeps its tuple as marshaled when it left the table —
+	// the retransmit path rewrites the tuple after that — and its
+	// attempt, which is what a checkpoint cut writes for it. Unlike the
+	// cumulative counters its size is instantaneous; samples report it
+	// as Retransmitting.
+	orphans map[uint64]ckptPending
 	// approx mirrors live for admission control's lock-free read; it is
 	// stored at the end of every critical section that changes live.
 	approx atomic.Int64
@@ -183,6 +189,16 @@ func (t *inflightTable) scan(fn func(*inflightEntry) bool) {
 	}
 }
 
+// orphan moves e, just removed from the table, into the orphans with
+// its tuple marshaled now. Caller holds mu.
+func (t *inflightTable) orphan(e *inflightEntry) {
+	b, _ := tuple.Marshal(e.t) // it marshaled when it was sent
+	if t.orphans == nil {
+		t.orphans = make(map[uint64]ckptPending)
+	}
+	t.orphans[e.t.ID] = ckptPending{Tuple: b, Attempt: e.attempt}
+}
+
 // unlock publishes live for size and releases mu.
 func (t *inflightTable) unlock() {
 	t.approx.Store(int64(t.live))
@@ -215,7 +231,7 @@ func (t *inflightTable) trackSubmitBatch(block []inflightEntry) {
 			// A re-route consumes the orphan takeWorker (or a reclaim)
 			// handed to the retransmitter.
 			t.led.Retransmitted++
-			t.orphaned--
+			delete(t.orphans, e.t.ID)
 		}
 	}
 	t.unlock()
@@ -274,47 +290,47 @@ func (t *inflightTable) reclaim(id uint64, worker string) (*inflightEntry, bool)
 		// The re-route is undone: the entry is an orphan again, back in
 		// the caller's hands until re-tracked or abandoned.
 		t.led.Retransmitted--
-		t.orphaned++
+		t.orphan(e)
 	}
 	return e, true
 }
 
-// shedUntracked accounts a tuple that was reclaimed from the table and
-// then abandoned because nowhere could take it: the tuple entered the
-// system (Submitted, first attempts only) and left it (Shed, overload
-// subset) in one balanced step.
-func (t *inflightTable) shedUntracked(attempt uint8) {
+// shedUntracked accounts tuple id, reclaimed from the table and then
+// abandoned because nowhere could take it: the tuple entered the system
+// (Submitted, first attempts only) and left it (Shed, overload subset)
+// in one balanced step.
+func (t *inflightTable) shedUntracked(id uint64, attempt uint8) {
 	t.mu.Lock()
 	if attempt == 0 {
 		t.led.Submitted++
 	} else {
 		// A reclaimed retransmission was an orphan in hand; shedding
 		// resolves it.
-		t.orphaned--
+		delete(t.orphans, id)
 	}
 	t.led.Shed++
 	t.led.ShedOverload++
 	t.mu.Unlock()
 }
 
-// shedOrphan counts the shedding of an entry already surrendered by
-// takeWorker (retry deadline or attempt budget exhausted during
-// retransmission).
-func (t *inflightTable) shedOrphan() {
+// shedOrphan counts the shedding of orphan id, an entry already
+// surrendered by takeWorker (retry deadline or attempt budget exhausted
+// during retransmission).
+func (t *inflightTable) shedOrphan(id uint64) {
 	t.mu.Lock()
 	t.led.Shed++
-	t.orphaned--
+	delete(t.orphans, id)
 	t.mu.Unlock()
 }
 
 // shedOrphanPoison is shedOrphan with the quarantine subset counted: the
 // tuple was in the poison redispatcher's hands and nowhere unburned could
 // take it.
-func (t *inflightTable) shedOrphanPoison() {
+func (t *inflightTable) shedOrphanPoison(id uint64) {
 	t.mu.Lock()
 	t.led.Shed++
 	t.led.ShedPoison++
-	t.orphaned--
+	delete(t.orphans, id)
 	t.mu.Unlock()
 }
 
@@ -326,7 +342,7 @@ const (
 	// acked, shed, or in another path's hands. Nothing to do.
 	failUntracked failVerdict = iota
 	// failRetry: the tuple should be re-dispatched to a worker it has not
-	// burned yet; the entry moved to the orphaned column and is returned.
+	// burned yet; the entry moved to the orphans and is returned.
 	failRetry
 	// failQuarantined: the tuple reached PoisonAttempts distinct workers
 	// and was shed as poison in the same critical section.
@@ -361,16 +377,17 @@ func (t *inflightTable) failAttempt(id uint64, worker string, k int, reason wire
 		t.led.ShedPoison++
 		return e, failQuarantined
 	}
-	t.orphaned++
+	t.orphan(e)
 	return e, failRetry
 }
 
 // takeWorker removes and returns every entry assigned to the worker — the
 // un-acked backlog of a broken connection. Each taken entry moves from
-// the live count into the orphaned column in the same critical section,
-// so a consistent sample still balances while the retransmitter re-routes
-// the backlog; each entry leaves the column when it is re-tracked
-// (trackSubmitBatch) or abandoned (shedOrphan).
+// the live count into the orphans in the same critical section, so a
+// consistent sample still balances and a checkpoint cut still persists
+// it while the retransmitter re-routes the backlog; each entry leaves
+// the orphans when it is re-tracked (trackSubmitBatch) or abandoned
+// (shedOrphan).
 func (t *inflightTable) takeWorker(worker string) []*inflightEntry {
 	var out []*inflightEntry
 	t.mu.Lock()
@@ -379,7 +396,7 @@ func (t *inflightTable) takeWorker(worker string) []*inflightEntry {
 			return false
 		}
 		out = append(out, e)
-		t.orphaned++
+		t.orphan(e)
 		return true
 	})
 	t.unlock()
@@ -444,7 +461,9 @@ func (t *inflightTable) sweepTimeouts(now time.Time, timeout time.Duration) map[
 // pending set describe the same instant: a tuple tracked after the
 // sample is in neither, and its write-ahead record follows the cut. The
 // marshal runs under the lock because the retransmit path rewrites a
-// tuple's attempt and emit time once its entry leaves the table.
+// tuple's attempt and emit time once its entry leaves the table; for the
+// same reason the orphans, off the table, are written as they were
+// marshaled when they left it.
 func (t *inflightTable) checkpoint() (obs.Counters, []ckptPending) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -453,7 +472,7 @@ func (t *inflightTable) checkpoint() (obs.Counters, []ckptPending) {
 	size := 0
 	t.scan(func(e *inflightEntry) bool { size += e.t.WireSize(); return false })
 	buf := make([]byte, 0, size)
-	pending := make([]ckptPending, 0, t.live)
+	pending := make([]ckptPending, 0, t.live+len(t.orphans))
 	t.scan(func(e *inflightEntry) bool {
 		if b, err := tuple.AppendMarshal(buf, e.t); err == nil {
 			pending = append(pending, ckptPending{Tuple: b[len(buf):], Attempt: e.attempt})
@@ -461,6 +480,11 @@ func (t *inflightTable) checkpoint() (obs.Counters, []ckptPending) {
 		}
 		return false
 	})
+	for _, p := range t.orphans {
+		if p.Tuple != nil {
+			pending = append(pending, p)
+		}
+	}
 	return t.led, pending
 }
 
@@ -496,7 +520,7 @@ func (t *inflightTable) seedLedger(c obs.Counters) {
 // Recovered is the caller's to fill.
 func (t *inflightTable) ledgerSnapshot() obs.Ledger {
 	t.mu.Lock()
-	l := obs.Ledger{Counters: t.led, InFlight: t.live, Retransmitting: t.orphaned}
+	l := obs.Ledger{Counters: t.led, InFlight: t.live, Retransmitting: int64(len(t.orphans))}
 	t.mu.Unlock()
 	l.WorkerDropped = l.DropErrors + l.DropPanics + l.DropDeadlines
 	l.Balanced = l.CheckBalance()

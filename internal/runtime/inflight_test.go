@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"slices"
 	"sort"
@@ -136,7 +137,8 @@ func (m *inflightModel) drawAck(next func() byte) wire.ResultMeta {
 	}
 	b := next()
 	reason := wire.DropReason(b % 5)
-	return wire.ResultMeta{TupleID: id, Dropped: b&8 != 0 && reason != wire.DropFiltered, Reason: reason}
+	failure := reason >= wire.DropError && reason <= wire.DropDeadline
+	return wire.ResultMeta{TupleID: id, Dropped: b&8 != 0 && failure, Reason: reason}
 }
 
 // applyAck is the oracle's ack, reporting whether the tuple was live.
@@ -157,12 +159,12 @@ func (m *inflightModel) applyAck(a wire.ResultMeta) bool {
 // countDrop is the oracle's count of one drop notice by reason.
 func (m *inflightModel) countDrop(r wire.DropReason) {
 	switch r {
+	case wire.DropError:
+		m.led.DropErrors++
 	case wire.DropPanic:
 		m.led.DropPanics++
 	case wire.DropDeadline:
 		m.led.DropDeadlines++
-	default:
-		m.led.DropErrors++
 	}
 }
 
@@ -283,21 +285,21 @@ func (m *inflightModel) step(next func() byte) string {
 				m.orphaned--
 			}
 		case !h.orphan:
-			tbl.shedUntracked(0)
+			tbl.shedUntracked(e.t.ID, 0)
 			m.led.Submitted++
 			m.led.Shed++
 			m.led.ShedOverload++
 		case b == 2 && e.attempt > 0:
-			tbl.shedUntracked(e.attempt)
+			tbl.shedUntracked(e.t.ID, e.attempt)
 			m.orphaned--
 			m.led.Shed++
 			m.led.ShedOverload++
 		case b == 2:
-			tbl.shedOrphan()
+			tbl.shedOrphan(e.t.ID)
 			m.led.Shed++
 			m.orphaned--
 		default:
-			tbl.shedOrphanPoison()
+			tbl.shedOrphanPoison(e.t.ID)
 			m.led.Shed++
 			m.led.ShedPoison++
 			m.orphaned--
@@ -312,7 +314,7 @@ func (m *inflightModel) step(next func() byte) string {
 		w := modelWorkers[next()%4]
 		const k = 2
 		want := m.live[id]
-		reason := wire.DropReason(next() % 4)
+		reason := wire.DropError + wire.DropReason(next()%3)
 		e, v := tbl.failAttempt(id, w, k, reason)
 		m.countDrop(reason)
 		switch {
@@ -402,9 +404,11 @@ func (m *inflightModel) step(next func() byte) string {
 		if id, ok := m.pickLive(next()); ok {
 			e = m.live[id]
 		}
-		if h, ok := m.takeHeld(next()); ok && (e == nil || next()%4 == 0) {
-			m.held = append(m.held, h)
-			e = h.e
+		if h, ok := m.takeHeld(next()); ok {
+			m.held = append(m.held, h) // still in hand
+			if e == nil || next()%4 == 0 {
+				e = h.e
+			}
 		}
 		if e == nil {
 			return "markHedged(none)"
@@ -470,6 +474,29 @@ func (m *inflightModel) check(op string) {
 	})
 	if seen != len(m.live) {
 		m.t.Fatalf("after %s: each visited %d entries, oracle has %d", op, seen, len(m.live))
+	}
+	// A checkpoint cut persists every live entry and every orphan, each
+	// at its attempt.
+	want := make(map[uint64]uint8, len(m.live))
+	for id, e := range m.live {
+		want[id] = e.attempt
+	}
+	for _, h := range m.held {
+		if h.orphan {
+			want[h.e.t.ID] = h.e.attempt
+		}
+	}
+	_, pending := tbl.checkpoint()
+	got := make(map[uint64]uint8, len(pending))
+	for _, p := range pending {
+		pt, err := tuple.Unmarshal(p.Tuple)
+		if err != nil {
+			m.t.Fatalf("after %s: pending tuple does not decode: %v", op, err)
+		}
+		got[pt.ID] = p.Attempt
+	}
+	if len(pending) != len(want) || !maps.Equal(got, want) {
+		m.t.Fatalf("after %s: checkpoint pending %v, oracle %v", op, got, want)
 	}
 	m.peak = max(m.peak, len(m.live))
 	if len(tbl.slots) > max(minInflightSlots, 4*m.peak) {

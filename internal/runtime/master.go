@@ -36,10 +36,10 @@ import (
 // Result is one in-order playback delivery from the master's sink.
 type Result struct {
 	// Tuple is the final result tuple. Results of one upstream frame are
-	// decoded together — their bytes fields alias one copy of the frame
-	// and the tuples share one block — so a retained Tuple keeps its
-	// whole frame's copy and block alive. Clone it to keep one result
-	// without the rest.
+	// decoded together — their bytes fields alias the frame's payload,
+	// read into memory the master owns, and the tuples share one block —
+	// so a retained Tuple keeps its whole frame's payload and block
+	// alive. Clone it to keep one result without the rest.
 	Tuple *tuple.Tuple
 	// Latency is end-to-end: submit to sink arrival.
 	Latency time.Duration
@@ -253,24 +253,14 @@ func (c MasterConfig) withDefaults() MasterConfig {
 	return c
 }
 
-// outFrame is one queued write toward a worker: tuples from Submit and
-// liveness pings from the monitor share the send queue. When the payload
-// lives in a pooled buffer, buf carries it so the writer can return it to
-// the pool once the bytes are coalesced into the outgoing batch.
-type outFrame struct {
-	typ     wire.FrameType
-	payload []byte
-	buf     *wire.Buf
-}
-
-// release returns the frame's pooled payload buffer, if any.
-func (f outFrame) release() { f.buf.Release() }
-
 // workerConn is the master's handle on one connected worker.
 type workerConn struct {
 	id   string
 	conn net.Conn
-	out  chan outFrame
+	// out is the send queue: each item is one complete encoded frame in
+	// a pooled buffer (tuples from dispatch, hedges, shadow copies,
+	// liveness pings), which the writer writes and then releases.
+	out chan *wire.Buf
 	// slots is the send-queue occupancy semaphore: every enqueue onto out
 	// first takes a token, and the writer returns tokens only after the
 	// frame's bytes are written. Backpressure checks read len(slots), not
@@ -821,7 +811,7 @@ func (m *Master) admitWorker(conn net.Conn) (*workerConn, bool) {
 	wc := &workerConn{
 		id:        hello.DeviceID,
 		conn:      conn,
-		out:       make(chan outFrame, m.cfg.OutboxCap),
+		out:       make(chan *wire.Buf, m.cfg.OutboxCap),
 		slots:     make(chan struct{}, m.cfg.OutboxCap),
 		gone:      make(chan struct{}),
 		lastHeard: time.Now(),
@@ -913,50 +903,51 @@ const sendFlushBytes = 256 << 10
 // that can block a Submit for seconds.
 const slowWriteThreshold = 2 * time.Millisecond
 
-// writeLoop drains the worker's send queue, coalescing every frame
-// already waiting into one buffer flushed with a single Write call —
-// on TCP, one syscall and one segment train instead of one per frame.
-// A slow peer therefore costs one blocked writer goroutine, never the
-// submitters or the monitor, which enqueue and move on; and a ping
-// enqueued behind a burst of tuples rides the same flush rather than
-// waiting out per-frame writes.
+// writeLoop drains the worker's send queue, flushing every frame
+// already waiting with a single write — on TCP, one syscall and one
+// segment train instead of one per frame. A slow peer therefore costs
+// one blocked writer goroutine, never the submitters or the monitor,
+// which enqueue and move on; and a ping enqueued behind a burst of
+// tuples rides the same flush rather than waiting out per-frame writes.
 func (m *Master) writeLoop(wc *workerConn) {
-	scratch := wire.GetBuf(0)
-	defer scratch.Release()
+	_, tcp := wc.conn.(*net.TCPConn)
+	fw := &frameWriter{conn: wc.conn, tcp: tcp}
+	defer fw.scratch.Release()
 	congested := false
 	for {
 		select {
 		case f := <-wc.out:
-			nframes := 1
-			buf := m.appendOut(wc, scratch.B[:0], f)
+			frames := append(fw.frames[:0], f)
+			size := len(f.B)
 			if !congested {
 			coalesce:
-				for len(buf) < sendFlushBytes {
+				for size < sendFlushBytes {
 					select {
 					case f = <-wc.out:
-						nframes++
-						buf = m.appendOut(wc, buf, f)
+						frames = append(frames, f)
+						size += len(f.B)
 					default:
 						break coalesce // queue idle: flush what we have
 					}
 				}
 			}
-			scratch.B = buf
+			fw.frames = frames
 			var err error
-			if len(buf) > 0 {
+			if send := m.dropUnsendable(wc, frames); len(send) > 0 {
 				begin := time.Now()
 				wc.writeMu.Lock()
-				_, err = wc.conn.Write(buf)
+				err = fw.flush(send)
 				wc.writeMu.Unlock()
 				congested = time.Since(begin) > slowWriteThreshold
 			}
+			clear(frames)
 			if err != nil {
 				return // tokens stay taken: the connection is dead
 			}
-			// Only now that the bytes are written do the batch's queue
+			// Only now that the bytes are written do the flush's queue
 			// slots free up — a stalled peer keeps reading as "full" to
-			// the router even while its frames sit in the batch buffer.
-			for i := 0; i < nframes; i++ {
+			// the router even while its frames wait in the writer.
+			for range frames {
 				<-wc.slots
 			}
 		case <-wc.gone:
@@ -967,31 +958,84 @@ func (m *Master) writeLoop(wc *workerConn) {
 	}
 }
 
-// appendOut encodes one queued frame onto the coalescing buffer and
-// releases its pooled payload. An oversized frame is dropped (AppendFrame
-// leaves dst untouched): its tuple resurfaces through the retry path
-// instead of poisoning the connection.
-func (m *Master) appendOut(wc *workerConn, dst []byte, f outFrame) []byte {
-	out, err := wire.AppendFrame(dst, f.typ, f.payload)
-	f.release()
-	if err != nil {
-		m.cfg.Logger.Warn("swing master: dropping unsendable frame",
-			"worker", wc.id, "type", f.typ, "err", err)
-		return dst
+// dropUnsendable releases every frame in frames that is over
+// MaxFrameSize and returns the others, in order: an oversized frame's
+// tuples resurface through the retry path instead of poisoning the
+// connection.
+func (m *Master) dropUnsendable(wc *workerConn, frames []*wire.Buf) []*wire.Buf {
+	n := 0
+	for _, f := range frames {
+		if err := wire.CheckFrame(f.B); err != nil {
+			m.cfg.Logger.Warn("swing master: dropping unsendable frame",
+				"worker", wc.id, "type", wire.FrameType(f.B[4]), "err", err)
+			f.Release()
+			continue
+		}
+		frames[n] = f
+		n++
 	}
-	return out
+	return frames[:n]
+}
+
+// frameWriter is one connection writer's reusable flush state.
+type frameWriter struct {
+	conn net.Conn
+	tcp  bool // conn is a *net.TCPConn, whose net.Buffers write is one writev
+	// frames holds the flush being gathered; vec and bufs carry a writev
+	// and scratch a copied flush. All are kept across flushes.
+	frames  []*wire.Buf
+	vec     [][]byte
+	bufs    net.Buffers
+	scratch *wire.Buf
+}
+
+// flush writes frames — complete encoded frames, at least one — in
+// order, then releases them. One frame is written from its own buffer.
+// Several go out as one writev on a TCP connection; on any other
+// connection they are copied into the scratch buffer and written with
+// one Write, because net.Buffers on a connection without writev makes
+// one Write per frame.
+func (fw *frameWriter) flush(frames []*wire.Buf) error {
+	var err error
+	switch {
+	case len(frames) == 1:
+		_, err = fw.conn.Write(frames[0].B)
+	case fw.tcp:
+		for _, f := range frames {
+			fw.vec = append(fw.vec, f.B)
+		}
+		fw.bufs = fw.vec
+		_, err = fw.bufs.WriteTo(fw.conn)
+		clear(fw.vec)
+		fw.vec = fw.vec[:0]
+	default:
+		if fw.scratch == nil {
+			fw.scratch = wire.GetBuf(0)
+		}
+		b := fw.scratch.B[:0]
+		for _, f := range frames {
+			b = append(b, f.B...)
+		}
+		fw.scratch.B = b
+		_, err = fw.conn.Write(b)
+	}
+	for _, f := range frames {
+		f.Release()
+	}
+	if err != nil {
+		return fmt.Errorf("write frames: %w", err)
+	}
+	return nil
 }
 
 func (m *Master) readLoop(wc *workerConn) {
 	var sc resultScratch
 	for {
-		typ, buf, err := wire.ReadFrameBuf(wc.conn)
+		// The payload is the master's own: a result frame's decoded
+		// results alias it, with no further copy.
+		typ, payload, err := wire.ReadFrame(wc.conn)
 		if err != nil {
 			return
-		}
-		var payload []byte
-		if buf != nil {
-			payload = buf.B
 		}
 		// Any frame is proof of life for the failure detector; pongs exist
 		// so even an idle link produces them.
@@ -1016,9 +1060,6 @@ func (m *Master) readLoop(wc *workerConn) {
 		default:
 			// Ignore unexpected frames from workers.
 		}
-		// handleResultBatch copies what it keeps (one owned copy per
-		// frame), so the frame buffer can return to the pool here.
-		buf.Release()
 	}
 }
 
@@ -1074,7 +1115,9 @@ func (m *Master) checkWorkers(now time.Time) {
 		if pb, err := wire.EncodeJSON(ping); err == nil {
 			select {
 			case wc.slots <- struct{}{}:
-				wc.out <- outFrame{typ: wire.FramePing, payload: pb}
+				fb := wire.GetBuf(0)
+				fb.B, _ = wire.AppendFrame(fb.B, wire.FramePing, pb) // a ping is tiny
+				wc.out <- fb
 			default: // queue full: the silence clock is already running
 			}
 		}
@@ -1188,7 +1231,7 @@ func (m *Master) retransmitAll(from string, orphans []*inflightEntry) {
 		}
 		if reason != "" {
 			shed++
-			m.inflight.shedOrphan()
+			m.inflight.shedOrphan(e.t.ID)
 			m.journalShed(e.t.ID, false)
 			m.cfg.Logger.Info("swing master: shed tuple",
 				"tuple", e.t.ID, "seq", e.t.SeqNo, "worker", from, "reason", reason)
@@ -1487,7 +1530,7 @@ func (m *Master) abandon(t *tuple.Tuple, attempt uint8, bounced map[uint64]bool)
 	if !bounced[t.ID] {
 		return ErrNoWorkers
 	}
-	m.inflight.shedUntracked(attempt)
+	m.inflight.shedUntracked(t.ID, attempt)
 	m.journalShed(t.ID, true)
 	m.events.Record(obs.EventShed, "", "all queues full", 1)
 	m.cfg.Logger.Info("swing master: shed tuple",
@@ -1505,9 +1548,10 @@ type outBatch struct {
 }
 
 // buildFrames appends to frames each worker's share of block as frames
-// of at most submitBatchMaxBytes, marshaled in routing order. A tuple
-// that does not marshal is left out of its run before anything is
-// tracked, and the first such error is returned.
+// of at most submitBatchMaxBytes, marshaled in routing order straight
+// into the pooled buffer the writer will write. A tuple that does not
+// marshal is left out of its run before anything is tracked, and the
+// first such error is returned.
 func buildFrames(frames []outBatch, block []inflightEntry, workers map[string]*workerConn) ([]outBatch, error) {
 	var (
 		firstErr error
@@ -1519,7 +1563,11 @@ func buildFrames(frames []outBatch, block []inflightEntry, workers map[string]*w
 		wc := workers[run[0].worker]
 		n := 0 // run[:n] holds the tuples that marshaled
 		for lo := 0; lo < len(run); {
-			fb := wire.GetBuf(0)
+			need := wire.BatchOverhead
+			for i := lo; i < len(run) && need < submitBatchMaxBytes; i++ {
+				need += 4 + run[i].t.WireSize()
+			}
+			fb := frameBuf(need)
 			batch.SetBuf(fb.B)
 			first := n
 			for ; lo < len(run) && batch.Size() < submitBatchMaxBytes; lo++ {
@@ -1532,16 +1580,27 @@ func buildFrames(frames []outBatch, block []inflightEntry, workers map[string]*w
 				run[n] = run[lo]
 				n++
 			}
-			payload := batch.Payload()
-			if payload == nil {
+			frame := batch.Frame()
+			if frame == nil {
 				fb.Release()
 				continue
 			}
-			fb.B = payload // recover the (possibly reallocated) backing
+			fb.B = frame // recover the (possibly reallocated) backing
 			frames = append(frames, outBatch{wc: wc, run: run[first:n], fb: fb})
 		}
 	}
 	return frames, firstErr
+}
+
+// frameBuf returns an empty pooled buffer with room for a frame of need
+// bytes. A pooled buffer too small for it is replaced once, at that
+// size, rather than doubled again and again by the marshal.
+func frameBuf(need int) *wire.Buf {
+	fb := wire.GetBuf(0)
+	if cap(fb.B) < need {
+		fb.B = make([]byte, 0, need)
+	}
+	return fb
 }
 
 // trackRound tracks a round's frames — each tuple counted in the same
@@ -1604,7 +1663,7 @@ func (m *Master) ship(table *routing.Table, f outBatch, again []*tuple.Tuple) ([
 	if !queued {
 		return m.unship(f, again), nil
 	}
-	wc.out <- outFrame{typ: wire.FrameTupleBatch, payload: f.fb.B, buf: f.fb}
+	wc.out <- f.fb
 	m.noteDispatchedN(wc, len(f.run))
 	m.batchFrames.Add(1)
 	m.batchTuples.Add(int64(len(f.run)))

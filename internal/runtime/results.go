@@ -39,22 +39,20 @@ type resultScratch struct {
 // and, if it carries a result tuple, until the frame's acks are durable.
 type resultEntry struct {
 	meta    wire.ResultMeta
-	tb      []byte // result tuple bytes aliasing the frame's owned copy; empty if ack-only
+	tb      []byte // result tuple bytes aliasing the frame payload; empty if ack-only
 	latency time.Duration
 }
 
 // handleResultBatch processes one FrameResultBatch payload that arrived
 // at now from wc. A malformed frame is processed up to the bad entry —
 // those acks and results still commit and play — and the decode error
-// is returned for logging. The payload is not retained: the frame is
-// walked in one owned copy, which the decoded results alias, so the
-// caller may recycle the frame buffer.
+// is returned for logging. The payload is retained, not copied: the
+// decoded results alias it, so the caller hands over memory it owns
+// (wire.ReadFrame's) and must not reuse it.
 func (m *Master) handleResultBatch(wc *workerConn, sc *resultScratch, payload []byte, now time.Time) error {
 	sc.entries, sc.acks = sc.entries[:0], sc.acks[:0]
 	sc.lat, sc.proc, sc.carried = 0, 0, 0
-	// An append-grown copy skips the zeroing a make would pay for.
-	own := append([]byte(nil), payload...)
-	err := wire.DecodeResultBatch(own, func(entry []byte) error {
+	err := wire.DecodeResultBatch(payload, func(entry []byte) error {
 		m.readResult(wc, sc, entry, now)
 		return nil
 	})
@@ -181,9 +179,9 @@ func (m *Master) breakerSuccess(wc *workerConn) {
 // decodeResults decodes the result tuples of a frame's entries — carried
 // of them hold one — into one []tuple.Tuple block, appending a Result
 // per tuple that decodes to dst. The tuples' bytes fields alias the
-// frame copy the entries point into, so a frame costs two allocations
-// (copy and block) however many results it carries, and every returned
-// Result.Tuple keeps both alive.
+// frame payload the entries point into, so a frame costs two
+// allocations (the payload as read, and the block) however many results
+// it carries, and every returned Result.Tuple keeps both alive.
 func (m *Master) decodeResults(wc *workerConn, entries []resultEntry, carried int, dst []Result) []Result {
 	block := make([]tuple.Tuple, carried)
 	i := 0

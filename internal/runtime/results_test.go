@@ -261,3 +261,86 @@ func TestHostileTupleBatchCount(t *testing.T) {
 		t.Fatalf("decoding a hostile count allocated %d bytes", grew)
 	}
 }
+
+// tupleBatchPayload encodes n tuples of a 600-byte frame field as one
+// FrameTupleBatch payload.
+func tupleBatchPayload(t *testing.T, n int) []byte {
+	t.Helper()
+	var tb wire.TupleBatch
+	for i := 0; i < n; i++ {
+		if err := appendTupleEntry(&tb, frameTuple(uint64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return append([]byte(nil), tb.Payload()...)
+}
+
+// TestTupleBlockReuse: the worker's decoded-tuple block rides its pooled
+// batch from frame to frame. The last release clears the block, so a
+// pooled batch pins no frame through it, and a block grown past
+// maxPooledTupleBlock tuples is not pooled.
+func TestTupleBlockReuse(t *testing.T) {
+	var w Worker
+	b, err := w.decodeTupleBatch(tupleBatchPayload(t, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.tuples) != 64 || cap(b.tuples) != 64 || b.tuples[63].ID != 64 {
+		t.Fatalf("decoded %d tuples (cap %d), want 64 ending at ID 64", len(b.tuples), cap(b.tuples))
+	}
+	block := b.block[:64]
+	b.release()
+	for i := range block {
+		if block[i].ID != 0 || block[i].Len() != 0 {
+			t.Fatalf("block slot %d still holds tuple %d after the last release", i, block[i].ID)
+		}
+	}
+
+	// Field-less tuples pack the most entries into a payload.
+	var tb wire.TupleBatch
+	for i := 0; i <= maxPooledTupleBlock; i++ {
+		if err := appendTupleEntry(&tb, tuple.New(uint64(i+1), uint64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b, err = w.decodeTupleBatch(tb.Payload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(b.block) <= maxPooledTupleBlock {
+		t.Fatalf("a %d-tuple frame decoded into a block of %d", maxPooledTupleBlock+1, cap(b.block))
+	}
+	b.release()
+	var got []*procBatch
+	for i := 0; i < 4; i++ {
+		p := batchPool.Get().(*procBatch)
+		got = append(got, p)
+		if cap(p.block) > maxPooledTupleBlock {
+			t.Fatalf("the pool holds a batch with a %d-tuple block", cap(p.block))
+		}
+	}
+	for _, p := range got {
+		batchPool.Put(p)
+	}
+}
+
+// TestTupleBlockReuseAllocs: at steady state, decoding a 64-tuple frame
+// and releasing its batch allocate nothing — block, verdicts and batch
+// all come back from the pool.
+func TestTupleBlockReuseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; ceiling holds for production builds only")
+	}
+	var w Worker
+	payload := tupleBatchPayload(t, 64)
+	allocs := testing.AllocsPerRun(100, func() {
+		b, err := w.decodeTupleBatch(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.release()
+	})
+	if allocs != 0 {
+		t.Fatalf("a 64-tuple frame's decode and release cost %.1f allocations, want 0", allocs)
+	}
+}

@@ -508,10 +508,12 @@ func (w *Worker) readLoop(s *workerSession) {
 // the count of finished tuples (it only grows, from the front), and
 // wakes the send loop through ready; the send loop walks a cursor behind
 // done, so a result leaves as soon as it and its predecessors are
-// finished, not when the whole batch is. Batches are pooled; the tuple
-// block is not, because operators may keep their inputs.
+// finished, not when the whole batch is. Batches are pooled with their
+// tuple block: an operator's input is valid only during ProcessData
+// (graph.Processor), so nothing outlives the batch's last release.
 type procBatch struct {
-	tuples []tuple.Tuple // the frame's tuples; their byte fields alias buf
+	tuples []tuple.Tuple // the frame's tuples, a prefix of block; their byte fields alias buf
+	block  []tuple.Tuple // the tuple block, kept across uses
 	res    []jobResult   // res[i] is tuples[i]'s verdict
 	buf    *wire.Buf
 	done   atomic.Int32
@@ -554,17 +556,28 @@ func (b *procBatch) finish(n int) {
 	}
 }
 
-// release drops one reference; the last one returns the frame and the
-// batch to their pools.
+// release drops one reference; the last one — after every reader of the
+// batch, a watchdog reaper's included — clears the tuple block and
+// returns the frame and the batch to their pools. A block grown past
+// maxPooledTupleBlock is left to the collector instead.
 func (b *procBatch) release() {
 	if b.refs.Add(-1) != 0 {
 		return
 	}
 	b.buf.Release()
+	clear(b.tuples)
 	clear(b.res)
+	if cap(b.block) > maxPooledTupleBlock {
+		b.block = nil
+	}
 	b.tuples, b.res, b.buf = nil, b.res[:0], nil
 	batchPool.Put(b)
 }
+
+// maxPooledTupleBlock caps the tuples a pooled batch's block may hold: a
+// rare frame of thousands of tiny tuples should not pin its block in
+// the pool forever.
+const maxPooledTupleBlock = 1024
 
 // minTupleBatchEntry is the smallest encoded FrameTupleBatch entry: a
 // u32 length prefix plus a field-less tuple header.
@@ -573,10 +586,10 @@ const minTupleBatchEntry = 4 + tuple.MinEncodedSize
 // decodeTupleBatch decodes a FrameTupleBatch payload into a batch,
 // without per-tuple frame reads or copies — every tuple's byte fields
 // alias the one frame buffer the caller still owns, and the tuples
-// themselves live in one block allocated per frame. The frame's count
-// prefix is untrusted: the block is sized by what the payload can
-// actually hold. A decode error aborts the remainder (the tuples decoded
-// so far still run); nil means none decoded.
+// themselves live in the pooled batch's block. The frame's count prefix
+// is untrusted: the block is sized by what the payload can actually
+// hold. A decode error aborts the remainder (the tuples decoded so far
+// still run); nil means none decoded.
 func (w *Worker) decodeTupleBatch(payload []byte) (*procBatch, error) {
 	count, err := wire.TupleBatchCount(payload)
 	if err != nil {
@@ -585,7 +598,11 @@ func (w *Worker) decodeTupleBatch(payload []byte) (*procBatch, error) {
 	if fit := (len(payload) - 4) / minTupleBatchEntry; count > fit {
 		count = fit
 	}
-	block := make([]tuple.Tuple, count)
+	b := batchPool.Get().(*procBatch)
+	if cap(b.block) < count {
+		b.block = make([]tuple.Tuple, count)
+	}
+	block := b.block[:count]
 	n := 0
 	err = wire.DecodeTupleBatch(payload, func(entry []byte) error {
 		if n == len(block) {
@@ -598,10 +615,12 @@ func (w *Worker) decodeTupleBatch(payload []byte) (*procBatch, error) {
 		return nil
 	})
 	if n == 0 {
+		batchPool.Put(b)
 		return nil, err
 	}
-	b := batchPool.Get().(*procBatch)
-	b.tuples = block[:n]
+	// Capped at n: the batch's tuples end where the frame's do, whatever
+	// the pooled block holds beyond them.
+	b.tuples = block[:n:n]
 	if cap(b.res) < n {
 		b.res = make([]jobResult, n)
 	}
@@ -933,15 +952,14 @@ const (
 func (w *Worker) sendLoop(s *workerSession) {
 	defer close(s.sendGone)
 	var (
-		batch   wire.ResultBatch
-		scratch []byte
-		cur     *procBatch // the batch under the cursor; nil between batches
-		next    int        // the cursor: cur's first unsent tuple
-		timer   *time.Timer
+		batch wire.ResultBatch
+		cur   *procBatch // the batch under the cursor; nil between batches
+		next  int        // the cursor: cur's first unsent tuple
+		timer *time.Timer
 	)
 	// add encodes the tuple under the cursor and advances it.
 	add := func() {
-		scratch = w.addResult(&batch, scratch, cur, next)
+		w.addResult(&batch, cur, next)
 		if next++; next == len(cur.tuples) {
 			cur.release()
 			cur, next = nil, 0
@@ -1032,10 +1050,9 @@ func (w *Worker) sendLoop(s *workerSession) {
 	}
 }
 
-// addResult encodes tuple i of b — its result tuples, or a lone ack/drop
-// notice — into the result frame. Returns the reusable marshal scratch
-// buffer.
-func (w *Worker) addResult(batch *wire.ResultBatch, scratch []byte, b *procBatch, i int) []byte {
+// addResult encodes tuple i of b — its result tuples, marshaled straight
+// into the result frame, or a lone ack/drop notice.
+func (w *Worker) addResult(batch *wire.ResultBatch, b *procBatch, i int) {
 	t, r := &b.tuples[i], &b.res[i]
 	meta := wire.ResultMeta{
 		TupleID:   t.ID,
@@ -1047,34 +1064,40 @@ func (w *Worker) addResult(batch *wire.ResultBatch, scratch []byte, b *procBatch
 	}
 	if len(r.outs) == 0 {
 		batch.Add(meta, nil)
-		return scratch
+		return
 	}
 	for _, out := range r.outs {
-		enc, err := tuple.AppendMarshal(scratch[:0], out)
-		if err != nil {
-			w.cfg.Logger.Warn("swing worker: marshal result", "err", err)
-			w.statsMu.Lock()
-			w.dropped++
-			w.statsMu.Unlock()
-			dm := meta
-			dm.Dropped = true
-			dm.Reason = wire.DropError
-			batch.Add(dm, nil)
+		start := batch.Begin(meta)
+		err := batch.Append(func(dst []byte) ([]byte, error) { return tuple.AppendMarshal(dst, out) })
+		if err == nil {
+			batch.End(start)
 			continue
 		}
-		batch.Add(meta, enc)
-		scratch = enc
+		batch.Cancel(start)
+		w.cfg.Logger.Warn("swing worker: marshal result", "err", err)
+		w.statsMu.Lock()
+		w.dropped++
+		w.statsMu.Unlock()
+		dm := meta
+		dm.Dropped = true
+		dm.Reason = wire.DropError
+		batch.Add(dm, nil)
 	}
-	return scratch
 }
 
-// flushBatch writes the accumulated batch as one frame and resets it.
+// flushBatch writes the accumulated batch as one frame, straight from
+// the buffer it was encoded in, and resets it.
 func (w *Worker) flushBatch(s *workerSession, batch *wire.ResultBatch) error {
-	payload := batch.Payload()
-	if payload == nil {
+	frame := batch.Frame()
+	if frame == nil {
 		return nil
 	}
-	err := w.writeFrame(s, wire.FrameResultBatch, payload)
+	err := wire.CheckFrame(frame)
+	if err == nil {
+		s.writeMu.Lock()
+		_, err = s.conn.Write(frame)
+		s.writeMu.Unlock()
+	}
 	batch.Reset()
 	return err
 }

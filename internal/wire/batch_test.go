@@ -171,7 +171,7 @@ func TestReadFrameBufRoundTrip(t *testing.T) {
 // TestResultBinaryMeta pins the binary fast path: AppendResult sets the
 // high bit on the meta length and DecodeResult restores every field.
 func TestResultBinaryMeta(t *testing.T) {
-	meta := ResultMeta{TupleID: 1 << 40, Attempt: 3, EmitNanos: -7, ProcNanos: 12345, Dropped: true}
+	meta := ResultMeta{TupleID: 1 << 40, Attempt: 3, EmitNanos: -7, ProcNanos: 12345, Dropped: true, Reason: DropPanic}
 	payload := AppendResult(nil, meta, []byte{9, 8, 7})
 	got, tupleBytes, err := DecodeResult(payload)
 	if err != nil {
@@ -193,8 +193,8 @@ func TestResultBinaryMeta(t *testing.T) {
 }
 
 // TestResultDropReasons: every reason code survives the binary meta
-// round trip, and the reason bits stay compatible in both directions
-// with pre-reason peers (which used only bit 0 of the flags byte).
+// round trip, with Dropped in bit 0 of the flags byte and the reason in
+// bits 1-3.
 func TestResultDropReasons(t *testing.T) {
 	for _, reason := range []DropReason{DropNone, DropError, DropPanic, DropDeadline, DropFiltered} {
 		meta := ResultMeta{
@@ -210,26 +210,48 @@ func TestResultDropReasons(t *testing.T) {
 		if got != meta {
 			t.Fatalf("reason %v: meta %+v, want %+v", reason, got, meta)
 		}
-		// An old decoder masks bit 0 only: Dropped must sit in bit 0
-		// regardless of the reason bits.
 		flags := payload[4+binaryMetaSize-1]
-		if (flags&1 != 0) != meta.Dropped {
-			t.Fatalf("reason %v: dropped bit %08b", reason, flags)
+		if (flags&1 != 0) != meta.Dropped || DropReason(flags>>1) != reason {
+			t.Fatalf("reason %v: flags %08b", reason, flags)
 		}
-	}
-	// A pre-reason encoder writes flags ∈ {0, 1}; those must decode as
-	// DropNone, never as a phantom reason.
-	legacy := AppendResult(nil, ResultMeta{TupleID: 1, Dropped: true}, nil)
-	legacy[4+binaryMetaSize-1] = 1
-	got, _, err := DecodeResult(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Dropped || got.Reason != DropNone {
-		t.Fatalf("legacy flags: %+v", got)
 	}
 	if DropPanic.String() != "panic" || DropReason(7).String() != "reason(7)" {
 		t.Fatalf("DropReason.String: %q %q", DropPanic, DropReason(7))
+	}
+}
+
+// TestDecodeResultRejectsReasonlessDrop: a drop notice must name the
+// failure behind it. One that carries no failure reason — DropNone, the
+// DropFiltered accounting verdict, or a code no encoder assigns — is a
+// bad frame, not a drop to file under some default counter.
+func TestDecodeResultRejectsReasonlessDrop(t *testing.T) {
+	for _, reason := range []DropReason{DropNone, DropFiltered, DropReason(7)} {
+		payload := AppendResult(nil, ResultMeta{TupleID: 3, Dropped: true, Reason: reason}, nil)
+		if _, _, err := DecodeResult(payload); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("drop notice with reason %v: err = %v, want ErrBadFrame", reason, err)
+		}
+	}
+	// The same reasons without the dropped bit are plain results.
+	for _, reason := range []DropReason{DropNone, DropFiltered} {
+		payload := AppendResult(nil, ResultMeta{TupleID: 3, Reason: reason}, nil)
+		if _, _, err := DecodeResult(payload); err != nil {
+			t.Fatalf("result with reason %v: %v", reason, err)
+		}
+	}
+	// A batch carrying a reason-less notice stops at it, like any bad entry.
+	var batch ResultBatch
+	batch.Add(ResultMeta{TupleID: 1}, nil)
+	batch.Add(ResultMeta{TupleID: 2, Dropped: true}, nil)
+	n := 0
+	err := DecodeResultBatch(batch.Payload(), func(entry []byte) error {
+		_, _, err := DecodeResult(entry)
+		if err == nil {
+			n++
+		}
+		return err
+	})
+	if !errors.Is(err, ErrBadFrame) || n != 1 {
+		t.Fatalf("batch: %d entries decoded, err = %v; want 1, ErrBadFrame", n, err)
 	}
 }
 
@@ -242,7 +264,7 @@ func TestResultBatchRoundTrip(t *testing.T) {
 	}
 	want := []ResultMeta{
 		{TupleID: 1, EmitNanos: 10, ProcNanos: 1},
-		{TupleID: 2, EmitNanos: 20, ProcNanos: 2, Dropped: true},
+		{TupleID: 2, EmitNanos: 20, ProcNanos: 2, Dropped: true, Reason: DropDeadline},
 		{TupleID: 3, Attempt: 2, EmitNanos: 30, ProcNanos: 3},
 	}
 	bodies := [][]byte{[]byte("result-1"), nil, []byte("result-3")}
@@ -456,5 +478,118 @@ func TestDecodeTupleBatchErrors(t *testing.T) {
 	}
 	if FrameTupleBatch.String() != "tupleBatch" {
 		t.Fatalf("String() = %q", FrameTupleBatch.String())
+	}
+}
+
+// batchFrames builds one TupleBatch and one ResultBatch of a few
+// entries each, the tuple batch over a pooled buffer.
+func batchFrames(t *testing.T) (*TupleBatch, *ResultBatch) {
+	t.Helper()
+	tb := new(TupleBatch)
+	tb.SetBuf(GetBuf(0).B)
+	tb.Add([]byte("tuple-1"))
+	tb.Add(nil)
+	start := tb.Begin()
+	if err := tb.Append(func(dst []byte) ([]byte, error) { return append(dst, "tuple-3"...), nil }); err != nil {
+		t.Fatal(err)
+	}
+	tb.End(start)
+	rb := new(ResultBatch)
+	rb.Add(ResultMeta{TupleID: 1, EmitNanos: 10}, []byte("result-1"))
+	rb.Add(ResultMeta{TupleID: 2, Dropped: true, Reason: DropError}, nil)
+	start = rb.Begin(ResultMeta{TupleID: 3, Attempt: 1})
+	if err := rb.Append(func(dst []byte) ([]byte, error) { return append(dst, "result-3"...), nil }); err != nil {
+		t.Fatal(err)
+	}
+	rb.End(start)
+	return tb, rb
+}
+
+// TestBatchFrameMatchesAppendFrame: a batch's in-place Frame is
+// byte-identical to framing its Payload with AppendFrame, and reads
+// back through ReadFrameBuf as the batch's type and payload.
+func TestBatchFrameMatchesAppendFrame(t *testing.T) {
+	tb, rb := batchFrames(t)
+	for _, c := range []struct {
+		typ     FrameType
+		frame   []byte
+		payload []byte
+	}{
+		{FrameTupleBatch, tb.Frame(), tb.Payload()},
+		{FrameResultBatch, rb.Frame(), rb.Payload()},
+	} {
+		want, err := AppendFrame(nil, c.typ, c.payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(c.frame, want) {
+			t.Fatalf("%v: Frame %x, AppendFrame %x", c.typ, c.frame, want)
+		}
+		if err := CheckFrame(c.frame); err != nil {
+			t.Fatalf("%v: CheckFrame: %v", c.typ, err)
+		}
+		typ, buf, err := ReadFrameBuf(bytes.NewReader(c.frame))
+		if err != nil {
+			t.Fatalf("%v: read back: %v", c.typ, err)
+		}
+		if typ != c.typ || !bytes.Equal(buf.B, c.payload) {
+			t.Fatalf("%v: read back type %v, payload %x", c.typ, typ, buf.B)
+		}
+		buf.Release()
+	}
+	if got := (&ResultBatch{}).Frame(); got != nil {
+		t.Fatalf("empty batch frame %x", got)
+	}
+	if err := CheckFrame(make([]byte, frameHeaderSize+MaxFrameSize+1)); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized frame: err = %v", err)
+	}
+}
+
+// TestBatchFrameCancelFirstEntry: cancelling a batch's first entry
+// leaves an empty batch — no frame, no payload, size 0 — that builds
+// the same frame as a fresh one afterwards.
+func TestBatchFrameCancelFirstEntry(t *testing.T) {
+	var tb TupleBatch
+	tb.Cancel(tb.Begin())
+	if tb.Frame() != nil || tb.Payload() != nil || tb.Size() != 0 || tb.Count() != 0 {
+		t.Fatalf("tuple batch after cancelling its first entry: size %d, count %d", tb.Size(), tb.Count())
+	}
+	var rb ResultBatch
+	rb.Cancel(rb.Begin(ResultMeta{TupleID: 1}))
+	if rb.Frame() != nil || rb.Payload() != nil || rb.Size() != 0 || rb.Count() != 0 {
+		t.Fatalf("result batch after cancelling its first entry: size %d, count %d", rb.Size(), rb.Count())
+	}
+	var fresh TupleBatch
+	fresh.Add([]byte("x"))
+	tb.Add([]byte("x"))
+	if !bytes.Equal(tb.Frame(), fresh.Frame()) {
+		t.Fatalf("frame after cancel %x, fresh %x", tb.Frame(), fresh.Frame())
+	}
+}
+
+// TestBatchFrameResultBeginEnd: a result written in place — Begin with
+// its meta, the tuple via Append, End — encodes exactly as Add, and a
+// cancelled entry leaves no trace.
+func TestBatchFrameResultBeginEnd(t *testing.T) {
+	meta := ResultMeta{TupleID: 5, Attempt: 2, EmitNanos: 50, ProcNanos: 5}
+	var direct, staged ResultBatch
+	direct.Add(meta, []byte("abc"))
+	direct.Add(meta, nil)
+
+	start := staged.Begin(meta)
+	if err := staged.Append(func(dst []byte) ([]byte, error) { return append(dst, "abc"...), nil }); err != nil {
+		t.Fatal(err)
+	}
+	staged.End(start)
+	start = staged.Begin(meta)
+	if err := staged.Append(func(dst []byte) ([]byte, error) {
+		return append(dst, "partial"...), errors.New("marshal failed")
+	}); err == nil {
+		t.Fatal("Append swallowed the marshal error")
+	}
+	staged.Cancel(start)
+	staged.End(staged.Begin(meta))
+	if !bytes.Equal(direct.Frame(), staged.Frame()) {
+		t.Fatalf("staged frame %x != direct %x", staged.Frame(), direct.Frame())
 	}
 }

@@ -26,6 +26,15 @@ func FuzzFrameCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x01}) // length far beyond MaxFrameSize
 	f.Add([]byte{5, 0, 0, 0, 99, 'h', 'e', 'l', 'l', 'o'})
+	// The two data frames, as their batches build them in place.
+	var tb TupleBatch
+	tb.Add([]byte("tuple-1"))
+	tb.Add(nil)
+	f.Add(append([]byte(nil), tb.Frame()...))
+	var rb ResultBatch
+	rb.Add(ResultMeta{TupleID: 1, EmitNanos: 10}, []byte("result-1"))
+	rb.Add(ResultMeta{TupleID: 2, Dropped: true, Reason: DropDeadline}, nil)
+	f.Add(append([]byte(nil), rb.Frame()...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, payload, err := ReadFrame(bytes.NewReader(data))

@@ -16,9 +16,14 @@
 //   - ReadFrameBuf returns the payload inside a *Buf borrowed from the
 //     pool. The caller owns it until it calls Release; after Release the
 //     payload bytes must not be touched (the buffer will be overwritten
-//     by a future frame). Copy anything that outlives the handler.
-//   - GetBuf / (*Buf).Release follow the same rule for callers that
-//     assemble outbound frames with AppendFrame or AppendResult.
+//     by a future frame). Copy anything that outlives the handler, or
+//     read the frame with ReadFrame, whose payload the caller owns.
+//   - GetBuf / (*Buf).Release follow the same rule for senders that
+//     encode outbound frames in pooled memory. A data frame is built in
+//     place: TupleBatch and ResultBatch reserve the frame header at the
+//     front of their buffer (SetBuf points them at a pooled one), and
+//     Frame returns the complete frame, ready to write with no further
+//     copy. Control frames are appended with AppendFrame.
 //   - WriteFrame borrows and releases internally; its payload argument
 //     is never retained.
 package wire
@@ -136,6 +141,10 @@ func (t FrameType) String() string {
 // corrupt length prefixes.
 const MaxFrameSize = 16 << 20
 
+// frameHeaderSize is the bytes before a frame's payload: the u32 payload
+// length and the type byte.
+const frameHeaderSize = 5
+
 // Errors.
 var (
 	ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
@@ -220,7 +229,7 @@ func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 	// The header goes through a pooled buffer rather than a stack array:
 	// a [5]byte sliced into an io.Reader interface escapes, costing one
 	// allocation per frame.
-	hb := GetBuf(5)
+	hb := GetBuf(frameHeaderSize)
 	defer hb.Release()
 	if _, err := io.ReadFull(r, hb.B); err != nil {
 		return 0, nil, err
@@ -248,7 +257,7 @@ func ReadFrameBuf(r io.Reader) (FrameType, *Buf, error) {
 	// One pooled buffer serves both the header read and, grown in
 	// place, the payload read — the whole frame costs zero allocations
 	// at steady state.
-	buf := GetBuf(5)
+	buf := GetBuf(frameHeaderSize)
 	if _, err := io.ReadFull(r, buf.B); err != nil {
 		buf.Release()
 		return 0, nil, err
@@ -332,14 +341,12 @@ type Deploy struct {
 }
 
 // DropReason classifies why a worker consumed a tuple without producing
-// a result. It rides in spare bits of the binary ResultMeta flags byte,
-// so old encoders simply produce DropNone and old decoders ignore the
-// bits.
+// a result. It rides in bits 1-3 of the binary ResultMeta flags byte.
 type DropReason uint8
 
 // Drop reasons.
 const (
-	// DropNone: not dropped, or a legacy encoding that carried no reason.
+	// DropNone: not dropped. A drop notice never carries it.
 	DropNone DropReason = iota
 	// DropError: a processor returned an error for this tuple.
 	DropError
@@ -353,6 +360,12 @@ const (
 	// ack-only frames with Dropped unset — it is accounting, not failure.
 	DropFiltered
 )
+
+// failure reports whether r names a processor failure, the reasons a
+// drop notice (ResultMeta.Dropped) may carry.
+func (r DropReason) failure() bool {
+	return r == DropError || r == DropPanic || r == DropDeadline
+}
 
 // String names the drop reason.
 func (r DropReason) String() string {
@@ -394,7 +407,7 @@ type ResultMeta struct {
 	// master counts these so silently-failing workers stay visible.
 	Dropped bool `json:"dropped,omitempty"`
 	// Reason classifies the drop (or marks a filtered tuple). DropNone on
-	// successful results and on frames from pre-reason workers.
+	// successful results; a drop notice always names a failure.
 	Reason DropReason `json:"reason,omitempty"`
 }
 
@@ -446,9 +459,6 @@ func DecodeJSON(data []byte, v any) error {
 // whose set high bit marks the fixed-width binary meta written by
 // AppendResult; tuple bytes follow the meta.
 // The flags byte packs Dropped in bit 0 and the DropReason in bits 1-3.
-// Reason bits were spare (always zero) before reasons existed, so both
-// directions stay compatible: an old decoder masks bit 0 only, an old
-// encoder yields DropNone.
 const (
 	binaryMetaFlag = 1 << 31
 	binaryMetaSize = 8 + 1 + 8 + 8 + 1 // id, attempt, emit, proc, flags
@@ -479,7 +489,9 @@ func AppendResult(dst []byte, meta ResultMeta, tupleBytes []byte) []byte {
 }
 
 // DecodeResult splits one result payload of a FrameResultBatch. The
-// returned tuple bytes alias the input payload.
+// returned tuple bytes alias the input payload. A drop notice must name
+// the failure that caused it: one that carries no failure reason is a
+// bad frame.
 func DecodeResult(payload []byte) (ResultMeta, []byte, error) {
 	if len(payload) < 4 {
 		return ResultMeta{}, nil, fmt.Errorf("%w: short result", ErrBadFrame)
@@ -497,69 +509,138 @@ func DecodeResult(payload []byte) (ResultMeta, []byte, error) {
 		Dropped:   b[25]&metaFlagDropped != 0,
 		Reason:    DropReason(b[25]>>metaReasonShift) & metaReasonMask,
 	}
+	if meta.Dropped && !meta.Reason.failure() {
+		return ResultMeta{}, nil, fmt.Errorf("%w: drop notice with reason %v", ErrBadFrame, meta.Reason)
+	}
 	return meta, payload[4+binaryMetaSize:], nil
 }
 
-// ResultBatch accumulates result payloads for one FrameResultBatch
-// frame. The zero value is ready to use; Reset after each flush keeps
-// the underlying buffer for reuse. Layout: u32 count, then count ×
-// (u32 entry length, result payload).
-type ResultBatch struct {
+// CheckFrame reports ErrFrameTooLarge for an encoded frame whose payload
+// exceeds MaxFrameSize: a frame the peer's reader would refuse.
+func CheckFrame(frame []byte) error {
+	if n := len(frame) - frameHeaderSize; n > MaxFrameSize {
+		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	}
+	return nil
+}
+
+// batchBuf is the encoding shared by the two data frames: a frame
+// header, a u32 count, then count × (u32 entry length, entry bytes), all
+// in one buffer. The header is reserved up front and patched by frame,
+// so a finished batch is written straight from the buffer it was
+// encoded in. Entries go in with begin/End bracketing: begin reserves
+// the entry length, the caller appends the entry, End patches it.
+type batchBuf struct {
 	buf   []byte
 	count uint32
 }
 
-// Add appends one result to the batch.
-func (b *ResultBatch) Add(meta ResultMeta, tupleBytes []byte) {
+// BatchOverhead is the bytes a batch frame holds besides its entries:
+// the frame header and the count. Each entry adds a u32 length to its
+// bytes.
+const BatchOverhead = frameHeaderSize + 4
+
+// begin reserves an entry header and returns its offset for End.
+func (b *batchBuf) begin() int {
 	if len(b.buf) == 0 {
-		b.buf = append(b.buf, 0, 0, 0, 0) // count, patched in Payload
+		b.buf = append(b.buf, make([]byte, BatchOverhead)...) // patched in frame
 	}
 	start := len(b.buf)
-	b.buf = append(b.buf, 0, 0, 0, 0) // entry length, patched below
-	b.buf = AppendResult(b.buf, meta, tupleBytes)
+	b.buf = append(b.buf, 0, 0, 0, 0) // entry length, patched in End
+	return start
+}
+
+// Append extends the current entry via fn, which appends the entry's
+// bytes to dst and returns the extended slice (tuple.AppendMarshal's
+// shape). Must sit between Begin and End.
+func (b *batchBuf) Append(fn func(dst []byte) ([]byte, error)) error {
+	grown, err := fn(b.buf)
+	if err != nil {
+		return err
+	}
+	b.buf = grown
+	return nil
+}
+
+// End patches the entry length reserved by Begin and counts the entry.
+func (b *batchBuf) End(start int) {
 	binary.LittleEndian.PutUint32(b.buf[start:], uint32(len(b.buf)-start-4))
 	b.count++
 }
 
-// Count reports how many results the batch holds.
-func (b *ResultBatch) Count() int { return int(b.count) }
+// Cancel abandons the entry reserved by Begin (e.g. a marshal error),
+// truncating the buffer back to the entry start. Cancelling the first
+// entry leaves the batch empty.
+func (b *batchBuf) Cancel(start int) {
+	if b.count == 0 {
+		start = 0
+	}
+	b.buf = b.buf[:start]
+}
 
-// Size reports the encoded payload size in bytes.
-func (b *ResultBatch) Size() int { return len(b.buf) }
+// SetBuf points the batch at an external backing buffer (typically a
+// pooled buffer from GetBuf), resetting any accumulated entries. Frame
+// then aliases that buffer — or its reallocation, which the caller
+// recovers from Frame — so a sender can encode the frame directly in
+// pool-managed memory.
+func (b *batchBuf) SetBuf(buf []byte) {
+	b.buf = buf[:0]
+	b.count = 0
+}
 
-// Payload finalizes the count prefix and returns the frame payload
-// (nil for an empty batch). The slice aliases the batch's buffer and is
-// invalidated by the next Add or Reset.
-func (b *ResultBatch) Payload() []byte {
+// Count reports how many entries the batch holds.
+func (b *batchBuf) Count() int { return int(b.count) }
+
+// Size reports the encoded payload size in bytes (0 for an empty batch).
+func (b *batchBuf) Size() int { return max(len(b.buf)-frameHeaderSize, 0) }
+
+// Payload finalizes the count prefix and returns the frame payload, the
+// frame without its header (nil for an empty batch). The slice aliases
+// the batch's buffer and is invalidated by the next Add or Reset.
+func (b *batchBuf) Payload() []byte {
 	if b.count == 0 {
 		return nil
 	}
-	binary.LittleEndian.PutUint32(b.buf[:4], b.count)
+	binary.LittleEndian.PutUint32(b.buf[frameHeaderSize:], b.count)
+	return b.buf[frameHeaderSize:]
+}
+
+// frame finalizes the header and the count prefix and returns the whole
+// frame of type typ (nil for an empty batch), byte-identical to
+// AppendFrame(nil, typ, Payload()). The slice aliases the batch's buffer
+// and is invalidated by the next Add or Reset.
+func (b *batchBuf) frame(typ FrameType) []byte {
+	p := b.Payload()
+	if p == nil {
+		return nil
+	}
+	binary.LittleEndian.PutUint32(b.buf, uint32(len(p)))
+	b.buf[4] = byte(typ)
 	return b.buf
 }
 
 // Reset empties the batch, keeping the buffer capacity.
-func (b *ResultBatch) Reset() {
+func (b *batchBuf) Reset() {
 	b.buf = b.buf[:0]
 	b.count = 0
 }
 
-// DecodeResultBatch walks a FrameResultBatch payload, invoking fn with
-// each entry's result payload (decode with DecodeResult). Entries alias
-// the input. Decoding stops at the first error from fn.
-func DecodeResultBatch(payload []byte, fn func(entry []byte) error) error {
+// decodeBatch walks a batch payload, invoking fn with each entry. Entries
+// alias the input and are exact sub-slices (no trailing bytes).
+// Decoding stops at the first error from fn.
+func decodeBatch(payload []byte, what string, fn func(entry []byte) error) error {
 	if len(payload) < 4 {
-		return fmt.Errorf("%w: short result batch", ErrBadFrame)
+		return fmt.Errorf("%w: short %s", ErrBadFrame, what)
 	}
 	count := binary.LittleEndian.Uint32(payload[:4])
 	rest := payload[4:]
 	for i := uint32(0); i < count; i++ {
 		if len(rest) < 4 {
-			return fmt.Errorf("%w: result batch truncated at entry %d", ErrBadFrame, i)
+			return fmt.Errorf("%w: %s truncated at entry %d", ErrBadFrame, what, i)
 		}
 		n := binary.LittleEndian.Uint32(rest[:4])
 		if uint64(n) > uint64(len(rest)-4) {
-			return fmt.Errorf("%w: result batch entry %d length %d", ErrBadFrame, i, n)
+			return fmt.Errorf("%w: %s entry %d length %d", ErrBadFrame, what, i, n)
 		}
 		if err := fn(rest[4 : 4+n]); err != nil {
 			return err
@@ -567,23 +648,59 @@ func DecodeResultBatch(payload []byte, fn func(entry []byte) error) error {
 		rest = rest[4+n:]
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after result batch", ErrBadFrame, len(rest))
+		return fmt.Errorf("%w: %d trailing bytes after %s", ErrBadFrame, len(rest), what)
 	}
 	return nil
+}
+
+// ResultBatch accumulates results for one FrameResultBatch frame. The
+// zero value is ready to use; Reset after each flush keeps the
+// underlying buffer for reuse. Payload layout: u32 count, then count ×
+// (u32 entry length, result payload).
+//
+// Besides Add, an entry can be written in place: Begin writes the
+// entry's meta, the caller appends the result tuple via Append, and End
+// closes the entry — a worker marshals each result straight into the
+// frame it sends.
+type ResultBatch struct{ batchBuf }
+
+// Add appends one result to the batch.
+func (b *ResultBatch) Add(meta ResultMeta, tupleBytes []byte) {
+	start := b.begin()
+	b.buf = AppendResult(b.buf, meta, tupleBytes)
+	b.End(start)
+}
+
+// Begin reserves an entry, writes meta into it and returns its offset
+// for End. The caller appends the result tuple's bytes with Append (or
+// nothing, for an ack-only result) before calling End.
+func (b *ResultBatch) Begin(meta ResultMeta) int {
+	start := b.begin()
+	b.buf = AppendResult(b.buf, meta, nil)
+	return start
+}
+
+// Frame returns the batch as one complete FrameResultBatch frame (nil
+// for an empty batch); see Payload for its lifetime.
+func (b *ResultBatch) Frame() []byte { return b.frame(FrameResultBatch) }
+
+// DecodeResultBatch walks a FrameResultBatch payload, invoking fn with
+// each entry's result payload (decode with DecodeResult). Entries alias
+// the input. Decoding stops at the first error from fn.
+func DecodeResultBatch(payload []byte, fn func(entry []byte) error) error {
+	return decodeBatch(payload, "result batch", fn)
 }
 
 // TupleBatch accumulates marshaled tuples for one FrameTupleBatch frame
 // — the downstream mirror of ResultBatch. The zero value is ready to
 // use; Reset after each flush keeps the underlying buffer for reuse.
-// Layout: u32 count, then count × (u32 entry length, tuple bytes).
+// Payload layout: u32 count, then count × (u32 entry length, tuple
+// bytes).
 //
-// AppendEntry is split into Begin/End so callers can marshal a tuple
-// directly into the batch buffer (no intermediate copy): Begin reserves
-// the entry length, the caller appends via Append, End patches it.
-type TupleBatch struct {
-	buf   []byte
-	count uint32
-}
+// Besides Add, an entry can be written in place: Begin reserves the
+// entry length, the caller marshals the tuple via Append, and End
+// patches it, so a tuple is marshaled directly into the frame.
+type TupleBatch struct{ batchBuf }
 
 // Add appends one pre-marshaled tuple to the batch.
 func (b *TupleBatch) Add(tupleBytes []byte) {
@@ -594,71 +711,11 @@ func (b *TupleBatch) Add(tupleBytes []byte) {
 
 // Begin reserves an entry header and returns its offset for End. The
 // caller appends the tuple bytes with Append before calling End.
-func (b *TupleBatch) Begin() int {
-	if len(b.buf) == 0 {
-		b.buf = append(b.buf, 0, 0, 0, 0) // count, patched in Payload
-	}
-	start := len(b.buf)
-	b.buf = append(b.buf, 0, 0, 0, 0) // entry length, patched in End
-	return start
-}
+func (b *TupleBatch) Begin() int { return b.begin() }
 
-// Append extends the current entry via fn, which appends the tuple's
-// encoding to dst and returns the extended slice (tuple.AppendMarshal's
-// shape). Must sit between Begin and End.
-func (b *TupleBatch) Append(fn func(dst []byte) ([]byte, error)) error {
-	grown, err := fn(b.buf)
-	if err != nil {
-		return err
-	}
-	b.buf = grown
-	return nil
-}
-
-// End patches the entry length reserved by Begin and counts the entry.
-func (b *TupleBatch) End(start int) {
-	binary.LittleEndian.PutUint32(b.buf[start:], uint32(len(b.buf)-start-4))
-	b.count++
-}
-
-// Cancel abandons the entry reserved by Begin (e.g. a marshal error),
-// truncating the buffer back to the entry start.
-func (b *TupleBatch) Cancel(start int) {
-	b.buf = b.buf[:start]
-}
-
-// SetBuf points the batch at an external backing buffer (typically a
-// pooled frame buffer from GetBuf), resetting any accumulated entries.
-// Payload then aliases that buffer — or its reallocation, which the
-// caller recovers via Payload — so a submit path can build the frame
-// directly in pool-managed memory.
-func (b *TupleBatch) SetBuf(buf []byte) {
-	b.buf = buf[:0]
-	b.count = 0
-}
-
-// Count reports how many tuples the batch holds.
-func (b *TupleBatch) Count() int { return int(b.count) }
-
-// Size reports the encoded payload size in bytes.
-func (b *TupleBatch) Size() int { return len(b.buf) }
-
-// Payload finalizes the count prefix and returns the frame payload
-// (nil for an empty batch). The slice aliases the batch's buffer and is
-// invalidated by the next Add or Reset.
-func (b *TupleBatch) Payload() []byte {
-	if b.count == 0 {
-		return nil
-	}
-	binary.LittleEndian.PutUint32(b.buf[:4], b.count)
-	return b.buf
-}
-
-// Reset empties the batch, keeping the buffer capacity.
-func (b *TupleBatch) Reset() {
-	b.buf = b.buf[:0]
-	b.count = 0
-}
+// Frame returns the batch as one complete FrameTupleBatch frame (nil
+// for an empty batch); see Payload for its lifetime.
+func (b *TupleBatch) Frame() []byte { return b.frame(FrameTupleBatch) }
 
 // DecodeTupleBatch walks a FrameTupleBatch payload, invoking fn with
 // each entry's tuple bytes. Entries alias the input and are exact
@@ -666,28 +723,7 @@ func (b *TupleBatch) Reset() {
 // tuple.UnmarshalShared against the one frame buffer. Decoding stops at
 // the first error from fn.
 func DecodeTupleBatch(payload []byte, fn func(entry []byte) error) error {
-	if len(payload) < 4 {
-		return fmt.Errorf("%w: short tuple batch", ErrBadFrame)
-	}
-	count := binary.LittleEndian.Uint32(payload[:4])
-	rest := payload[4:]
-	for i := uint32(0); i < count; i++ {
-		if len(rest) < 4 {
-			return fmt.Errorf("%w: tuple batch truncated at entry %d", ErrBadFrame, i)
-		}
-		n := binary.LittleEndian.Uint32(rest[:4])
-		if uint64(n) > uint64(len(rest)-4) {
-			return fmt.Errorf("%w: tuple batch entry %d length %d", ErrBadFrame, i, n)
-		}
-		if err := fn(rest[4 : 4+n]); err != nil {
-			return err
-		}
-		rest = rest[4+n:]
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after tuple batch", ErrBadFrame, len(rest))
-	}
-	return nil
+	return decodeBatch(payload, "tuple batch", fn)
 }
 
 // TupleBatchCount reads the count prefix of a FrameTupleBatch payload

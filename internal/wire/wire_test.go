@@ -142,7 +142,7 @@ func TestResultEncoding(t *testing.T) {
 // TestResultAckOnly covers the empty-tuple form: a drop notice keeps its
 // meta (including the Dropped flag) and carries zero tuple bytes.
 func TestResultAckOnly(t *testing.T) {
-	meta := ResultMeta{TupleID: 9, Attempt: 1, EmitNanos: 5, ProcNanos: 3, Dropped: true}
+	meta := ResultMeta{TupleID: 9, Attempt: 1, EmitNanos: 5, ProcNanos: 3, Dropped: true, Reason: DropError}
 	payload := AppendResult(nil, meta, nil)
 	gotMeta, gotTuple, err := DecodeResult(payload)
 	if err != nil {

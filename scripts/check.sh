@@ -20,11 +20,13 @@ go test -race ./...
 # them, and this smoke run proves every dataplane benchmark still compiles
 # and completes one iteration.
 go test -run=NONE -bench=. -benchtime=1x ./internal/wire ./internal/tuple ./internal/runtime
-# The round-trip allocation budgets — at most 9 allocations across both
-# directions for a 64-tuple batch, and at most 4 for a one-tuple Submit —
-# only hold still at one core, and skip under -race, so nothing above
-# runs them; pin them here at GOMAXPROCS=1.
-GOMAXPROCS=1 go test -count=1 -run 'TestBatchRoundTripAllocs|TestSubmitRoundTripAllocs' ./internal/runtime/
+# The round-trip allocation budgets — at most 7 allocations across both
+# directions for a 64-tuple batch, and at most 3 for a one-tuple Submit —
+# and the worker's zero-allocation decode and release of a 64-tuple
+# frame only hold still at one core, and skip under -race, so nothing
+# above runs them; pin them here at GOMAXPROCS=1.
+GOMAXPROCS=1 go test -count=1 \
+    -run 'TestBatchRoundTripAllocs|TestSubmitRoundTripAllocs|TestTupleBlockReuseAllocs' ./internal/runtime/
 # Many-worker throughput smoke under the race detector, scaled down (64
 # workers, 4 submitters, 200 tuples) so the shared hot state — the
 # in-flight table, the RCU routing snapshot — and the journal's group
@@ -62,14 +64,24 @@ go test -race -count=1 \
     ./internal/runtime/
 go test -race -count=1 -run 'TestScheduleDeterministic|TestNemesisSmoke' ./internal/chaos/
 # A tuple that hangs mid-batch: the watchdog abandons it alone, and the
-# reaper's reference on the batch may be its last. Five times.
-go test -race -count=5 -run 'TestOpDeadlineMidBatch' ./internal/runtime/
+# reaper's reference on the batch may be its last — the release that
+# clears the batch's pooled tuple block for its next frame, which must
+# not be an oversized one. Five times.
+go test -race -count=5 -run 'TestOpDeadlineMidBatch|TestTupleBlockReuse' ./internal/runtime/
+# The data frames built in place: a batch's Frame is the frame
+# AppendFrame would build, a cancelled first entry leaves no frame, a
+# result written in place matches Add, and a drop notice without a
+# failure reason is a bad frame.
+go test -race -count=1 -run 'TestBatchFrame|TestDecodeResultRejectsReasonlessDrop' ./internal/wire/
 # Batched-dataplane smoke under the race detector: downstream frame
-# coalescing with exact tuple accounting, the ledger invariant under
-# concurrent SubmitBatch, whole-batch loss recovery through the
-# hedge/retransmit path, and per-tuple drop semantics inside a batch.
+# coalescing with exact tuple accounting, one write per flush of
+# in-place frames on a connection without writev, whole and ordered
+# frames from every flush path (one frame, writev, scratch copy), the
+# ledger invariant under concurrent SubmitBatch, whole-batch loss
+# recovery through the hedge/retransmit path, and per-tuple drop
+# semantics inside a batch.
 go test -race -count=1 \
-    -run 'TestBatchedDispatchReducesDownstreamFrames|TestLedgerConsistentUnderConcurrentSubmitBatch|TestSubmitBatchShapedLossRecovery|TestSubmitBatchProcessorDrops|TestShapedBatch|TestFaultyTupleCounters' \
+    -run 'TestBatchedDispatchReducesDownstreamFrames|TestCoalescedMasterWrites|TestFrameWriterFlushes|TestLedgerConsistentUnderConcurrentSubmitBatch|TestSubmitBatchShapedLossRecovery|TestSubmitBatchProcessorDrops|TestShapedBatch|TestFaultyTupleCounters' \
     ./internal/runtime/ ./internal/transport/
 # The worker's batch pipeline: results stream out as they finish, not
 # when their batch does, and one batch's mixed verdicts arrive in tuple
@@ -101,7 +113,9 @@ go test -race -count=10 -run 'TestCheckpointCycleConcurrencySmoke' ./internal/ru
 # and balance. Ten times under the race detector, because the cut lands
 # at a different point of the dispatch path each run.
 go test -race -count=10 -run 'TestCheckpointUnderTrafficLosesNothing' ./internal/runtime/
-go test -race -count=1 -run 'TestCheckpointCycleCrashPoints|TestFailedCheckpointSavesLoseNothing' \
+# A cut taken while a dead worker's backlog is off the table writes it
+# as pending.
+go test -race -count=1 -run 'TestCheckpointCycleCrashPoints|TestFailedCheckpointSavesLoseNothing|TestCheckpointKeepsOrphanedTuples' \
     ./internal/runtime/
 # Live /statusz curl smoke: boot a real swingd master with a status
 # endpoint and a shaped transport, fetch the JSON from the URL the
