@@ -193,6 +193,12 @@ type Journal struct {
 	// the first cycle.
 	CheckpointHoldMicros int64 `json:"checkpoint_hold_us"`
 	CheckpointMicros     int64 `json:"checkpoint_us"`
+	// LastSyncMicros is how long the last interval sync took (-fsync
+	// interval syncs off the commit path, every FsyncEvery) and
+	// LastSyncAgeMillis how long ago it finished. Both are zero until the
+	// first interval sync, and under the other fsync modes.
+	LastSyncMicros    int64 `json:"last_sync_us"`
+	LastSyncAgeMillis int64 `json:"last_sync_age_ms"`
 }
 
 // Replication is the primary side of hot-standby journal streaming: its

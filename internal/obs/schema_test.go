@@ -17,7 +17,8 @@ var statusKeys = []string{
 	"batch", "batch.frames", "batch.submits", "batch.tuples",
 	"epoch", "events_total",
 	"journal", "journal.bytes", "journal.checkpoint_hold_us", "journal.checkpoint_us",
-	"journal.generation", "journal.pending_bytes", "journal.records",
+	"journal.generation", "journal.last_sync_age_ms", "journal.last_sync_us",
+	"journal.pending_bytes", "journal.records",
 	"ledger", "ledger.acked", "ledger.balanced", "ledger.drop_deadlines",
 	"ledger.drop_errors", "ledger.drop_panics", "ledger.evicted", "ledger.filtered",
 	"ledger.hedged", "ledger.in_flight", "ledger.readopted", "ledger.recovered",

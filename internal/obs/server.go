@@ -169,9 +169,10 @@ func writeDashboard(w http.ResponseWriter, s Snapshot, events *EventLog) {
 
 	if s.Journal != nil {
 		j := s.Journal
-		fmt.Fprintf(&b, "<h2>Journal</h2><table><tr><th>generation</th><th>records</th><th>bytes</th><th>pending</th><th>ckpt hold µs</th><th>ckpt µs</th></tr>"+
-			"<tr><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td></tr></table>",
-			j.Generation, j.Records, j.Bytes, j.PendingBytes, j.CheckpointHoldMicros, j.CheckpointMicros)
+		fmt.Fprintf(&b, "<h2>Journal</h2><table><tr><th>generation</th><th>records</th><th>bytes</th><th>pending</th><th>ckpt hold µs</th><th>ckpt µs</th><th>last sync µs</th><th>last sync age ms</th></tr>"+
+			"<tr><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td></tr></table>",
+			j.Generation, j.Records, j.Bytes, j.PendingBytes, j.CheckpointHoldMicros, j.CheckpointMicros,
+			j.LastSyncMicros, j.LastSyncAgeMillis)
 	}
 
 	if events != nil {

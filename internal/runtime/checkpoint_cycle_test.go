@@ -131,12 +131,14 @@ func TestSetAsideFromStrandedName(t *testing.T) {
 
 	for gen := uint64(4); gen <= 5; gen++ {
 		j.mu.Lock()
-		old, err := j.setAsideLocked(1, gen)
+		err := j.setAsideLocked(1, gen)
 		j.mu.Unlock()
 		if err != nil {
 			t.Fatalf("cut to generation %d: %v", gen, err)
 		}
-		_ = old.Close()
+		if err := j.closeAside(); err != nil {
+			t.Fatal(err)
+		}
 		if err := j.appendSubmit(frameTuple(gen)); err != nil {
 			t.Fatal(err)
 		}

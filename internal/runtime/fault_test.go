@@ -3,12 +3,14 @@ package runtime
 import (
 	"errors"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/swingframework/swing/internal/apps"
 	"github.com/swingframework/swing/internal/graph"
+	"github.com/swingframework/swing/internal/routing"
 	"github.com/swingframework/swing/internal/transport"
 	"github.com/swingframework/swing/internal/tuple"
 	"github.com/swingframework/swing/internal/wire"
@@ -42,14 +44,45 @@ func startFaultyWorker(t *testing.T, mem *transport.Mem, m *Master, id string, f
 func TestRetransmitOnWorkerDeath(t *testing.T) {
 	mem := transport.NewMem()
 	col := &resultCollector{}
-	m := startTestMaster(t, mem, col)
-	startTestWorker(t, mem, m, "w1", 1)
-	// w2's connection dies after 2 written frames (hello + its first
-	// result batch): mid-stream, with tuples still queued on the link and
-	// in its input queue. One result batch can ack many tuples — a send
-	// loop starved by a busy pool acks a dozen at once — so a later break
-	// could find w2's whole share already acked.
-	startFaultyWorker(t, mem, m, "w2", transport.FaultConfig{Seed: 11, BreakAfterFrames: 2})
+	m, err := StartMaster(MasterConfig{
+		App:        containApp(t, containProcess),
+		Policy:     routing.RR,
+		ListenAddr: "master",
+		Transport:  mem,
+		OnResult:   col.add,
+		Logger:     quietLogger(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = m.Close() })
+	startContainWorker(t, mem, m, "w1", containProcess)
+	// w2's connection dies after 2 written frames: hello and the result
+	// of the one tuple its operator lets through. Every later tuple waits
+	// on gate, which opens only once the master has dropped w2, so the
+	// break comes before any other ack and round-robin leaves w2 the rest
+	// of its half of the stream to retransmit.
+	gate := make(chan struct{})
+	var passed atomic.Bool
+	gated := func(em graph.Emitter, tp *tuple.Tuple) error {
+		if passed.Swap(true) {
+			<-gate
+		}
+		return containProcess(em, tp)
+	}
+	w2, err := StartWorker(WorkerConfig{
+		DeviceID:   "w2",
+		MasterAddr: m.Addr(),
+		App:        containApp(t, gated),
+		Transport:  transport.WithFaults(mem, transport.FaultConfig{Seed: 11, BreakAfterFrames: 2}),
+		Logger:     quietLogger(),
+	})
+	if err != nil {
+		t.Fatalf("StartWorker(w2): %v", err)
+	}
+	t.Cleanup(func() { _ = w2.Close() })
+	var openGate sync.Once
+	t.Cleanup(func() { openGate.Do(func() { close(gate) }) }) // before w2.Close
 	waitFor(t, 2*time.Second, func() bool { return len(m.Workers()) == 2 }, "workers join")
 
 	src := apps.NewFrameSource(600, 7)
@@ -62,6 +95,7 @@ func TestRetransmitOnWorkerDeath(t *testing.T) {
 
 	// Traffic re-routes: the broken worker leaves the routing table.
 	waitFor(t, 5*time.Second, func() bool { return len(m.Workers()) == 1 }, "dead worker dropped")
+	openGate.Do(func() { close(gate) })
 
 	// Zero silent loss: every submitted tuple ends acked or shed, and
 	// the in-flight table drains.

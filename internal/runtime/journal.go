@@ -78,11 +78,19 @@ var journalCRC = crc32.MakeTable(crc32.Castagnoli)
 type FsyncMode int
 
 const (
-	// FsyncInterval syncs at most once per FsyncEvery (default). Bounded
-	// loss window on power failure, negligible overhead.
+	// FsyncInterval (default) syncs every FsyncEvery on a syncer
+	// goroutine of the journal's own, off the commit path: appends only
+	// write. On power failure it loses at most the appends of the last
+	// FsyncEvery plus one sync. The syncer keeps the write-back from
+	// stalling every appender: on perfbench's flood-journal-tcp (about
+	// 660 MB/s of journal on a 2-vCPU guest) a sync inside the group
+	// commit holds p99 at 23.5 ms, the syncer at 7.3 ms (medians of 10
+	// interleaved 30 s runs each). Appends still meet the write-back —
+	// a write that lands on pages being written back waits for them —
+	// which puts p50 3% above the inline sync's.
 	FsyncInterval FsyncMode = iota
-	// FsyncAlways syncs after every append: zero loss window, one
-	// fsync per tuple lifecycle event.
+	// FsyncAlways syncs inside every group commit: zero loss window,
+	// and every appender waits for the disk.
 	FsyncAlways
 	// FsyncNever leaves flushing to the OS.
 	FsyncNever
@@ -116,26 +124,43 @@ func ParseFsyncMode(s string) (FsyncMode, error) {
 
 // journal is the append side of the write-ahead log, with group commit:
 // concurrent appends encode their records into a shared pending buffer
-// under mu, then one appender (the leader) writes and fsyncs the whole
-// batch while the others wait on cond. Every append still returns only
-// after its record has reached the file — and, under FsyncAlways, the
-// disk — so durability semantics match the one-write-per-record design;
-// the batch just amortizes the write and fsync across the appends that
-// piled up behind it.
+// under mu, then one appender (the leader) writes the whole batch —
+// and, under FsyncAlways, syncs it — while the others wait on cond.
+// Every append still returns only after its record has reached the
+// file — and, under FsyncAlways, the disk — so durability semantics
+// match the one-write-per-record design; the batch just amortizes the
+// write and fsync across the appends that piled up behind it. Under
+// FsyncInterval the leader never syncs: syncLoop does, beside it.
 //
 // A checkpoint cut (setAsideLocked) holds mu and waits out any in-flight
 // flush, so a record is never split across generations and the file
 // handle never changes under the leader's feet.
 type journal struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	f        *os.File
-	path     string
-	cur      string // f's name on disk (see setAsideLocked), guarded by mu
-	mode     FsyncMode
-	every    time.Duration
-	lastSync time.Time
-	gen      uint64 // generation of the live file, guarded by mu
+	mu     sync.Mutex
+	cond   *sync.Cond
+	f      logFile
+	create func(path string) (logFile, error) // opens each generation's file
+	path   string
+	cur    string // f's name on disk (see setAsideLocked), guarded by mu
+	mode   FsyncMode
+	every  time.Duration
+	gen    uint64 // generation of the live file, guarded by mu
+
+	// aside is the file the last cut set aside, open until closeAside
+	// or the syncer syncs and closes it; guarded by mu.
+	aside logFile
+
+	// The FsyncInterval syncer. syncMu is held across each whole sync —
+	// the syncer's, closeAside's and close's — so one runs at a time and
+	// the handles it syncs stay open; it is taken before mu, never
+	// after. syncedSeq (the flushedSeq the last sync covered), syncedAt
+	// and syncTook are guarded by mu.
+	syncMu    sync.Mutex
+	syncStop  chan struct{}
+	syncDone  chan struct{}
+	syncedSeq uint64
+	syncedAt  time.Time
+	syncTook  time.Duration
 
 	// Group-commit state, all guarded by mu.
 	pending    []byte // encoded records awaiting the next flush
@@ -158,6 +183,23 @@ type journal struct {
 	// batch buffer is recycled) and must not block or re-enter the
 	// journal — it may only hand the bytes off.
 	tap func(b []byte)
+}
+
+// logFile is what the journal needs of a file it writes: *os.File in
+// production, a recording fake in the sync-order tests.
+type logFile interface {
+	Write(b []byte) (int, error)
+	Sync() error
+	Close() error
+}
+
+// createLogFile creates (or truncates) a journal file.
+func createLogFile(path string) (logFile, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // encodeJournalRecord frames one record.
@@ -202,16 +244,23 @@ func readJournalRecord(r io.Reader) (journalRecType, []byte, error) {
 
 // openJournal creates (or truncates) the journal file and writes the meta
 // record for this generation. The previous generation's contents must
-// already have been recovered — opening discards them.
+// already have been recovered — opening discards them. Under
+// FsyncInterval it starts the journal's syncer, which close stops.
 func openJournal(path string, epoch, generation uint64, mode FsyncMode, every time.Duration) (*journal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	return openJournalWith(createLogFile, path, epoch, generation, mode, every)
+}
+
+// openJournalWith is openJournal writing through create, which opens
+// the first file here and the next generation's at every cut.
+func openJournalWith(create func(string) (logFile, error), path string, epoch, generation uint64, mode FsyncMode, every time.Duration) (*journal, error) {
+	f, err := create(path)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: open journal: %w", err)
 	}
 	if every <= 0 {
 		every = 100 * time.Millisecond
 	}
-	j := &journal{f: f, path: path, cur: path, mode: mode, every: every, lastSync: time.Now(), gen: generation}
+	j := &journal{f: f, create: create, path: path, cur: path, mode: mode, every: every, gen: generation}
 	j.cond = sync.NewCond(&j.mu)
 	if err := j.append(recMeta, metaPayload(epoch, generation)); err != nil {
 		_ = f.Close()
@@ -220,6 +269,10 @@ func openJournal(path string, epoch, generation uint64, mode FsyncMode, every ti
 	if err := f.Sync(); err != nil {
 		_ = f.Close()
 		return nil, fmt.Errorf("runtime: sync journal: %w", err)
+	}
+	if mode == FsyncInterval {
+		j.syncStop, j.syncDone = make(chan struct{}), make(chan struct{})
+		go j.syncLoop()
 	}
 	return j, nil
 }
@@ -266,11 +319,29 @@ func (j *journal) depth() (records, bytes, pending int64) {
 // burst should not pin its high-water mark forever.
 const maxBatchRetain = 4 << 20
 
+// lastIntervalSync reports how long the last interval sync took and when it
+// finished; both are zero until the syncer's first sync.
+func (j *journal) lastIntervalSync() (took time.Duration, at time.Time) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.syncTook, j.syncedAt
+}
+
+// breakLocked fails every append from the first record not yet in the
+// file on; the first failure sticks.
+func (j *journal) breakLocked(err error) {
+	if j.broken == nil {
+		j.broken = err
+		j.brokenSeq = j.flushedSeq + 1
+	}
+}
+
 // commitAndUnlock implements the group-commit protocol for a record
 // just sealed into pending. Exactly one appender becomes the flush
-// leader: it takes the whole pending batch, writes (and per policy
-// fsyncs) it outside the lock, then wakes the appenders whose records
-// rode along. Every caller returns only once its record is in the file.
+// leader: it takes the whole pending batch, writes (and under
+// FsyncAlways syncs) it outside the lock, then wakes the appenders whose
+// records rode along. Every caller returns only once its record is in
+// the file.
 func (j *journal) commitAndUnlock() error {
 	j.appendSeq++
 	mySeq := j.appendSeq
@@ -293,19 +364,12 @@ func (j *journal) commitAndUnlock() error {
 			j.pending = j.spare[:0]
 			j.spare = nil
 			f := j.f
-			doSync := j.mode == FsyncAlways
-			if j.mode == FsyncInterval {
-				if now := time.Now(); now.Sub(j.lastSync) >= j.every {
-					j.lastSync = now
-					doSync = true
-				}
-			}
 			j.mu.Unlock()
 
 			var err error
 			if _, werr := f.Write(batch); werr != nil {
 				err = fmt.Errorf("runtime: journal append: %w", werr)
-			} else if doSync {
+			} else if j.mode == FsyncAlways {
 				if serr := f.Sync(); serr != nil {
 					err = fmt.Errorf("runtime: journal sync: %w", serr)
 				}
@@ -313,13 +377,12 @@ func (j *journal) commitAndUnlock() error {
 
 			j.mu.Lock()
 			j.flushing = false
-			if err != nil && j.broken == nil {
+			if err != nil {
 				// A failed or partial batch write leaves a torn middle that
 				// replay would truncate at; accepting later appends would
 				// silently drop everything behind the tear. Fail the whole
 				// batch and everything after it.
-				j.broken = err
-				j.brokenSeq = j.flushedSeq + 1
+				j.breakLocked(err)
 			}
 			if err == nil && j.tap != nil && len(batch) > 0 {
 				j.tap(batch)
@@ -358,8 +421,7 @@ func (j *journal) flushPendingLocked() error {
 	}
 	j.pending = j.pending[:0]
 	if err != nil {
-		j.broken = fmt.Errorf("runtime: journal append: %w", err)
-		j.brokenSeq = j.flushedSeq + 1
+		j.breakLocked(fmt.Errorf("runtime: journal append: %w", err))
 	}
 	j.flushedSeq = j.appendSeq
 	j.cond.Broadcast()
@@ -480,29 +542,31 @@ func (j *journal) appendShed(id uint64, overload bool) error {
 // setAsideLocked starts the next generation: the current file is
 // renamed aside to setAsidePath(path, gen) — its name carries the
 // generation it holds, so no later cut overwrites it — and a fresh file
-// with the new generation's meta record takes over the live path. Only renames and a small write happen here; the checkpointer
-// calls it holding j.mu — after quiescing any in-flight group-commit
-// flush — so no returned append lands in the old generation after the
-// state snapshot was taken (it would double-count on recovery). Records
-// still buffered in pending belong to appends that have not returned
-// yet — their effects are not in the snapshot — and flush into the new
+// with the new generation's meta record takes over the live path. Only
+// renames and a small write happen here; the checkpointer calls it
+// holding j.mu — after quiescing any in-flight group-commit flush — so
+// no returned append lands in the old generation after the state
+// snapshot was taken (it would double-count on recovery). Records still
+// buffered in pending belong to appends that have not returned yet —
+// their effects are not in the snapshot — and flush into the new
 // generation, where replay applies them on top of the checkpoint.
 //
-// The set-aside handle is returned for the caller to close after
-// releasing the lock, and the file stays on disk until a checkpoint at a
-// later generation is installed: until then recovery still needs it. On
-// failure the journal keeps writing its current file, renamed back to
-// the live path; should even that rename fail, the file stays under its
-// set-aside name (cur), where recovery finds it and the next cut starts.
-func (j *journal) setAsideLocked(epoch, generation uint64) (*os.File, error) {
+// The set-aside handle stays open in j.aside until the caller, after
+// releasing the lock and before the next cut, calls closeAside; the file
+// stays on disk until a checkpoint at a later generation is installed:
+// until then recovery still needs it. On failure the journal keeps
+// writing its current file, renamed back to the live path; should even
+// that rename fail, the file stays under its set-aside name (cur), where
+// recovery finds it and the next cut starts.
+func (j *journal) setAsideLocked(epoch, generation uint64) error {
 	aside := setAsidePath(j.path, j.gen)
 	if j.cur != aside {
 		if err := os.Rename(j.cur, aside); err != nil {
-			return nil, fmt.Errorf("runtime: set journal aside: %w", err)
+			return fmt.Errorf("runtime: set journal aside: %w", err)
 		}
 		j.cur = aside
 	}
-	nf, err := os.OpenFile(j.path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	nf, err := j.create(j.path)
 	if err == nil {
 		if _, err = nf.Write(encodeJournalRecord(recMeta, metaPayload(epoch, generation))); err != nil {
 			_ = nf.Close()
@@ -514,17 +578,120 @@ func (j *journal) setAsideLocked(epoch, generation uint64) (*os.File, error) {
 		if os.Rename(aside, j.path) == nil {
 			j.cur = j.path
 		}
-		return nil, fmt.Errorf("runtime: start journal generation: %w", err)
+		return fmt.Errorf("runtime: start journal generation: %w", err)
 	}
-	old := j.f
+	j.aside = j.f
 	j.f = nf
 	j.cur = j.path
 	j.gen = generation
-	return old, nil
+	return nil
 }
 
-// close flushes, syncs and closes the journal file. Later appends fail.
+// closeAside closes the file the last cut set aside, syncing it first
+// under FsyncInterval. Its tail, written since the last interval sync,
+// must be durable before any sync of a later generation: a power loss
+// that kept the later records and lost the earlier ones would leave a
+// hole in the log that replay cannot see. The syncer syncs the set-aside
+// file first if it ticks before this runs, and a checkpoint cycle calls
+// this before retire deletes anything. A failed sync breaks the journal.
+// Each whole sync holds syncMu, so once closeAside returns the file is
+// closed and synced, whoever did it.
+func (j *journal) closeAside() error {
+	j.syncMu.Lock()
+	defer j.syncMu.Unlock()
+	j.mu.Lock()
+	old := j.aside
+	j.aside = nil
+	j.mu.Unlock()
+	return j.syncClose(old)
+}
+
+// syncClose syncs a set-aside file under FsyncInterval and closes it.
+// The file stays on disk until a checkpoint covers it, so a failed
+// close loses nothing recovery needs; a failed sync breaks the journal.
+// The caller holds syncMu and not mu.
+func (j *journal) syncClose(f logFile) error {
+	if f == nil {
+		return nil
+	}
+	var err error
+	if j.mode == FsyncInterval {
+		err = f.Sync()
+	}
+	_ = f.Close()
+	return j.syncFailed(err)
+}
+
+// syncFailed breaks the journal on a failed sync, so every later append
+// reports it, and returns the wrapped error; nil passes through. The
+// caller does not hold mu.
+func (j *journal) syncFailed(err error) error {
+	if err == nil {
+		return nil
+	}
+	err = fmt.Errorf("runtime: journal sync: %w", err)
+	j.mu.Lock()
+	j.breakLocked(err)
+	j.mu.Unlock()
+	return err
+}
+
+// syncLoop is the FsyncInterval syncer: every FsyncEvery it syncs what
+// the group commit has written, so the commit leader only writes. A
+// record that returned is on disk by the end of the first sync that
+// starts after it returned, and syncs start at most FsyncEvery apart
+// (back to back when one takes longer): the power-loss window is at
+// most FsyncEvery plus one sync.
+func (j *journal) syncLoop() {
+	defer close(j.syncDone)
+	tick := time.NewTicker(j.every)
+	defer tick.Stop()
+	for {
+		select {
+		case <-j.syncStop:
+			return
+		case <-tick.C:
+			j.syncNow()
+		}
+	}
+}
+
+// syncNow syncs the set-aside file, if a cut left one open, then the
+// live file, holding syncMu but not mu: appends keep committing while
+// the disk writes back. It skips a broken journal, and an idle one:
+// nothing written since the last sync.
+func (j *journal) syncNow() {
+	j.syncMu.Lock()
+	defer j.syncMu.Unlock()
+	j.mu.Lock()
+	f, aside, seq := j.f, j.aside, j.flushedSeq
+	if j.broken != nil || (aside == nil && seq == j.syncedSeq) {
+		j.mu.Unlock()
+		return
+	}
+	j.aside = nil
+	j.mu.Unlock()
+
+	start := time.Now()
+	if j.syncClose(aside) != nil || j.syncFailed(f.Sync()) != nil {
+		return
+	}
+	end := time.Now()
+	j.mu.Lock()
+	j.syncedSeq, j.syncedAt, j.syncTook = seq, end, end.Sub(start)
+	j.mu.Unlock()
+}
+
+// close stops the syncer, then flushes, syncs and closes the journal
+// file. Later appends fail.
 func (j *journal) close() error {
+	if j.syncStop != nil {
+		close(j.syncStop)
+		<-j.syncDone
+		j.syncStop = nil
+	}
+	j.syncMu.Lock()
+	defer j.syncMu.Unlock()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.quiesceLocked()

@@ -149,7 +149,7 @@ type MasterConfig struct {
 	// Fsync selects the journal's flush-to-stable-storage policy (default
 	// FsyncInterval; see FsyncMode).
 	Fsync FsyncMode
-	// FsyncEvery is the FsyncInterval flush period (default 100 ms).
+	// FsyncEvery is the FsyncInterval sync period (default 100 ms).
 	FsyncEvery time.Duration
 	// ReplicateAddr enables hot-standby replication: a listener at this
 	// address accepts standby masters that tail the write-ahead journal
@@ -1812,9 +1812,9 @@ func (m *Master) checkpointNow() error {
 // journal lock is held only for the cut: quiesce, snapshot, set the file
 // aside and open the next generation. No lifecycle event can land in the
 // old generation after the snapshot — it would be double-counted on
-// recovery. Closing the set-aside file, encoding, saving and retiring
-// follow after the lock is released, so the dataplane stalls only for
-// the cut.
+// recovery. Syncing and closing the set-aside file, encoding, saving and
+// retiring follow after the lock is released, so the dataplane stalls
+// only for the cut.
 //
 // fn (if non-nil) runs inside the locked window, after the cut
 // succeeded, with the new generation and the checkpoint body — encoded
@@ -1838,7 +1838,7 @@ func (m *Master) checkpointAnd(fn func(epoch, generation uint64, body []byte)) e
 	gen := m.generation.Load() + 1
 	st := m.snapshotState()
 	st.Generation = gen
-	old, err := m.journal.setAsideLocked(m.epoch, gen)
+	err := m.journal.setAsideLocked(m.epoch, gen)
 	var body []byte
 	if err == nil {
 		// A failed cut leaves the file at its own generation, so only a
@@ -1853,13 +1853,12 @@ func (m *Master) checkpointAnd(fn func(epoch, generation uint64, body []byte)) e
 	m.journal.mu.Unlock()
 	m.ckptHold.Store(int64(time.Since(start)))
 
-	// Every byte in the set-aside file was written before the cut, and it
-	// stays on disk until a checkpoint covers it, so a failed close loses
-	// nothing recovery needs.
-	if old != nil {
-		_ = old.Close()
-	}
+	// The set-aside file is durable before anything is retired and
+	// before the new generation's first sync (closeAside).
 	if err != nil {
+		return err
+	}
+	if err := m.journal.closeAside(); err != nil {
 		return err
 	}
 	if body == nil {

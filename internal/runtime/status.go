@@ -165,6 +165,10 @@ func (m *Master) StatusSnapshot() obs.Snapshot {
 			CheckpointHoldMicros: m.ckptHold.Load() / int64(time.Microsecond),
 			CheckpointMicros:     m.ckptTook.Load() / int64(time.Microsecond),
 		}
+		if took, at := m.journal.lastIntervalSync(); !at.IsZero() {
+			snap.Journal.LastSyncMicros = took.Microseconds()
+			snap.Journal.LastSyncAgeMillis = now.Sub(at).Milliseconds()
+		}
 	}
 	if m.rep != nil {
 		snap.Replication = m.rep.status(now)

@@ -113,6 +113,19 @@ go test -race -count=10 -run 'TestCheckpointCycleConcurrencySmoke' ./internal/ru
 # and balance. Ten times under the race detector, because the cut lands
 # at a different point of the dispatch path each run.
 go test -race -count=10 -run 'TestCheckpointUnderTrafficLosesNothing' ./internal/runtime/
+# The interval syncer over a recording file, ten times under the race
+# detector: appends return while a sync is held, a failed sync fails
+# later appends, a 5 ms syncer covers what was appended, and a
+# checkpoint cycle syncs the set-aside file before retire and before
+# the next generation's first sync.
+go test -race -count=10 \
+    -run 'TestJournalAppendsReturnWhileSyncBlocked|TestJournalFailedSyncBreaksAppends|TestJournalIntervalSyncCoversAppends|TestSetAsideSyncedBeforeNextGeneration' \
+    ./internal/runtime/
+# A worker dies mid-stream holding un-acked tuples by construction (its
+# operator waits on a gate until the master drops it), so retransmission
+# must happen every time: twenty runs at one core and at two.
+GOMAXPROCS=1 go test -count=20 -run 'TestRetransmitOnWorkerDeath$' ./internal/runtime/
+GOMAXPROCS=2 go test -count=20 -run 'TestRetransmitOnWorkerDeath$' ./internal/runtime/
 # A cut taken while a dead worker's backlog is off the table writes it
 # as pending.
 go test -race -count=1 -run 'TestCheckpointCycleCrashPoints|TestFailedCheckpointSavesLoseNothing|TestCheckpointKeepsOrphanedTuples' \
