@@ -34,7 +34,11 @@ func run() error {
 		App:        app,
 		Policy:     swing.LRS,
 		ListenAddr: "127.0.0.1:0",
-		OnResult:   func(r swing.LiveResult) { results <- r },
+		// A result is valid only during OnResult: keep a clone.
+		OnResult: func(r swing.LiveResult) {
+			r.Tuple = r.Tuple.Clone()
+			results <- r
+		},
 	})
 	if err != nil {
 		return err

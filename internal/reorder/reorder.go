@@ -9,7 +9,10 @@ package reorder
 //
 // The rule: an arrival whose seq is at or past the next seq to play is
 // buffered (a repeat arrival for a buffered seq replaces it without
-// counting twice); an arrival behind it is late and dropped. The next
+// counting twice); an arrival behind it is late and dropped. Arrive
+// hands back the value it displaced or refused, so a caller whose values
+// own memory can free it: every value offered ends up played, handed
+// back by Arrive or Reset, or still buffered. The next
 // seq plays as soon as it is buffered. When the buffered count reaches
 // the cap, playback gives up on the missing seqs and skips to the lowest
 // buffered one.
@@ -47,19 +50,23 @@ func New[T any](limit int) *Ring[T] {
 }
 
 // Arrive buffers v at seq, unless seq was already played or skipped.
-func (r *Ring[T]) Arrive(seq uint64, v T) {
+// When ok, out is the value that will never play: v itself if seq was
+// late, or the earlier value at seq that v replaced.
+func (r *Ring[T]) Arrive(seq uint64, v T) (out T, ok bool) {
 	if seq < r.next {
-		return
+		return v, true
 	}
 	if seq-r.next > r.mask {
 		r.grow(seq - r.next + 1)
 	}
 	s := &r.slots[seq&r.mask]
+	out, ok = s.v, s.full
 	if !s.full {
 		s.full = true
 		r.n++
 	}
 	s.v = v
+	return out, ok
 }
 
 // Play releases the next value in sequence order, first skipping to the
@@ -103,9 +110,15 @@ func (r *Ring[T]) grow(span uint64) {
 	r.slots, r.mask = slots, mask
 }
 
-// Reset empties the ring and resumes playback at next with skipped seqs
-// already given up on, as restored from a checkpoint.
-func (r *Ring[T]) Reset(next uint64, skipped int64) {
+// Reset empties the ring, handing each buffered value to discard (if
+// not nil), and resumes playback at next with skipped seqs already given
+// up on, as restored from a checkpoint.
+func (r *Ring[T]) Reset(next uint64, skipped int64, discard func(T)) {
+	for _, s := range r.slots {
+		if s.full && discard != nil {
+			discard(s.v)
+		}
+	}
 	clear(r.slots)
 	r.next, r.n, r.skipped = next, 0, skipped
 }

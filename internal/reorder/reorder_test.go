@@ -49,10 +49,28 @@ func (o *mapOracle) arrive(seq uint64, v int) (played []uint64) {
 }
 
 // ringArrive is one sink arrival through the ring: offer, then drain.
-// Every played value must be the latest one offered for its seq.
-func ringArrive(t *testing.T, r *Ring[int], seq uint64, v int, vals map[uint64]int) (played []uint64) {
+// Every played value must be the latest one offered for its seq, and
+// what Arrive hands back must be the offer itself when seq is late, or
+// the offer it replaced. Each value played or handed back is counted in
+// fates, indexed by value.
+func ringArrive(t *testing.T, r *Ring[int], seq uint64, v int, vals map[uint64]int, fates []int) (played []uint64) {
 	t.Helper()
-	r.Arrive(seq, v)
+	late := seq < r.Next()
+	prev, buffered := vals[seq]
+	vals[seq] = v
+	out, ok := r.Arrive(seq, v)
+	switch {
+	case late && (!ok || out != v):
+		t.Fatalf("late seq %d: Arrive handed back %d, %v; want the offer %d", seq, out, ok, v)
+	case !late && buffered && (!ok || out != prev):
+		// A seq at or past next that was offered before is still buffered.
+		t.Fatalf("repeat seq %d: Arrive handed back %d, %v; want the replaced %d", seq, out, ok, prev)
+	case !late && !buffered && ok:
+		t.Fatalf("new seq %d: Arrive handed back %d", seq, out)
+	}
+	if ok {
+		fates[out]++
+	}
 	for {
 		s, got, ok := r.Play()
 		if !ok {
@@ -61,25 +79,38 @@ func ringArrive(t *testing.T, r *Ring[int], seq uint64, v int, vals map[uint64]i
 		if want := vals[s]; got != want {
 			t.Fatalf("seq %d played value %d, want the latest offered %d", s, got, want)
 		}
+		fates[got]++
 		played = append(played, s)
 	}
 }
 
 // checkAgainstOracle feeds seqs to a ring and the oracle and fails at the
 // first arrival after which they disagree on what played, what was
-// skipped or what is buffered.
+// skipped or what is buffered. At the end it checks conservation: every
+// value offered was played, handed back by Arrive or, still buffered,
+// handed to Reset's discard — exactly once.
 func checkAgainstOracle(t *testing.T, limit int, seqs []uint64) {
 	t.Helper()
 	r, o := New[int](limit), newMapOracle(limit)
 	vals := make(map[uint64]int) // the latest value offered per seq
+	fates := make([]int, len(seqs))
 	for i, seq := range seqs {
-		vals[seq] = i
-		got := ringArrive(t, r, seq, i, vals)
+		got := ringArrive(t, r, seq, i, vals, fates)
 		want := o.arrive(seq, i)
 		if !slices.Equal(got, want) || r.Skipped() != o.skipped || r.Len() != len(o.buf) || r.Next() != o.next {
 			t.Fatalf("cap %d, arrival %d (seq %d): ring played %v skipped %d buffered %d next %d; "+
 				"oracle played %v skipped %d buffered %d next %d",
 				limit, i, seq, got, r.Skipped(), r.Len(), r.Next(), want, o.skipped, len(o.buf), o.next)
+		}
+	}
+	discarded := 0
+	r.Reset(0, 0, func(v int) { fates[v]++; discarded++ })
+	if discarded != len(o.buf) {
+		t.Fatalf("cap %d: Reset discarded %d values, the oracle buffers %d", limit, discarded, len(o.buf))
+	}
+	for v, n := range fates {
+		if n != 1 {
+			t.Fatalf("cap %d: value %d (seq %d) was accounted for %d times, want once", limit, v, seqs[v], n)
 		}
 	}
 }
@@ -139,7 +170,9 @@ func randomArrivals(rng *rand.Rand, n int) []uint64 {
 
 // FuzzReorder decodes the input as a cap byte followed by little-endian
 // u16 seqs and checks the ring against the map oracle after every
-// arrival. The seed corpus is in testdata/fuzz/FuzzReorder.
+// arrival, and that every arrived value is played, displaced, refused
+// or still buffered exactly once. The seed corpus is in
+// testdata/fuzz/FuzzReorder.
 func FuzzReorder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -179,12 +212,16 @@ func TestRingClearsPlayedSlots(t *testing.T) {
 func TestRingReset(t *testing.T) {
 	r := New[int](8)
 	r.Arrive(3, 3)
-	r.Reset(100, 7)
+	var discarded []int
+	r.Reset(100, 7, func(v int) { discarded = append(discarded, v) })
 	if r.Len() != 0 || r.Next() != 100 || r.Skipped() != 7 {
 		t.Fatalf("after reset: len %d next %d skipped %d", r.Len(), r.Next(), r.Skipped())
 	}
-	if r.Arrive(99, 0); r.Len() != 0 {
-		t.Fatal("a seq behind the restored next was buffered")
+	if !slices.Equal(discarded, []int{3}) {
+		t.Fatalf("Reset discarded %v, want the buffered [3]", discarded)
+	}
+	if v, ok := r.Arrive(99, 5); r.Len() != 0 || !ok || v != 5 {
+		t.Fatalf("a seq behind the restored next: buffered %d, handed back %d, %v", r.Len(), v, ok)
 	}
 	r.Arrive(100, 1)
 	if seq, v, ok := r.Play(); !ok || seq != 100 || v != 1 {

@@ -255,15 +255,17 @@ func allocSwarm(t *testing.T) (*Master, *atomic.Int64) {
 
 // TestBatchRoundTripAllocs pins the batched dataplane's allocation
 // budget: a full 64-tuple SubmitBatch round trip (submit, dispatch,
-// worker decode + process, ack, in-order delivery) must cost at most 7
+// worker decode + process, ack, in-order delivery) must cost at most 2
 // allocations across every goroutine involved — both directions decode
-// a frame's tuples into one block instead of one tuple each, the worker
-// moves the frame through its pipeline as one pooled batch that keeps
-// its tuple block, and each frame is encoded once, in the buffer it is
-// written from. Regressing this means a per-tuple or per-frame cost
-// crept back into a per-batch path. In 90 runs, 67 measured 6 and 23
-// measured 7; with a fresh worker tuple block and a second copy of each
-// frame it was 8 with an occasional 9. It only runs at GOMAXPROCS=1
+// a frame's tuples into a pooled block instead of one tuple each, the
+// worker moves the frame through its pipeline as one pooled batch, each
+// frame is encoded once, in the buffer it is written from, and the
+// master reads each result frame into a pooled buffer that its last
+// result frees. Regressing this means a per-tuple or per-frame cost
+// crept back into a per-batch path. In 90 runs, 64 measured 1 and 26
+// measured 2; with a fresh buffer and block per result frame it was 6
+// or 7, and 8 or 9 before that with a fresh worker tuple block and a
+// second copy of each frame. It only runs at GOMAXPROCS=1
 // (scripts/check.sh runs it that way).
 func TestBatchRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
@@ -303,18 +305,19 @@ func TestBatchRoundTripAllocs(t *testing.T) {
 	})
 	perTuple := allocs / per
 	t.Logf("batched round trip: %.2f allocs/tuple (%.0f per %d-tuple batch)", perTuple, allocs, per)
-	if allocs > 7 {
-		t.Fatalf("batched round trip costs %.0f allocs per %d-tuple batch, want at most 7", allocs, per)
+	if allocs > 2 {
+		t.Fatalf("batched round trip costs %.0f allocs per %d-tuple batch, want at most 2", allocs, per)
 	}
 }
 
 // TestSubmitRoundTripAllocs pins the one-tuple round trip's allocation
 // budget: Submit is SubmitBatch over a batch of one, and its round trip —
 // submit, dispatch, worker decode and process, ack and in-order
-// delivery — must cost at most 3 allocations across every goroutine
-// (every one of 90 runs measured 3; before the worker kept its tuple
-// block it was 4). Like TestBatchRoundTripAllocs it only runs at
-// GOMAXPROCS=1 (scripts/check.sh runs it that way).
+// delivery — must cost at most 1 allocation across every goroutine
+// (every one of 90 runs measured 1; with a fresh buffer and block per
+// result frame it was 3, and 4 before the worker kept its tuple block).
+// Like TestBatchRoundTripAllocs it only runs at GOMAXPROCS=1
+// (scripts/check.sh runs it that way).
 func TestSubmitRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; ceiling holds for production builds only")
@@ -346,8 +349,8 @@ func TestSubmitRoundTripAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("one-tuple round trip: %.2f allocs", allocs)
-	if allocs > 3 {
-		t.Fatalf("one-tuple round trip costs %.2f allocs, want at most 3", allocs)
+	if allocs > 1 {
+		t.Fatalf("one-tuple round trip costs %.2f allocs, want at most 1", allocs)
 	}
 }
 

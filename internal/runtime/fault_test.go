@@ -418,11 +418,7 @@ func TestReorderCapFloor(t *testing.T) {
 	}
 	// Out-of-order arrivals within the floor are buffered, not skipped.
 	m.nextSeq.Store(3) // seqs 0-2 were issued
-	m.deliverBatch([]Result{
-		{Tuple: tuple.New(1, 1)},
-		{Tuple: tuple.New(2, 2)},
-		{Tuple: tuple.New(0, 0)},
-	}, nil)
+	m.deliverBatch(sinkResults(tuple.New(1, 1), tuple.New(2, 2), tuple.New(0, 0)), nil)
 	st := m.Stats()
 	if st.Skipped != 0 || st.Played != 3 {
 		t.Fatalf("stats = %+v, want 3 played and 0 skipped", st)

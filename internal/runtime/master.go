@@ -35,11 +35,11 @@ import (
 
 // Result is one in-order playback delivery from the master's sink.
 type Result struct {
-	// Tuple is the final result tuple. Results of one upstream frame are
-	// decoded together — their bytes fields alias the frame's payload,
-	// read into memory the master owns, and the tuples share one block —
-	// so a retained Tuple keeps its whole frame's payload and block
-	// alive. Clone it to keep one result without the rest.
+	// Tuple is the final result tuple. It is valid only during the
+	// OnResult call that delivers it: the results of one upstream frame
+	// decode into one pooled block, their bytes fields alias the frame as
+	// read into a pooled buffer, and both are reused for a later frame
+	// once the frame's last result has played. Clone it to keep it.
 	Tuple *tuple.Tuple
 	// Latency is end-to-end: submit to sink arrival.
 	Latency time.Duration
@@ -74,7 +74,8 @@ type MasterConfig struct {
 	AckLinger time.Duration
 	// ReorderBuffer is the sink reorder timespan (default 1 s).
 	ReorderBuffer time.Duration
-	// OnResult, if set, receives in-order playback deliveries.
+	// OnResult, if set, receives in-order playback deliveries. A
+	// Result's Tuple is valid only until OnResult returns (see Result).
 	OnResult func(Result)
 	// RetryDeadline bounds how long after first submission a tuple may
 	// still be retransmitted when its worker dies; older tuples are shed,
@@ -335,7 +336,7 @@ type Master struct {
 	// sink is the reordering service's playback ring; sinkMu guards it
 	// with the sink counters.
 	sinkMu  sync.Mutex
-	sink    *reorder.Ring[Result]
+	sink    *reorder.Ring[sinkResult]
 	played  int64
 	arrived int64
 
@@ -446,7 +447,7 @@ func StartMaster(cfg MasterConfig) (*Master, error) {
 		cfg:      cfg,
 		ln:       ln,
 		router:   router,
-		sink:     reorder.New[Result](rcap),
+		sink:     reorder.New[sinkResult](rcap),
 		inflight: newInflightTable(),
 		epoch:    1,
 		events:   obs.NewEventLog(256),
@@ -601,7 +602,7 @@ func (m *Master) initRecovery() error {
 	c := rs.counters
 	m.inflight.seedLedger(c.Counters)
 	m.arrived, m.played = c.Arrived, c.Played
-	m.sink.Reset(c.NextPlay, c.Skipped)
+	m.sink.Reset(c.NextPlay, c.Skipped, func(r sinkResult) { r.frame.done() })
 	m.nextSeq.Store(c.NextSeq)
 	if len(rs.estimates) > 0 {
 		m.withRouter(func(r *routing.Router) { r.SeedEstimates(rs.estimates) })
@@ -1031,9 +1032,11 @@ func (fw *frameWriter) flush(frames []*wire.Buf) error {
 func (m *Master) readLoop(wc *workerConn) {
 	var sc resultScratch
 	for {
-		// The payload is the master's own: a result frame's decoded
-		// results alias it, with no further copy.
-		typ, payload, err := wire.ReadFrame(wc.conn)
+		// Every frame is read into a pooled buffer. A result frame's
+		// passes to handleResultBatch, whose decoded results alias it
+		// until the frame's last one is done; any other frame's is
+		// released here.
+		typ, buf, err := wire.ReadFrameBuf(wc.conn)
 		if err != nil {
 			return
 		}
@@ -1043,13 +1046,14 @@ func (m *Master) readLoop(wc *workerConn) {
 		wc.noteHeard(now)
 		switch typ {
 		case wire.FrameResultBatch:
-			if err := m.handleResultBatch(wc, &sc, payload, now); err != nil {
+			if err := m.handleResultBatch(wc, &sc, buf, now); err != nil {
 				m.cfg.Logger.Warn("swing master: bad result batch",
 					"worker", wc.id, "err", err)
 			}
+			continue
 		case wire.FrameStats:
 			var st wire.Stats
-			if err := wire.DecodeJSON(payload, &st); err == nil {
+			if err := wire.DecodeJSON(buf.Bytes(), &st); err == nil {
 				wc.mu.Lock()
 				wc.report = st
 				wc.mu.Unlock()
@@ -1060,6 +1064,7 @@ func (m *Master) readLoop(wc *workerConn) {
 		default:
 			// Ignore unexpected frames from workers.
 		}
+		buf.Release()
 	}
 }
 

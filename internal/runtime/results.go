@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/swingframework/swing/internal/obs"
@@ -20,6 +22,11 @@ import (
 // per tuple because no result of the frame is played before the frame's
 // ack records are in the file (and, with a standby attached, in every
 // mirror).
+//
+// A frame's memory is pooled end to end: readLoop reads it into a pooled
+// wire.Buf, its result tuples decode into the pooled block of a pooled
+// resultFrame, and the frame's last result to play or be dropped returns
+// all three, so at steady state a result frame costs no allocation.
 
 // resultScratch is one connection's reusable result-path state. The
 // connection's readLoop owns it, so steady-state frames reuse its slices
@@ -27,8 +34,8 @@ import (
 type resultScratch struct {
 	entries []resultEntry // the frame's fresh entries, in entry order
 	acks    []uint64      // tuple IDs whose ack records this frame journals
-	results []Result      // the frame's decoded results, in entry order
-	plays   []Result      // results the sink released, handed to OnResult
+	results []sinkResult  // the frame's decoded results, in entry order
+	plays   []sinkResult  // results the sink released, handed to OnResult
 	// The frame's latency feedback, summed for one bank per frame, and
 	// the number of its entries that carry a result tuple.
 	lat, proc time.Duration
@@ -43,16 +50,70 @@ type resultEntry struct {
 	latency time.Duration
 }
 
-// handleResultBatch processes one FrameResultBatch payload that arrived
-// at now from wc. A malformed frame is processed up to the bad entry —
-// those acks and results still commit and play — and the decode error
-// is returned for logging. The payload is retained, not copied: the
-// decoded results alias it, so the caller hands over memory it owns
-// (wire.ReadFrame's) and must not reuse it.
-func (m *Master) handleResultBatch(wc *workerConn, sc *resultScratch, payload []byte, now time.Time) error {
+// resultFrame owns one FrameResultBatch from its read until the last of
+// its results is done with: the pooled buffer the frame was read into,
+// the block its result tuples decode into, and the count of its results
+// not yet done. A result is done once OnResult returns for it, or when
+// the sink drops it: late or a repeat in the playback ring, a seq this
+// master never issued, or a sink Reset. (A result that does not decode
+// is never counted.) The last one returns buffer, block and record to
+// their pools. Missing a drop only leaves the frame to the collector,
+// but counting one result twice frees memory a sibling still reads, so
+// each result is done exactly once.
+type resultFrame struct {
+	buf    *wire.Buf
+	block  []tuple.Tuple // kept across uses
+	tuples []tuple.Tuple // the frame's prefix of block, cleared when freed
+	left   atomic.Int32
+}
+
+var resultFramePool = sync.Pool{New: func() any { return new(resultFrame) }}
+
+// resultFrameFreed, when a test sets it, sees each result frame's buffer
+// as the frame is freed.
+var resultFrameFreed func(*wire.Buf)
+
+// done marks one of f's results done; the last frees the frame. Safe on
+// nil, a result no frame owns.
+func (f *resultFrame) done() {
+	if f != nil && f.left.Add(-1) == 0 {
+		f.free()
+	}
+}
+
+// free returns the frame's buffer, its cleared block and the record to
+// their pools. A block grown past maxPooledTupleBlock is left to the
+// collector instead.
+func (f *resultFrame) free() {
+	if resultFrameFreed != nil {
+		resultFrameFreed(f.buf)
+	}
+	f.buf.Release()
+	clear(f.tuples)
+	if cap(f.block) > maxPooledTupleBlock {
+		f.block = nil
+	}
+	f.buf, f.tuples = nil, nil
+	resultFramePool.Put(f)
+}
+
+// sinkResult is a result on its way through the sink, with the frame
+// that owns its memory.
+type sinkResult struct {
+	Result
+	frame *resultFrame
+}
+
+// handleResultBatch processes one FrameResultBatch that arrived at now
+// from wc, read into buf. A malformed frame is processed up to the bad
+// entry — those acks and results still commit and play — and the decode
+// error is returned for logging. buf passes to the call: the decoded
+// results alias it, so it is released only once the frame's last result
+// is done with (resultFrame).
+func (m *Master) handleResultBatch(wc *workerConn, sc *resultScratch, buf *wire.Buf, now time.Time) error {
 	sc.entries, sc.acks = sc.entries[:0], sc.acks[:0]
 	sc.lat, sc.proc, sc.carried = 0, 0, 0
-	err := wire.DecodeResultBatch(payload, func(entry []byte) error {
+	err := wire.DecodeResultBatch(buf.Bytes(), func(entry []byte) error {
 		m.readResult(wc, sc, entry, now)
 		return nil
 	})
@@ -81,9 +142,11 @@ func (m *Master) handleResultBatch(wc *workerConn, sc *resultScratch, payload []
 		}
 	}
 	if sc.carried > 0 {
-		sc.results = m.decodeResults(wc, sc.entries, sc.carried, sc.results[:0])
+		sc.results = m.decodeResults(wc, buf, sc.entries, sc.carried, sc.results[:0])
 		sc.plays = m.deliverBatch(sc.results, sc.plays)
 		clear(sc.results)
+	} else {
+		buf.Release()
 	}
 	clear(sc.entries)
 	return err
@@ -177,24 +240,33 @@ func (m *Master) breakerSuccess(wc *workerConn) {
 }
 
 // decodeResults decodes the result tuples of a frame's entries — carried
-// of them hold one — into one []tuple.Tuple block, appending a Result
-// per tuple that decodes to dst. The tuples' bytes fields alias the
-// frame payload the entries point into, so a frame costs two
-// allocations (the payload as read, and the block) however many results
-// it carries, and every returned Result.Tuple keeps both alive.
-func (m *Master) decodeResults(wc *workerConn, entries []resultEntry, carried int, dst []Result) []Result {
-	block := make([]tuple.Tuple, carried)
+// of them hold one — into the block of a pooled resultFrame that takes
+// over buf, appending a sinkResult per tuple that decodes to dst. The
+// tuples' bytes fields alias buf. The frame counts the results it
+// appended as not yet done; with none, it is freed at once.
+func (m *Master) decodeResults(wc *workerConn, buf *wire.Buf, entries []resultEntry, carried int, dst []sinkResult) []sinkResult {
+	f := resultFramePool.Get().(*resultFrame)
+	if cap(f.block) < carried {
+		f.block = make([]tuple.Tuple, carried)
+	}
+	f.buf, f.tuples = buf, f.block[:carried]
+	from := len(dst)
 	i := 0
 	for _, e := range entries {
 		if len(e.tb) == 0 {
 			continue
 		}
-		t := &block[i]
+		t := &f.tuples[i]
 		i++
 		if tuple.DecodeSharedInto(t, e.tb) != nil {
 			continue
 		}
-		dst = append(dst, Result{Tuple: t, Latency: e.latency, Worker: wc.id})
+		dst = append(dst, sinkResult{Result{Tuple: t, Latency: e.latency, Worker: wc.id}, f})
+	}
+	if n := len(dst) - from; n > 0 {
+		f.left.Store(int32(n))
+	} else {
+		f.free()
 	}
 	return dst
 }
@@ -205,9 +277,11 @@ func (m *Master) decodeResults(wc *workerConn, entries []resultEntry, carried in
 // hands the released plays to OnResult outside the lock. A result whose
 // seq this master never issued is counted as arrived but not buffered:
 // one corrupt entry far ahead of playback would otherwise grow the ring
-// to cover the gap. plays is caller-owned scratch, returned emptied for
-// reuse.
-func (m *Master) deliverBatch(rs []Result, plays []Result) []Result {
+// to cover the gap. Each result is done with (resultFrame) once: when
+// OnResult returns for it, or when it is dropped — un-issued, late, or
+// replaced in the ring by a repeat. plays is caller-owned scratch,
+// returned emptied for reuse.
+func (m *Master) deliverBatch(rs []sinkResult, plays []sinkResult) []sinkResult {
 	plays = plays[:0]
 	m.sinkMu.Lock()
 	// Every result's seq was issued before it arrived, so one load bounds
@@ -215,8 +289,10 @@ func (m *Master) deliverBatch(rs []Result, plays []Result) []Result {
 	issued := m.nextSeq.Load()
 	for _, r := range rs {
 		m.arrived++
-		if r.Tuple.SeqNo < issued {
-			m.sink.Arrive(r.Tuple.SeqNo, r)
+		if r.Tuple.SeqNo >= issued {
+			r.frame.done()
+		} else if out, dropped := m.sink.Arrive(r.Tuple.SeqNo, r); dropped {
+			out.frame.done()
 		}
 		for {
 			_, pr, ok := m.sink.Play()
@@ -228,12 +304,13 @@ func (m *Master) deliverBatch(rs []Result, plays []Result) []Result {
 		}
 	}
 	m.sinkMu.Unlock()
-	if m.cfg.OnResult != nil {
-		for _, p := range plays {
-			m.cfg.OnResult(p)
+	for _, p := range plays {
+		if m.cfg.OnResult != nil {
+			m.cfg.OnResult(p.Result)
 		}
+		p.frame.done()
 	}
-	// Drop the references so idle scratch does not pin a frame's block.
+	// Drop the references so idle scratch does not pin a frame.
 	clear(plays)
 	return plays[:0]
 }

@@ -22,13 +22,15 @@ type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
-// resultCollector gathers playback deliveries.
+// resultCollector gathers playback deliveries. A Result's tuple is
+// valid only during OnResult, so add keeps a clone.
 type resultCollector struct {
 	mu      sync.Mutex
 	results []Result
 }
 
 func (c *resultCollector) add(r Result) {
+	r.Tuple = r.Tuple.Clone()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.results = append(c.results, r)

@@ -16,8 +16,11 @@
 //   - ReadFrameBuf returns the payload inside a *Buf borrowed from the
 //     pool. The caller owns it until it calls Release; after Release the
 //     payload bytes must not be touched (the buffer will be overwritten
-//     by a future frame). Copy anything that outlives the handler, or
-//     read the frame with ReadFrame, whose payload the caller owns.
+//     by a future frame). Whatever aliases the payload must be done with
+//     it first: the master's result path hands a result frame's *Buf to
+//     a per-frame record that releases it when the frame's last result
+//     has played or been dropped. ReadFrame, whose payload the caller
+//     owns, is for control frames off the data path.
 //   - GetBuf / (*Buf).Release follow the same rule for senders that
 //     encode outbound frames in pooled memory. A data frame is built in
 //     place: TupleBatch and ResultBatch reserve the frame header at the
@@ -26,6 +29,11 @@
 //     copy. Control frames are appended with AppendFrame.
 //   - WriteFrame borrows and releases internally; its payload argument
 //     is never retained.
+//
+// Built with the swingdebug tag, Release overwrites the buffer's bytes
+// with a poison pattern and panics when a buffer is released twice
+// without a GetBuf in between, so a use after release reads garbage
+// rather than a later frame's plausible bytes.
 package wire
 
 import (
@@ -155,7 +163,16 @@ var (
 // ReadFrameBuf) and return it with Release when the bytes are no longer
 // needed. B may be re-sliced/appended freely while owned.
 type Buf struct {
-	B []byte
+	dbg bufDebug // empty unless built with swingdebug
+	B   []byte
+}
+
+// Bytes returns b.B, or nil for a nil b (ReadFrameBuf's empty frame).
+func (b *Buf) Bytes() []byte {
+	if b == nil {
+		return nil
+	}
+	return b.B
 }
 
 // maxPooledBuf caps the capacity a buffer may have and still return to
@@ -168,6 +185,7 @@ var bufPool = sync.Pool{New: func() any { return &Buf{B: make([]byte, 0, 4096)} 
 // GetBuf returns a pooled buffer with length n (contents undefined).
 func GetBuf(n int) *Buf {
 	b := bufPool.Get().(*Buf)
+	b.dbg.get()
 	if cap(b.B) < n {
 		b.B = make([]byte, n)
 	} else {
@@ -182,6 +200,7 @@ func (b *Buf) Release() {
 	if b == nil {
 		return
 	}
+	b.dbg.release(b.B)
 	if cap(b.B) > maxPooledBuf {
 		return // let the GC take oversized buffers
 	}
@@ -224,7 +243,8 @@ func WriteFrame(w io.Writer, typ FrameType, payload []byte) error {
 
 // ReadFrame reads one frame written by WriteFrame. The payload is
 // freshly allocated (nil for zero-length frames) and owned by the
-// caller; hot paths should prefer ReadFrameBuf.
+// caller. Only handshakes and control links use it: a data path reads
+// with ReadFrameBuf, which allocates nothing at steady state.
 func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 	// The header goes through a pooled buffer rather than a stack array:
 	// a [5]byte sliced into an io.Reader interface escapes, costing one
@@ -252,7 +272,9 @@ func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 // ReadFrameBuf reads one frame into a pooled buffer. The returned *Buf
 // (nil for zero-length frames) holds the payload in B; the caller must
 // Release it once the payload has been consumed and must not retain
-// sub-slices of it past the Release.
+// sub-slices of it past the Release. The worker reads tuple frames and
+// the master reads result frames this way; each hands the buffer to a
+// record that releases it once nothing aliases the payload.
 func ReadFrameBuf(r io.Reader) (FrameType, *Buf, error) {
 	// One pooled buffer serves both the header read and, grown in
 	// place, the payload read — the whole frame costs zero allocations

@@ -20,13 +20,25 @@ go test -race ./...
 # them, and this smoke run proves every dataplane benchmark still compiles
 # and completes one iteration.
 go test -run=NONE -bench=. -benchtime=1x ./internal/wire ./internal/tuple ./internal/runtime
-# The round-trip allocation budgets — at most 7 allocations across both
-# directions for a 64-tuple batch, and at most 3 for a one-tuple Submit —
-# and the worker's zero-allocation decode and release of a 64-tuple
-# frame only hold still at one core, and skip under -race, so nothing
-# above runs them; pin them here at GOMAXPROCS=1.
+# The round-trip allocation budgets — at most 2 allocations across both
+# directions for a 64-tuple batch, and at most 1 for a one-tuple Submit —
+# the worker's zero-allocation decode and release of a 64-tuple frame,
+# and the master's zero-allocation result frame only hold still at one
+# core, and skip under -race, so nothing above runs them; pin them here
+# at GOMAXPROCS=1.
 GOMAXPROCS=1 go test -count=1 \
-    -run 'TestBatchRoundTripAllocs|TestSubmitRoundTripAllocs|TestTupleBlockReuseAllocs' ./internal/runtime/
+    -run 'TestBatchRoundTripAllocs|TestSubmitRoundTripAllocs|TestTupleBlockReuseAllocs|TestResultFrameAllocs' ./internal/runtime/
+# Pooled buffers under the swingdebug tag: a released wire.Buf is
+# poisoned and a second release panics, so a result played after its
+# frame was freed reads poison and a double free fails loudly. The wire
+# and runtime suites under it, then the result-frame ownership tests
+# (a dropped result frees its frame exactly once; a result held in the
+# playback ring outlives later frames) ten times at one core and at two.
+go test -race -tags swingdebug ./internal/wire/ ./internal/runtime/
+GOMAXPROCS=1 go test -race -tags swingdebug -count=10 \
+    -run 'TestResultFrameFreedOnce|TestHeldResultOutlivesLaterFrames|TestResultFrameSiblingBytesIndependent' ./internal/runtime/
+GOMAXPROCS=2 go test -race -tags swingdebug -count=10 \
+    -run 'TestResultFrameFreedOnce|TestHeldResultOutlivesLaterFrames|TestResultFrameSiblingBytesIndependent' ./internal/runtime/
 # Many-worker throughput smoke under the race detector, scaled down (64
 # workers, 4 submitters, 200 tuples) so the shared hot state — the
 # in-flight table, the RCU routing snapshot — and the journal's group
@@ -93,8 +105,8 @@ go test -race -count=5 \
 # boundary of the journal file, results
 # reaching the sink only after their ack records are in the journal and
 # (with a standby attached) in its mirror, independent bytes fields for
-# the results of one frame, the hostile tuple-batch count and result-seq
-# guards, and the batched sink pass.
+# the results of one frame, each result frame freed once, the hostile
+# tuple-batch count and result-seq guards, and the batched sink pass.
 go test -race -count=1 \
     -run 'TestResultFrame|TestHostileTupleBatchCount|TestHostileResultSeqNotBuffered|TestJournalCutAtEveryRecordBoundary|TestReorderCapFloor' \
     ./internal/runtime/
@@ -174,7 +186,9 @@ FUZZ_SECONDS="${FUZZ_SECONDS:-5}"
 go test -run '^$' -fuzz 'FuzzFrameCodec' -fuzztime "${FUZZ_SECONDS}s" ./internal/wire/
 go test -run '^$' -fuzz 'FuzzRepCodec' -fuzztime "${FUZZ_SECONDS}s" ./internal/wire/
 go test -run '^$' -fuzz 'FuzzJournalRecord' -fuzztime "${FUZZ_SECONDS}s" ./internal/runtime/
-# The playback ring against the map loop it replaced, after every arrival.
+# The playback ring against the map loop it replaced, after every
+# arrival, and every arrived value played, handed back or still buffered
+# exactly once.
 go test -run '^$' -fuzz 'FuzzReorder' -fuzztime=10s ./internal/reorder/
 # The in-flight slot table against a map oracle, after every ledger op.
 go test -run '^$' -fuzz 'FuzzInflightTable' -fuzztime=10s ./internal/runtime/

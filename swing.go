@@ -270,6 +270,9 @@ type Worker = runtime.Worker
 type WorkerConfig = runtime.WorkerConfig
 
 // LiveResult is one in-order playback delivery at the master's sink.
+// Its Tuple is valid only during the OnResult call that delivers it: the
+// master reuses a result frame's memory once the frame's last result has
+// played. Call Tuple.Clone to keep one.
 type LiveResult = runtime.Result
 
 // MasterStats summarizes the master's side of a live run: the
